@@ -78,8 +78,8 @@ def _emit(report: dict, summary: list[str], out: str | None) -> None:
 
 def cmd_psd_check(args) -> int:
     if args.univariate:
-        data = serialize.load_json(args.input)
-        verdict = hamburger_check([serialize.scalar_from_json(v) for v in data["moments"]])
+        moments = serialize.moments_from_dict(serialize.load_json(args.input))
+        verdict = hamburger_check(moments)
         report = {"command": "psd-check", "univariate": True,
                   "input": args.input, "verdict": _verdict_dict(verdict)}
         _emit(report, [f"hankel verdict: {verdict.outcome}"], args.out)

@@ -27,7 +27,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .functionals.core import LinearFunctional, SCALAR_EXACT
+from .functionals.core import LinearFunctional, MomentWindow, SCALAR_EXACT
 from .functionals.psd import PsdVerdict, psd_check_exact
 from .polyalg import (DimensionMismatchError, Exponent, Poly,
                       exponents_up_to_degree)
@@ -220,16 +220,12 @@ def t_positivity_check(L: LinearFunctional, preorder: Preorder,
 
 def _localizing_matrix(L: LinearFunctional, g: Poly,
                        monos: list[Exponent]) -> list[list[Fraction]]:
-    size = len(monos)
-    out = [[Fraction(0)] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(i, size):
-            shift = tuple(a + b for a, b in zip(monos[i], monos[j]))
-            value = L.apply_poly(Poly(g.nvars, {tuple(x + y for x, y in zip(e, shift)): c
-                                                for e, c in g.terms.items()}))
-            out[i][j] = value
-            out[j][i] = value
-    return out
+    """M_g[i][j] = L(g * x^(alpha_i + alpha_j)), one evaluation per class."""
+    def localized(key):
+        shift = key[0]
+        return L.apply_poly(Poly(g.nvars, {tuple(x + y for x, y in zip(e, shift)): c
+                                           for e, c in g.terms.items()}))
+    return MomentWindow([(a, 0) for a in monos]).matrix(localized)
 
 
 def functional_annihilates_ideal(L: LinearFunctional, ideal_gens: list[Poly],

@@ -21,10 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from ..extalg import AElement, Mode, truncated_basis
 from ..polyalg import (DimensionMismatchError, Exponent, Poly,
-                       exponents_of_degree, exponents_up_to_degree,
+                       exponents_of_degree, exponents_up_to_degree, grlex_key,
                        norm_squared)
 from ..scalars import as_fraction
 
@@ -105,8 +106,7 @@ class LinearFunctional:
                 if lifted not in self.values:
                     ok = False
                     break
-                total += coeff * self.values[lifted] if self.scalar_kind == SCALAR_EXACT \
-                    else float(coeff) * self.values[lifted]
+                total += coeff * self.values[lifted]
             if ok:
                 return total
         raise DomainOverflowError(key)
@@ -121,7 +121,7 @@ class LinearFunctional:
         total = self.zero_scalar()
         for gamma, coeff in a.numerator.terms.items():
             v = self._key_value(gamma, a.pole_order, cache)
-            total += coeff * v if self.scalar_kind == SCALAR_EXACT else float(coeff) * v
+            total += coeff * v
         return total
 
     __call__ = apply
@@ -136,7 +136,7 @@ class LinearFunctional:
             if key not in self.values:
                 raise DomainOverflowError(key)
             v = self.values[key]
-            total += coeff * v if self.scalar_kind == SCALAR_EXACT else float(coeff) * v
+            total += coeff * v
         return total
 
     def polynomial_restriction(self) -> dict[Exponent, Fraction | float]:
@@ -164,8 +164,7 @@ class LinearFunctional:
                 if lifted not in self.values:
                     complete = False
                     break
-                total += coeff * self.values[lifted] if self.scalar_kind == SCALAR_EXACT \
-                    else float(coeff) * self.values[lifted]
+                total += coeff * self.values[lifted]
             if complete and abs(total - value) > tol:
                 bad.append((gamma, m))
         return bad
@@ -329,16 +328,90 @@ def extend_from_measure(measure: DiscreteMeasure, pole_order: int, degree: int) 
     return moments_of_measure(measure, basis)
 
 
+class MomentWindow:
+    """Class structure of a moment matrix on a monomial fraction basis.
+
+    On the basis x^gamma_i / ||x||^(2 m_i) entry (i, j) of a Gram, moment
+    or localizing matrix depends only on the product key (gamma_i + gamma_j,
+    m_i + m_j), its class.  The window stores the basis ``keys`` in the
+    given order, the distinct ``classes`` (sorted by pole order, then
+    grlex), ``class_index`` and the n x n table ``class_of``; a matrix is
+    then built by reading one value per class.  A localizer g enters
+    through the reader, which evaluates L(g * class) once per class.
+
+    In one variable ||x||^2 = x^2 divides a monomial, so product keys are
+    reduced the way ``a_normalize`` reduces x^g / |x|^(2m) and can land at
+    a lower pole; in more variables a monomial is never divisible by
+    ||x||^2.  Keys therefore name the same fraction ``L.apply`` would see.
+    """
+
+    def __init__(self, keys: list[Key]):
+        self.keys = [(tuple(gamma), m) for gamma, m in keys]
+        reduce = self.reduce if any(len(g) == 1 for g, _ in self.keys) else None
+        upper = []
+        for i, (gi, mi) in enumerate(self.keys):
+            row = [(tuple(map(add, gi, gj)), mi + mj) for gj, mj in self.keys[i:]]
+            upper.append(list(map(reduce, row)) if reduce else row)
+        # Reading classes in the order a row-major scan of the upper triangle
+        # meets them makes a missing value fail at the entry an entry-by-entry
+        # build would have failed at first.
+        self._scan_order = list(dict.fromkeys(key for row in upper for key in row))
+        self.classes = sorted(self._scan_order, key=lambda k: (k[1], grlex_key(k[0])))
+        self.class_index = {key: c for c, key in enumerate(self.classes)}
+        n = len(self.keys)
+        self.class_of = [[0] * n for _ in range(n)]
+        for i, row in enumerate(upper):
+            for j, key in enumerate(row, start=i):
+                self.class_of[i][j] = self.class_of[j][i] = self.class_index[key]
+
+    @staticmethod
+    def reduce(key: Key) -> Key:
+        """Reduced form of the monomial fraction x^gamma / ||x||^(2m)."""
+        gamma, m = key
+        if len(gamma) != 1 or m == 0 or gamma[0] < 2:
+            return key
+        k = min(m, gamma[0] // 2)
+        return ((gamma[0] - 2 * k,), m - k)
+
+    @classmethod
+    def of_basis(cls, basis: list[AElement]) -> "MomentWindow":
+        """Window of a basis of coefficient-1 monomial fractions of one algebra."""
+        keys = []
+        for b in basis:
+            terms = b.numerator.terms
+            if len(terms) != 1 or next(iter(terms.values())) != 1:
+                raise ValueError(f"basis element {b} is not a coefficient-1 monomial fraction")
+            if b.nvars != basis[0].nvars:
+                raise DimensionMismatchError("basis elements live over different numbers of variables")
+            if b.mode is not basis[0].mode:
+                raise ValueError("basis elements mix algebra modes")
+            keys.append((next(iter(terms)), b.pole_order))
+        return cls(keys)
+
+    def matrix(self, read) -> list[list]:
+        """The matrix with entry (i, j) = read(class key of (i, j)), one read per class."""
+        values = [None] * len(self.classes)
+        for key in self._scan_order:
+            values[self.class_index[key]] = read(key)
+        return [[values[c] for c in row] for row in self.class_of]
+
+
 def gram_matrix(L: LinearFunctional, basis: list[AElement]) -> list[list]:
-    """G[i][j] = L(b_i * b_j).  Missing keys raise DomainOverflowError."""
-    n = len(basis)
-    G = [[L.zero_scalar()] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            value = L.apply(basis[i] * basis[j])
-            G[i][j] = value
-            G[j][i] = value
-    return G
+    """G[i][j] = L(b_i * b_j) on a monomial basis.  Missing keys raise DomainOverflowError.
+
+    Basis elements must be coefficient-1 monomial fractions (as
+    ``truncated_basis`` returns); anything else raises ValueError.
+    """
+    window = MomentWindow.of_basis(basis)
+    if basis and basis[0].nvars != L.nvars:
+        raise DimensionMismatchError("element dimension does not match functional")
+    if basis and basis[0].mode is not L.mode:
+        raise ValueError(f"cannot apply {L.mode.value} functional to "
+                         f"{basis[0].mode.value} element")
+    # zero + value sums exactly as L.apply does, so a stored float -0.0 reads as 0.0.
+    zero = L.zero_scalar()
+    cache: dict = {}
+    return window.matrix(lambda key: zero + L._key_value(key[0], key[1], cache))
 
 
 @dataclass

@@ -41,7 +41,7 @@ import numpy as np
 from ..extalg import Mode
 from ..polyalg import Exponent, exponents_of_degree, norm_squared
 from .core import (InconsistentFunctionalError, Key, LinearFunctional,
-                   SCALAR_EXACT, SCALAR_FLOAT)
+                   MomentWindow, SCALAR_EXACT, SCALAR_FLOAT)
 from .psd import FloatPsdVerdict, psd_check_float
 
 
@@ -78,12 +78,9 @@ def extension_feasibility(L: LinearFunctional, pole_order: int, degree: int,
                 f"(pole_order={M}, degree={D}) window")
 
     basis_exps = [e for t in range(2 * M, D + 1) for e in exponents_of_degree(d, t)]
-    classes = sorted({tuple(a + b for a, b in zip(g1, g2))
-                      for g1 in basis_exps for g2 in basis_exps},
-                     key=lambda e: (sum(e), tuple(-x for x in e)))
-    class_index = {e: i for i, e in enumerate(classes)}
-    class_of = np.array([[class_index[tuple(a + b for a, b in zip(g1, g2))]
-                          for g2 in basis_exps] for g1 in basis_exps])
+    window = MomentWindow([(e, M) for e in basis_exps])
+    classes = [_exponent_at_pole(key, 2 * M) for key in window.classes]
+    class_of = np.array(window.class_of)
     counts = np.bincount(class_of.ravel(), minlength=len(classes)).astype(float)
 
     mass, radius = _normalization(L, d)
@@ -105,7 +102,7 @@ def extension_feasibility(L: LinearFunctional, pole_order: int, degree: int,
         signature = []
         for exp, coeff in expansion.items():
             eps = tuple(a + b for a, b in zip(gamma, exp))
-            row[class_index[eps]] += float(coeff)
+            row[window.class_index[MomentWindow.reduce((eps, 2 * M))]] += float(coeff)
             signature.append((eps, coeff))
         sig = tuple(sorted(signature))
         fval = float(value) / (mass * radius ** (sum(gamma) - 2 * m))
@@ -166,6 +163,16 @@ def extension_feasibility(L: LinearFunctional, pole_order: int, degree: int,
                                      psd_check_float(G_aff, tol), residual)
         Z = Z + G_psd - G_aff
     return FeasibilityResult(False, None, gap, max_iters, None, None)
+
+
+def _exponent_at_pole(key: Key, pole: int) -> Exponent:
+    """Exponent of the representative of a window class at the given pole order.
+
+    The window reduces keys only in one variable, where ||x||^2 = x^2, so
+    lifting back multiplies by x^2 once per pole order.
+    """
+    gamma, m = key
+    return (gamma[0] + 2 * (pole - m),) + gamma[1:]
 
 
 def _normalization(L: LinearFunctional, d: int) -> tuple[float, float]:

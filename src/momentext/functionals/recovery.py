@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..polyalg import Exponent, exponents_up_to_degree
-from .core import DiscreteMeasure, LinearFunctional
+from .core import DiscreteMeasure, LinearFunctional, MomentWindow
 
 
 class IndeterminateRankError(RuntimeError):
@@ -51,12 +51,7 @@ def recover_atoms(L: LinearFunctional, dim: int, degree: int,
     monos = exponents_up_to_degree(dim, degree)
     index = {m: i for i, m in enumerate(monos)}
     size = len(monos)
-    M = np.empty((size, size))
-    for i, a in enumerate(monos):
-        for j in range(i, size):
-            value = float(L.value(tuple(x + y for x, y in zip(a, monos[j]))))
-            M[i, j] = value
-            M[j, i] = value
+    M = _moment_matrix(L, monos)
 
     U, sigma, _ = np.linalg.svd(M)
     scale = float(sigma[0]) if size else 0.0
@@ -133,6 +128,12 @@ def recover_atoms(L: LinearFunctional, dim: int, degree: int,
             f"recovered measure misses the input moments by {residual:.3e}",
             residual=residual)
     return measure
+
+
+def _moment_matrix(L: LinearFunctional, monos: list[Exponent]) -> np.ndarray:
+    """M[i][j] = L(x^(a_i + a_j)) as floats, read from the stored keys only."""
+    window = MomentWindow([(a, 0) for a in monos])
+    return np.array(window.matrix(lambda key: float(L.value(*key))))
 
 
 def _greedy_pivots(W: np.ndarray, rank: int) -> list[int] | None:

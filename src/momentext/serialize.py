@@ -3,7 +3,10 @@
 Rationals travel as "p/q" strings so files stay exact; floats (from the
 approximate paths) are written as JSON numbers and read back as floats.
 Dump functions emit deterministically ordered structures, so identical
-inputs serialize byte-identically.
+inputs serialize byte-identically.  Load functions check the shape of what
+they read and raise ValueError on anything malformed (a list where an
+object belongs, a string where a list belongs, a non-integer exponent), so
+bad input is reported as an input error instead of turning into data.
 """
 
 from __future__ import annotations
@@ -28,13 +31,40 @@ def scalar_to_json(value):
 
 
 def scalar_from_json(value):
-    if isinstance(value, str):
+    if isinstance(value, float):
+        return value
+    return _rational(value)
+
+
+def _object(data, what: str) -> dict:
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(data).__name__}")
+    return data
+
+
+def _array(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON array, not {type(value).__name__}")
+    return value
+
+
+def _integer(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
+def _exponent(value) -> tuple[int, ...]:
+    return tuple(_integer(e, "exponent entry") for e in _array(value, "exponent"))
+
+
+def _rational(value) -> Fraction:
+    if not isinstance(value, (int, str)) or isinstance(value, bool):
+        raise ValueError(f"{value!r} is not an exact rational")
+    try:
         return as_fraction(value)
-    if isinstance(value, bool):
-        raise ValueError("booleans are not scalars")
-    if isinstance(value, int):
-        return Fraction(value)
-    return float(value)
+    except ZeroDivisionError:
+        raise ValueError(f"{value!r} has a zero denominator") from None
 
 
 # -- polynomials -------------------------------------------------------------
@@ -47,9 +77,12 @@ def poly_to_dict(p: Poly) -> dict:
 
 
 def poly_from_dict(data: dict) -> Poly:
-    terms = {tuple(item["exp"]): as_fraction(item["coeff"])
-             for item in data["terms"]}
-    return Poly(int(data["nvars"]), terms)
+    data = _object(data, "polynomial")
+    terms = {}
+    for item in _array(data["terms"], "polynomial terms"):
+        item = _object(item, "polynomial term")
+        terms[_exponent(item["exp"])] = _rational(item["coeff"])
+    return Poly(_integer(data["nvars"], "nvars"), terms)
 
 
 # -- algebra elements --------------------------------------------------------
@@ -62,8 +95,9 @@ def aelement_to_dict(a: AElement) -> dict:
 
 
 def aelement_from_dict(data: dict) -> AElement:
+    data = _object(data, "element")
     return a_normalize(poly_from_dict(data["numerator"]),
-                       int(data["pole_order"]), Mode(data["mode"]))
+                       _integer(data["pole_order"], "pole_order"), Mode(data["mode"]))
 
 
 # -- measures ----------------------------------------------------------------
@@ -81,14 +115,20 @@ def measure_to_dict(measure: DiscreteMeasure) -> dict:
     }
 
 
+def _weighted_points(items, what: str) -> tuple:
+    out = []
+    for item in _array(items, what):
+        item = _object(item, what)
+        out.append((scalar_from_json(item["weight"]),
+                    tuple(scalar_from_json(c) for c in _array(item["point"], "point"))))
+    return tuple(out)
+
+
 def measure_from_dict(data: dict) -> DiscreteMeasure:
-    atoms = tuple((scalar_from_json(item["weight"]),
-                   tuple(scalar_from_json(c) for c in item["point"]))
-                  for item in data.get("atoms", []))
-    sphere = tuple((scalar_from_json(item["weight"]),
-                    tuple(scalar_from_json(c) for c in item["point"]))
-                   for item in data.get("sphere_atoms", []))
-    return DiscreteMeasure(int(data["dim"]), atoms,
+    data = _object(data, "measure")
+    atoms = _weighted_points(data.get("atoms", []), "atoms")
+    sphere = _weighted_points(data.get("sphere_atoms", []), "sphere_atoms")
+    return DiscreteMeasure(_integer(data["dim"], "dim"), atoms,
                            scalar_from_json(data.get("origin_mass", 0)), sphere)
 
 
@@ -106,20 +146,29 @@ def functional_to_dict(L: LinearFunctional) -> dict:
 
 
 def functional_from_dict(data: dict) -> LinearFunctional:
+    data = _object(data, "functional")
     kind = data["scalar_kind"]
     if kind not in (SCALAR_EXACT, SCALAR_FLOAT):
         raise ValueError(f"unknown scalar kind {kind!r}")
     values = {}
-    for item in data["entries"]:
+    for item in _array(data["entries"], "entries"):
+        item = _object(item, "entry")
         value = scalar_from_json(item["value"])
         if kind == SCALAR_FLOAT:
             value = float(value)
         elif isinstance(value, float):
             raise ValueError("exact functional file contains a float value")
-        values[(tuple(item["exp"]), int(item["pole_order"]))] = value
-    return LinearFunctional(int(data["nvars"]), Mode(data["mode"]), kind, values,
-                            pole_max=int(data.get("pole_max", 0)),
-                            degree_max=int(data.get("degree_max", 0)))
+        values[(_exponent(item["exp"]), _integer(item["pole_order"], "pole_order"))] = value
+    return LinearFunctional(_integer(data["nvars"], "nvars"), Mode(data["mode"]), kind,
+                            values,
+                            pole_max=_integer(data.get("pole_max", 0), "pole_max"),
+                            degree_max=_integer(data.get("degree_max", 0), "degree_max"))
+
+
+def moments_from_dict(data: dict) -> list:
+    """The moment list of a univariate input {"moments": [...]}."""
+    data = _object(data, "univariate moment file")
+    return [scalar_from_json(v) for v in _array(data["moments"], "moments")]
 
 
 # -- fibre inputs ------------------------------------------------------------
@@ -131,8 +180,9 @@ def preorder_to_dict(preorder: Preorder) -> dict:
 
 
 def preorder_from_dict(data: dict) -> Preorder:
-    return Preorder(int(data["dim"]),
-                    tuple(poly_from_dict(g) for g in data["generators"]))
+    data = _object(data, "preorder")
+    return Preorder(_integer(data["dim"], "dim"),
+                    tuple(poly_from_dict(g) for g in _array(data["generators"], "generators")))
 
 
 def fibre_spec_to_dict(spec: FibreSpec) -> dict:
@@ -141,8 +191,9 @@ def fibre_spec_to_dict(spec: FibreSpec) -> dict:
 
 
 def fibre_spec_from_dict(data: dict) -> FibreSpec:
-    return FibreSpec(tuple(poly_from_dict(h) for h in data["bounded"]),
-                     tuple(as_fraction(v) for v in data["value"]))
+    data = _object(data, "fibre spec")
+    return FibreSpec(tuple(poly_from_dict(h) for h in _array(data["bounded"], "bounded")),
+                     tuple(_rational(v) for v in _array(data["value"], "value")))
 
 
 def samples_to_dict(dim: int, points: list) -> dict:
@@ -151,12 +202,13 @@ def samples_to_dict(dim: int, points: list) -> dict:
 
 
 def samples_from_dict(data: dict) -> list[list[Fraction]]:
-    dim = int(data["dim"])
+    data = _object(data, "samples")
+    dim = _integer(data["dim"], "dim")
     points = []
-    for p in data["points"]:
-        if len(p) != dim:
+    for p in _array(data["points"], "points"):
+        if len(_array(p, "sample")) != dim:
             raise ValueError(f"sample {p} does not have dimension {dim}")
-        points.append([as_fraction(c) for c in p])
+        points.append([_rational(c) for c in p])
     return points
 
 
@@ -178,16 +230,18 @@ def sequence_to_dict(seq: HermitianSequence) -> dict:
 
 
 def sequence_from_dict(data: dict) -> HermitianSequence:
+    data = _object(data, "sequence")
     domain = SgDomain(data["domain"])
     entries: dict[tuple[int, int], Any] = {}
-    for item in data["entries"]:
+    for item in _array(data["entries"], "entries"):
+        item = _object(item, "entry")
         re = scalar_from_json(item["re"])
         im = scalar_from_json(item.get("im", 0))
         if isinstance(re, float) or isinstance(im, float):
             value: Any = complex(float(re), float(im))
         else:
             value = GaussianRational(re, im)
-        entries[(int(item["m"]), int(item["n"]))] = value
+        entries[(_integer(item["m"], "m"), _integer(item["n"], "n"))] = value
     return HermitianSequence(domain, entries)
 
 

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import momentext
 from momentext import serialize
 from momentext.cli import main
 from momentext.functionals.core import DiscreteMeasure, polynomial_moments
@@ -224,3 +229,39 @@ def test_input_error_paths(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["semigroup", "--pipeline", "unheard-of"])
     assert exc.value.code == 2
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(momentext.__file__).parents[1]))
+    hankel = tmp_path / "hankel.json"
+    hankel.write_text(json.dumps({"moments": ["2", "-1", "5", "-7", "17"]}))
+    ok = subprocess.run([sys.executable, "-m", "momentext", "psd-check", "--univariate",
+                         str(hankel)], capture_output=True, text=True, env=env, timeout=60)
+    assert ok.returncode == 0, ok.stderr
+    assert json.loads(ok.stdout)["verdict"]["outcome"] == "PSD"
+    bad = subprocess.run([sys.executable, "-m", "momentext", "psd-check",
+                          str(tmp_path / "missing.json")],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert bad.returncode == 2 and "error:" in bad.stderr
+
+
+def test_top_level_list_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    code, _, err = run(capsys, "extend", str(path), "-M", "1", "-D", "2")
+    assert code == 2 and "must be a JSON object" in err
+
+
+def test_univariate_moment_string_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "moments.json"
+    path.write_text(json.dumps({"moments": "12345"}))
+    code, out, err = run(capsys, "psd-check", "--univariate", str(path))
+    assert code == 2 and out == "" and "must be a JSON array" in err
+
+
+def test_non_list_exponent_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "functional.json"
+    path.write_text(json.dumps({"nvars": 1, "mode": "Aplus", "scalar_kind": "exact_rational",
+                                "entries": [{"exp": 5, "pole_order": 0, "value": "1"}]}))
+    code, out, err = run(capsys, "psd-check", str(path))
+    assert code == 2 and out == "" and "exponent" in err

@@ -118,3 +118,15 @@ def test_inconsistent_lstsq_detected():
     L = LinearFunctional(2, Mode.APLUS, SCALAR_EXACT, vals)
     with pytest.raises(InconsistentFunctionalError):
         extension_feasibility(L, 2, 4)
+
+
+def test_univariate_window_classes_lift_to_the_top_pole():
+    # In one variable the window names product classes by reduced keys; the
+    # search variables must still be the values at pole order 2M.
+    mu = DiscreteMeasure(1, atoms=((Fraction(1), (Fraction(2),)),
+                                   (Fraction(1, 3), (Fraction(-1, 2),))))
+    result = extension_feasibility(polynomial_moments(mu, 2), 1, 4)
+    assert result.feasible
+    assert result.fixed_key_residual < 1e-9
+    top = sorted(k for k in result.functional.values if k[1] == 2)
+    assert [g for (g,), _ in top] == list(range(4, 9))

@@ -138,3 +138,29 @@ def test_dump_json_is_deterministic(tmp_path):
     assert first.read_bytes() == second.read_bytes()
     assert first.read_bytes().endswith(b"\n")
     assert load_json(first) == load_json(second)
+
+
+@pytest.mark.parametrize("decode,data", [
+    (measure_from_dict, [1, 2]),
+    (measure_from_dict, {"dim": 2, "atoms": [{"weight": "1", "point": "12"}]}),
+    (measure_from_dict, {"dim": "2", "atoms": []}),
+    (functional_from_dict, {"nvars": 1, "mode": "Aplus", "scalar_kind": SCALAR_EXACT,
+                            "entries": [{"exp": 5, "pole_order": 0, "value": "1"}]}),
+    (functional_from_dict, {"nvars": 1, "mode": "Aplus", "scalar_kind": SCALAR_EXACT,
+                            "entries": [{"exp": ["1"], "pole_order": 0, "value": "1"}]}),
+    (functional_from_dict, {"nvars": 1, "mode": "Aplus", "scalar_kind": SCALAR_EXACT,
+                            "entries": {"exp": [0]}}),
+    (poly_from_dict, {"nvars": 1, "terms": [{"exp": [1], "coeff": 0.5}]}),
+    (samples_from_dict, {"dim": 2, "points": ["12"]}),
+    (fibre_spec_from_dict, {"bounded": [{"nvars": 1, "terms": []}], "value": "1"}),
+    (sequence_from_dict, {"domain": "N02", "entries": [[0, 0, "1"]]}),
+])
+def test_malformed_inputs_raise_value_error(decode, data):
+    with pytest.raises(ValueError):
+        decode(data)
+
+
+def test_scalar_from_json_rejects_containers():
+    for value in (None, [1], {"p": 1}, "1/0"):
+        with pytest.raises(ValueError):
+            scalar_from_json(value)

@@ -7,9 +7,9 @@ positive-extension search, fibre reductions of semialgebraic sets, atom
 recovery, and complex moment sequence pipelines on three index semigroups.
 """
 
-from .extalg import (AElement, Character, Mode, a_arith, a_normalize,
-                     char_eval, embed_poly, generator_f,
-                     norm_inverse_generator, origin_character, truncated_basis)
+from .extalg import (AElement, Character, Mode, a_normalize, char_eval,
+                     embed_poly, generator_f, norm_inverse_generator,
+                     origin_character, truncated_basis)
 from .fibres import (FibreSpec, PartitionReport, Preorder,
                      SphereFibreReduction, TPositivityReport,
                      fibre_generators, fibre_ideal_generators,

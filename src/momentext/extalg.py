@@ -33,7 +33,7 @@ from fractions import Fraction
 from .polyalg import (DimensionMismatchError, Exponent, Poly,
                       divide_by_norm_squared, exponents_of_degree, grlex_key,
                       norm_squared)
-from .scalars import as_fraction
+from .scalars import as_fraction, power_by_squaring
 
 
 class Mode(enum.Enum):
@@ -77,7 +77,7 @@ class AElement:
     def is_polynomial(self) -> bool:
         return self.pole_order == 0
 
-    # -- arithmetic (delegates to a_arith) ----------------------------------
+    # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
         other = _coerce_element(other, self)
@@ -116,14 +116,8 @@ class AElement:
     def __pow__(self, exponent: int) -> "AElement":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("AElement powers must be nonnegative ints")
-        result = embed_poly(Poly.constant(self.nvars, 1), self.mode)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = a_mul(result, base)
-            base = a_mul(base, base)
-            exponent >>= 1
-        return result
+        one = embed_poly(Poly.constant(self.nvars, 1), self.mode)
+        return power_by_squaring(self, exponent, one)
 
     def __str__(self) -> str:
         if self.pole_order == 0:
@@ -188,17 +182,6 @@ def a_add(a: AElement, b: AElement) -> AElement:
 def a_mul(a: AElement, b: AElement) -> AElement:
     _check_compatible(a, b)
     return a_normalize(a.numerator * b.numerator, a.pole_order + b.pole_order, a.mode)
-
-
-def a_arith(a: AElement, b: AElement, op: str) -> AElement:
-    """Named entry point: op is "add", "sub" or "mul"."""
-    if op == "add":
-        return a_add(a, b)
-    if op == "sub":
-        return a_add(a, -b)
-    if op == "mul":
-        return a_mul(a, b)
-    raise ValueError(f"unknown operation {op!r}")
 
 
 def _check_compatible(a: AElement, b: AElement) -> None:

@@ -11,8 +11,7 @@ from .feasibility import FeasibilityResult, extension_feasibility
 from .psd import (FloatPsdVerdict, PsdVerdict, hamburger_check,
                   psd_check_exact, psd_check_float)
 from .recovery import (IndeterminateRankError, RecoveryFailedError,
-                       measure_moment_float, polynomial_moment_residual,
-                       recover_atoms)
+                       polynomial_moment_residual, recover_atoms)
 
 __all__ = [
     "CsChainReport", "DiscreteMeasure", "DomainOverflowError",
@@ -20,7 +19,7 @@ __all__ = [
     "InconsistentFunctionalError", "Key", "LinearFunctional", "PsdVerdict",
     "RecoveryFailedError", "SCALAR_EXACT", "SCALAR_FLOAT", "cs_chain_check",
     "extend_from_measure", "extension_feasibility", "gram_matrix",
-    "hamburger_check", "measure_moment_float", "moments_of_measure",
+    "hamburger_check", "moments_of_measure",
     "polynomial_moment_residual", "polynomial_moments", "psd_check_exact",
     "psd_check_float", "recover_atoms",
 ]

@@ -239,21 +239,25 @@ class DiscreteMeasure:
                 + sum(w for w, _ in self.sphere_atoms))
 
 
-def _key_value_of_measure(measure: DiscreteMeasure, gamma: Exponent, m: int) -> Fraction:
-    """Integral of x^gamma / ||x||^(2m) against an exact measure.
+def _key_value_of_measure(measure: DiscreteMeasure, gamma: Exponent, m: int):
+    """Integral of x^gamma / ||x||^(2m) against a measure.
 
-    Point atoms evaluate directly.  Directions (and the origin mass, which
-    is a direction pinned to e1) see only the |gamma| == 2m keys, where the
-    fraction is homogeneous of degree zero with radial limit t^gamma.
+    Generic in the scalar: an exact measure gives a Fraction, a float one
+    (a recovered measure) a float.  Each point atom multiplies its weight
+    by each coordinate power in turn, then divides by ||p||^(2m) when m > 0.
+    Directions (and the origin mass, which is a direction pinned to e1) see
+    only the |gamma| == 2m keys, where the fraction is homogeneous of degree
+    zero with radial limit t^gamma.  An empty sum is the int 0.
     """
-    total = Fraction(0)
+    total = 0
     for weight, point in measure.atoms:
-        num = Fraction(1)
+        value = weight
         for base, power in zip(point, gamma):
             if power:
-                num *= base ** power
-        denom = sum(c * c for c in point) ** m
-        total += weight * num / denom
+                value *= base ** power
+        if m:
+            value /= Fraction(sum(c * c for c in point)) ** m
+        total += value
     degree_matches = sum(gamma) == 2 * m
     if degree_matches:
         if measure.origin_mass and all(g == 0 for g in gamma[1:]):

@@ -48,11 +48,15 @@ class PsdVerdict:
             for i in range(n):
                 if L[i][i] != 1 or any(L[i][j] != 0 for j in range(i + 1, n)):
                     return False
+            # G is checked symmetric and L*D*L^T is symmetric by construction,
+            # so the lower triangle decides; zero pivots add nothing.
+            support = [k for k in range(n) if D[k] != 0]
             for i in range(n):
-                for j in range(n):
-                    lhs = G[perm[i]][perm[j]]
-                    rhs = sum(L[i][k] * D[k] * L[j][k] for k in range(min(i, j) + 1))
-                    if lhs != rhs:
+                row = [(k, L[i][k] * D[k]) for k in support if k <= i]
+                G_row = G[perm[i]]
+                for j in range(i + 1):
+                    L_j = L[j]
+                    if G_row[perm[j]] != sum(ld * L_j[k] for k, ld in row if k <= j):
                         return False
             return True
         v = self.witness

@@ -20,7 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..polyalg import Exponent, exponents_up_to_degree
-from .core import DiscreteMeasure, LinearFunctional, MomentWindow
+from .core import (DiscreteMeasure, LinearFunctional, MomentWindow,
+                   _key_value_of_measure)
 
 
 class IndeterminateRankError(RuntimeError):
@@ -153,25 +154,11 @@ def _greedy_pivots(W: np.ndarray, rank: int) -> list[int] | None:
     return None
 
 
-def measure_moment_float(measure: DiscreteMeasure, gamma: Exponent) -> float:
-    """Float integral of x^gamma against point atoms plus origin mass."""
-    total = 0.0
-    for weight, point in measure.atoms:
-        value = float(weight)
-        for base, power in zip(point, gamma):
-            if power:
-                value *= float(base) ** power
-        total += value
-    if all(g == 0 for g in gamma):
-        total += float(measure.origin_mass)
-    return total
-
-
 def polynomial_moment_residual(measure: DiscreteMeasure, L: LinearFunctional,
                                max_degree: int) -> float:
     """Largest absolute gap between measure moments and L, degree <= max_degree."""
     worst = 0.0
     for gamma in exponents_up_to_degree(L.nvars, max_degree):
-        gap = abs(measure_moment_float(measure, gamma) - float(L.value(gamma)))
+        gap = abs(_key_value_of_measure(measure, gamma, 0) - float(L.value(gamma)))
         worst = max(worst, gap)
     return worst

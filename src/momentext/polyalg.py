@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .scalars import as_fraction, format_fraction
+from .scalars import as_fraction, format_fraction, power_by_squaring
 
 Exponent = tuple[int, ...]
 
@@ -205,14 +205,7 @@ class Poly:
     def __pow__(self, exponent: int) -> "Poly":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers must be nonnegative ints")
-        result = Poly.constant(self.nvars, 1)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
+        return power_by_squaring(self, exponent, Poly.constant(self.nvars, 1))
 
     # -- rendering ---------------------------------------------------------
 

@@ -25,6 +25,22 @@ def as_fraction(value: int | Fraction | str) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
+def power_by_squaring(base, exponent: int, one):
+    """base ** exponent for an int exponent >= 0, by square-and-multiply.
+
+    ``one`` is the multiplicative identity of base's type; callers check
+    the exponent (and invert for negative powers) before delegating here.
+    """
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return result
+
+
 def format_fraction(value: Fraction) -> str:
     """Render a Fraction as "p" or "p/q" (the JSON on-disk form)."""
     value = Fraction(value)
@@ -127,17 +143,9 @@ class GaussianRational:
     def __pow__(self, exponent: int) -> "GaussianRational":
         if not isinstance(exponent, int):
             return NotImplemented
-        base = self
         if exponent < 0:
-            base = self.inverse()
-            exponent = -exponent
-        result = GaussianRational.one()
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
+            return power_by_squaring(self.inverse(), -exponent, GaussianRational.one())
+        return power_by_squaring(self, exponent, GaussianRational.one())
 
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))

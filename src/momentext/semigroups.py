@@ -16,6 +16,12 @@ NPLUS image lands in the bounded-generator algebra; Z2 lands in the Laurent
 algebra, where the inversion x -> x/||x||^2 acts as a *-automorphism
 exchanging x_j with y_j = x_j/||x||^2.
 
+Both directions between (x1, x2) and (z, conj z) go through one closed-form
+helper, ``_binomial_expansion`` of (X + i^s*Y)^p * (X + i^t*Y)^q: s=1, t=3
+on (x1, x2) for ``sg_to_functions``, s=0, t=2 on (z, conj z) for the
+polynomial moments that atom recovery reads.  GaussianRational is the only
+exact complex type.
+
 Positivity of a sequence is positivity of its Hermitian moment matrices
 s(u* v); the exact check embeds the complex matrix as the real symmetric
 block matrix [[Re, -Im], [Im, Re]] and reuses the rational LDL^T
@@ -28,6 +34,7 @@ import enum
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .extalg import AElement, Mode, a_normalize, embed_poly, norm_inverse_generator
 from .functionals.core import (DiscreteMeasure, LinearFunctional, SCALAR_EXACT,
@@ -187,18 +194,23 @@ def sg_psd_check_exact(matrix) -> PsdVerdict:
 # -- translation to the function algebras -----------------------------------
 
 
-def _complex_poly_mul(a: tuple[Poly, Poly], b: tuple[Poly, Poly]) -> tuple[Poly, Poly]:
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+def _binomial_expansion(p: int, q: int, s: int,
+                        t: int) -> dict[tuple[int, int], GaussianRational]:
+    """Coefficients of (X + i^s*Y)^p * (X + i^t*Y)^q, keyed by (deg X, deg Y).
 
-
-def _complex_poly_pow(base: tuple[Poly, Poly], exponent: int) -> tuple[Poly, Poly]:
-    result = (Poly.constant(2, 1), Poly.zero(2))
-    while exponent:
-        if exponent & 1:
-            result = _complex_poly_mul(result, base)
-        base = _complex_poly_mul(base, base)
-        exponent >>= 1
-    return result
+    Choosing Y from j of the first p factors and k of the last q gives the
+    integer C(p,j)*C(q,k) in quarter-turn class (s*j + t*k) mod 4 of the
+    monomial X^(p+q-j-k) Y^(j+k); the four classes c of a monomial make the
+    coefficient (c0 - c2) + (c1 - c3)*i.  Every monomial of total degree
+    p+q is keyed, including those whose coefficient cancels to zero.
+    """
+    classes = [[0, 0, 0, 0] for _ in range(p + q + 1)]
+    for j in range(p + 1):
+        cj = comb(p, j)
+        for k in range(q + 1):
+            classes[j + k][(s * j + t * k) % 4] += cj * comb(q, k)
+    return {(p + q - d, d): GaussianRational(c[0] - c[2], c[1] - c[3])
+            for d, c in enumerate(classes)}
 
 
 def sg_to_functions(u: SgElement) -> tuple[AElement, AElement]:
@@ -211,11 +223,10 @@ def sg_to_functions(u: SgElement) -> tuple[AElement, AElement]:
     """
     c = max(0, -u.m, -u.n)
     mode = Mode.LAURENT if u.domain is SgDomain.Z2 else Mode.APLUS
-    x1, x2 = Poly.variable(2, 0), Poly.variable(2, 1)
-    z = (x1, x2)
-    zbar = (x1, -x2)
-    num = _complex_poly_mul(_complex_poly_pow(z, u.m + c), _complex_poly_pow(zbar, u.n + c))
-    return a_normalize(num[0], c, mode), a_normalize(num[1], c, mode)
+    expansion = _binomial_expansion(u.m + c, u.n + c, 1, 3)
+    re_part = Poly(2, {exp: coeff.re for exp, coeff in expansion.items()})
+    im_part = Poly(2, {exp: coeff.im for exp, coeff in expansion.items()})
+    return a_normalize(re_part, c, mode), a_normalize(im_part, c, mode)
 
 
 def complex_atoms_to_measure(atoms) -> DiscreteMeasure:
@@ -256,17 +267,21 @@ def sequence_from_measure(atoms, window: list[SgElement]) -> HermitianSequence:
         if z.is_zero() and has_negative:
             raise ValueError("an atom at 0 has no moments at negative powers")
         clean.append((weight, z))
-    entries: dict[tuple[int, int], GaussianRational] = {}
-    for u in window:
-        total = GaussianRational.zero()
-        for weight, z in clean:
-            if z.is_zero():
-                if u.m == 0 and u.n == 0:
-                    total = total + weight
-                continue
-            total = total + weight * (z ** u.m) * (z.conjugate() ** u.n)
-        entries[(u.m, u.n)] = total
+    zero = GaussianRational.zero()
+    entries = {(u.m, u.n): _atom_moment(clean, u.m, u.n, zero) for u in window}
     return HermitianSequence(domain, entries)
+
+
+def _atom_moment(atoms, m: int, n: int, zero):
+    """Sum of w * z^m * conj(z)^n over (w, z) atoms, from ``zero`` up.
+
+    Generic in the scalar: GaussianRational atoms sum exactly (an atom at 0
+    contributes only at (0,0), by 0^0 = 1), complex atoms in floats.
+    """
+    total = zero
+    for weight, z in atoms:
+        total = total + weight * (z ** m) * (z.conjugate() ** n)
+    return total
 
 
 def sequence_residual_float(atoms, origin_mass: float,
@@ -274,9 +289,7 @@ def sequence_residual_float(atoms, origin_mass: float,
     """Largest |s_hat - s| over the stored window, for float atom lists."""
     worst = 0.0
     for (m, n), value in seq.entries.items():
-        total = 0.0 + 0.0j
-        for weight, z in atoms:
-            total += weight * (z ** m) * (z.conjugate() ** n)
+        total = _atom_moment(atoms, m, n, 0.0 + 0.0j)
         if m == 0 and n == 0:
             total += origin_mass
         worst = max(worst, abs(total - complex(value)))
@@ -431,40 +444,22 @@ def bisgaard_check(s: HermitianSequence, try_recovery: bool = True,
 
 
 def _polynomial_moments_from_sequence(s: HermitianSequence, max_degree: int) -> LinearFunctional:
-    """L(x^gamma) from the quarter-plane entries via x1 = (z+conj z)/2 etc."""
-    x1 = {(1, 0): GaussianRational.of(Fraction(1, 2)),
-          (0, 1): GaussianRational.of(Fraction(1, 2))}
-    x2 = {(1, 0): GaussianRational.of(0, Fraction(-1, 2)),
-          (0, 1): GaussianRational.of(0, Fraction(1, 2))}
+    """L(x^gamma) from the quarter-plane entries.
+
+    With x1 = (z + conj z)/2 and x2 = -i*(z - conj z)/2, the monomial
+    x1^a * x2^b is 2^-(a+b) * (-i)^b * (z + conj z)^a * (z - conj z)^b.
+    """
     values = {}
     for gamma in exponents_up_to_degree(2, max_degree):
-        expansion = _zdict_mul(_zdict_pow(x1, gamma[0]), _zdict_pow(x2, gamma[1]))
+        a, b = gamma
         total = GaussianRational.zero()
-        for (m, n), coeff in expansion.items():
+        for (m, n), coeff in _binomial_expansion(a, b, 0, 2).items():
             total = total + coeff * s.value(m, n)
+        total = total * Fraction(1, 2 ** (a + b)) * GaussianRational(0, -1) ** b
         if total.im != 0:
             raise ValueError(f"moment of x^{gamma} came out non-real: {total}")
         values[(gamma, 0)] = total.re
     return LinearFunctional(2, Mode.APLUS, SCALAR_EXACT, values)
-
-
-def _zdict_mul(a: dict, b: dict) -> dict:
-    out: dict[tuple[int, int], GaussianRational] = {}
-    for (m1, n1), c1 in a.items():
-        for (m2, n2), c2 in b.items():
-            key = (m1 + m2, n1 + n2)
-            out[key] = out.get(key, GaussianRational.zero()) + c1 * c2
-    return out
-
-
-def _zdict_pow(base: dict, exponent: int) -> dict:
-    result = {(0, 0): GaussianRational.one()}
-    while exponent:
-        if exponent & 1:
-            result = _zdict_mul(result, base)
-        base = _zdict_mul(base, base)
-        exponent >>= 1
-    return result
 
 
 # -- Laurent generator relations and the inversion automorphism --------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -179,6 +180,49 @@ def test_laurent_relations_cli_deterministic(tmp_path, capsys):
     a, b = open(first, "rb").read(), open(second, "rb").read()
     assert a == b
     assert json.loads(a)["passed"] is True
+
+
+# SHA-256 of exact-only report bytes; no float enters these reports, so the
+# digests do not depend on the BLAS build.
+NPLUS_BOX2_REPORTS = {
+    1: "a9fff5d72b6341ed016e6c6f33148c147a7b0aea8154f8b0143309f83e9aa1cb",
+    2: "a2d07c4866c8181dcabb838dd2074adabf65993be54551dcad5b3ed4b183aa4b",
+    4: "c6c99971894fc9d0afc224d311769c51905b276ed667ca4cbd5dad906ca32779",
+}
+BISGAARD_NO_RECOVERY_REPORT = "3e9f85cfb0f9ab79b6e3c83f65cd045ef754e514250aeab788a7c59b042834d9"
+LAURENT_SEED0_REPORT = "885cda0002407b404cbebe28d520604174558684229a8e0df04aa418897ee14b"
+
+
+def report_digest(capsys, tmp_path, *argv):
+    out = tmp_path / "report.json"
+    if out.exists():
+        out.unlink()
+    code, _, err = run(capsys, *argv, "--out", str(out))
+    digest = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None
+    return code, digest, err
+
+
+def test_exact_semigroup_reports_are_byte_stable(tmp_path, capsys):
+    for seed in range(6):
+        code, out, _ = run(capsys, "gen-examples", "--scenario", "random-measure",
+                           "--seed", str(seed), "--dir", str(tmp_path))
+        measure = json.loads(out)["files"]["measure"]
+        code, digest, err = report_digest(capsys, tmp_path, "semigroup", "--pipeline",
+                                          "nplus-extension", "--measure", measure,
+                                          "--box", "2")
+        if seed in NPLUS_BOX2_REPORTS:
+            assert code == 0 and digest == NPLUS_BOX2_REPORTS[seed], seed
+        else:  # origin mass has no moments at negative powers
+            assert code == 2 and digest is None and "atom at 0" in err, seed
+
+    code, out, _ = run(capsys, "gen-examples", "--scenario", "bisgaard-two-atoms",
+                       "--dir", str(tmp_path))
+    sequence = json.loads(out)["files"]["sequence"]
+    assert report_digest(capsys, tmp_path, "semigroup", "--pipeline", "bisgaard",
+                         "--sequence", sequence, "--no-recovery")[:2] == \
+        (0, BISGAARD_NO_RECOVERY_REPORT)
+    assert report_digest(capsys, tmp_path, "semigroup", "--pipeline",
+                         "laurent-relations", "--seed", "0")[:2] == (0, LAURENT_SEED0_REPORT)
 
 
 def test_recover_atoms_failure_modes(tmp_path, capsys):

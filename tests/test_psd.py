@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import copy
 import random
 from fractions import Fraction
 
 import pytest
 
-from momentext.functionals.psd import (hamburger_check, psd_check_exact,
-                                       psd_check_float)
+from momentext.functionals.psd import (PsdVerdict, hamburger_check,
+                                       psd_check_exact, psd_check_float)
 
 
 def rational_matrix(rng: random.Random, rows: int, cols: int) -> list[list[Fraction]]:
@@ -148,3 +149,75 @@ def test_hamburger_negative_case():
 def test_hamburger_needs_odd_length():
     with pytest.raises(ValueError):
         hamburger_check([Fraction(1), Fraction(0)])
+
+
+# -- certificate replay: tampering and the full n x n oracle --------------------
+
+
+def oracle_verify_psd(verdict, G) -> bool:
+    """The full replay: every entry of P*G*P^T against L*D*L^T."""
+    n = len(G)
+    perm, L, D = verdict.permutation, verdict.unit_lower, verdict.diagonal
+    if sorted(perm) != list(range(n)) or any(d < 0 for d in D):
+        return False
+    for i in range(n):
+        if L[i][i] != 1 or any(L[i][j] != 0 for j in range(i + 1, n)):
+            return False
+    return all(G[perm[i]][perm[j]]
+               == sum(L[i][k] * D[k] * L[j][k] for k in range(min(i, j) + 1))
+               for i in range(n) for j in range(n))
+
+
+def tampered(verdict: PsdVerdict, change) -> PsdVerdict:
+    copied = copy.deepcopy(verdict)
+    change(copied)
+    return copied
+
+
+def test_tampered_psd_certificate_fails():
+    # G = B * B^T with B = [[1, 0], [2, 1], [1, 3]]: rank 2, pivots 10 then 5 - 5/2
+    G = [[Fraction(v) for v in row] for row in ([1, 2, 1], [2, 5, 5], [1, 5, 10])]
+    verdict = psd_check_exact(G)
+    assert verdict.is_psd and verdict.verify(G)
+    assert verdict.permutation != [0, 1, 2]
+    assert verdict.diagonal[0] > 0 and verdict.diagonal[2] == 0
+
+    def swap_perm(v):
+        v.permutation[0], v.permutation[1] = v.permutation[1], v.permutation[0]
+
+    def bump_diagonal(v):
+        v.diagonal[1] += 1
+
+    def bump_lower(v):
+        v.unit_lower[2][0] += Fraction(1, 7)
+
+    for change in (swap_perm, bump_diagonal, bump_lower):
+        bad = tampered(verdict, change)
+        assert not bad.verify(G)
+        assert not oracle_verify_psd(bad, G)
+
+
+def test_tampered_notpsd_witness_fails():
+    G = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(1)]]
+    verdict = psd_check_exact(G)
+    assert not verdict.is_psd and verdict.verify(G)
+    for index in range(2):
+        def bump(v, index=index):
+            v.witness[index] += 1
+        assert not tampered(verdict, bump).verify(G)
+
+
+def test_verify_agrees_with_full_replay_oracle():
+    rng = random.Random(9)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        G = gram_of(rational_matrix(rng, n, rng.randint(1, n)))
+        verdict = psd_check_exact(G)
+        assert verdict.verify(G) and oracle_verify_psd(verdict, G)
+        i, j = rng.randrange(n), rng.randrange(n)
+        i, j = max(i, j), min(i, j)
+        for change in (lambda v: v.diagonal.__setitem__(j, v.diagonal[j] + 1),
+                       lambda v: v.unit_lower[i].__setitem__(j, v.unit_lower[i][j] - 1),
+                       lambda v: v.permutation.reverse()):
+            bad = tampered(verdict, change)
+            assert bad.verify(G) == oracle_verify_psd(bad, G)

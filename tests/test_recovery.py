@@ -142,3 +142,43 @@ def test_float_input_path():
     assert len(rec.atoms) == 1
     w, p = rec.atoms[0]
     assert abs(w - 2.0) < 1e-8 and abs(p[0] - 0.5) < 1e-8 and abs(p[1] + 1.0) < 1e-8
+
+
+def oracle_measure_moment_float(measure: DiscreteMeasure, gamma) -> float:
+    """The retired float evaluator: weight first, then each coordinate power."""
+    total = 0.0
+    for weight, point in measure.atoms:
+        value = float(weight)
+        for base, power in zip(point, gamma):
+            if power:
+                value *= float(base) ** power
+        total += value
+    if all(g == 0 for g in gamma):
+        total += float(measure.origin_mass)
+    return total
+
+
+def oracle_moment_residual(measure, L, max_degree) -> float:
+    worst = 0.0
+    for gamma in exponents_up_to_degree(L.nvars, max_degree):
+        worst = max(worst, abs(oracle_measure_moment_float(measure, gamma)
+                               - float(L.value(gamma))))
+    return worst
+
+
+def test_moment_residual_is_bit_identical_to_float_oracle():
+    rng = random.Random(31)
+    for dim in (1, 2, 3):
+        for n in (1, 2, 3):
+            mu = random_measure(rng, dim, n)
+            origin = Fraction(rng.randint(0, 2), 3)
+            mu = DiscreteMeasure(dim, atoms=mu.atoms, origin_mass=origin)
+            degree = n + 1
+            exact = polynomial_moments(mu, 2 * degree)
+            floats = LinearFunctional(dim, Mode.APLUS, SCALAR_FLOAT,
+                                      {k: float(v) for k, v in exact.values.items()})
+            for L in (exact, floats):
+                rec = recover_atoms(L, dim, degree)
+                got = polynomial_moment_residual(rec, L, 2 * degree)
+                assert type(got) is float
+                assert got == oracle_moment_residual(rec, L, 2 * degree)

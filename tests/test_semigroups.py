@@ -4,12 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentext.extalg import Character, Mode, a_normalize, embed_poly, norm_inverse_generator
-from momentext.polyalg import Poly, norm_squared
+from momentext.polyalg import Poly, exponents_up_to_degree, norm_squared
 from momentext.scalars import GaussianRational
 from momentext.semigroups import (HermitianSequence, MissingMomentError,
-                                  SgDomain, SgElement, bisgaard_check,
+                                  SgDomain, SgElement, _binomial_expansion,
+                                  _polynomial_moments_from_sequence,
+                                  bisgaard_check,
                                   box_window, complex_atoms_to_measure,
                                   hermitian_embedding, inversion_automorphism,
                                   laurent_relations_check,
@@ -284,3 +288,159 @@ def test_sequence_residual_float():
     assert sequence_residual_float([(1.0, complex(2, 1))], 0.0, seq) < 1e-12
     off = sequence_residual_float([(1.25, complex(2, 1))], 0.0, seq)
     assert off > 0.25  # scales with |z|^(m+n) over the window
+
+
+# -- the binomial expansion against the retired Poly-pair and zdict arithmetics --
+
+
+def oracle_complex_poly_mul(a, b):
+    """Complex polynomials as (real Poly, imaginary Poly) pairs."""
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def oracle_complex_poly_pow(base, exponent):
+    result = (Poly.constant(2, 1), Poly.zero(2))
+    while exponent:
+        if exponent & 1:
+            result = oracle_complex_poly_mul(result, base)
+        base = oracle_complex_poly_mul(base, base)
+        exponent >>= 1
+    return result
+
+
+def oracle_sg_to_functions(u):
+    """z^m * conj(z)^n through products of (x1 + i*x2) and (x1 - i*x2) pairs."""
+    c = max(0, -u.m, -u.n)
+    mode = Mode.LAURENT if u.domain is SgDomain.Z2 else Mode.APLUS
+    x1, x2 = Poly.variable(2, 0), Poly.variable(2, 1)
+    num = oracle_complex_poly_mul(oracle_complex_poly_pow((x1, x2), u.m + c),
+                                  oracle_complex_poly_pow((x1, -x2), u.n + c))
+    return a_normalize(num[0], c, mode), a_normalize(num[1], c, mode)
+
+
+def oracle_zdict_mul(a, b):
+    """Polynomials in (z, conj z) as dicts (m, n) -> GaussianRational."""
+    out = {}
+    for (m1, n1), c1 in a.items():
+        for (m2, n2), c2 in b.items():
+            key = (m1 + m2, n1 + n2)
+            out[key] = out.get(key, GaussianRational.zero()) + c1 * c2
+    return out
+
+
+def oracle_zdict_pow(base, exponent):
+    result = {(0, 0): GaussianRational.one()}
+    while exponent:
+        if exponent & 1:
+            result = oracle_zdict_mul(result, base)
+        base = oracle_zdict_mul(base, base)
+        exponent >>= 1
+    return result
+
+
+def oracle_monomial_in_z(gamma):
+    """x1^a * x2^b in (z, conj z) via x1 = (z + conj z)/2, x2 = -i*(z - conj z)/2."""
+    x1 = {(1, 0): G(Fraction(1, 2)), (0, 1): G(Fraction(1, 2))}
+    x2 = {(1, 0): G(0, Fraction(-1, 2)), (0, 1): G(0, Fraction(1, 2))}
+    return oracle_zdict_mul(oracle_zdict_pow(x1, gamma[0]), oracle_zdict_pow(x2, gamma[1]))
+
+
+def monomial_in_z(gamma):
+    a, b = gamma
+    scale = G(Fraction(1, 2 ** (a + b))) * G(0, -1) ** b
+    return {key: coeff * scale for key, coeff in _binomial_expansion(a, b, 0, 2).items()}
+
+
+def test_index_functions_match_poly_pair_oracle():
+    for u in box_window(4, SgDomain.NPLUS) + box_window(6, SgDomain.Z2):
+        assert sg_to_functions(u) == oracle_sg_to_functions(u), (u.m, u.n)
+
+
+def test_z_expansion_matches_zdict_oracle():
+    for gamma in exponents_up_to_degree(2, 12):
+        assert monomial_in_z(gamma) == oracle_monomial_in_z(gamma), gamma
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(-7, 7), n=st.integers(-7, 7), a=st.integers(0, 7), b=st.integers(0, 7))
+def test_binomial_expansion_property(m, n, a, b):
+    u = SgElement(m, n, SgDomain.Z2)
+    assert sg_to_functions(u) == oracle_sg_to_functions(u)
+    if m + n >= 0:
+        u = SgElement(m, n, SgDomain.NPLUS)
+        assert sg_to_functions(u) == oracle_sg_to_functions(u)
+    assert monomial_in_z((a, b)) == oracle_monomial_in_z((a, b))
+
+
+def test_polynomial_moments_from_sequence_match_zdict_oracle():
+    atoms = [(Fraction(2), G(1)), (Fraction(1), G(0, -2)), (Fraction(1, 3), G(-1, 2))]
+    seq = sequence_from_measure(atoms, box_window(6, SgDomain.Z2))
+    L = _polynomial_moments_from_sequence(seq, 6)
+    for gamma in exponents_up_to_degree(2, 6):
+        total = GaussianRational.zero()
+        for (m, n), coeff in oracle_monomial_in_z(gamma).items():
+            total = total + coeff * seq.value(m, n)
+        assert total.im == 0 and L.value(gamma) == total.re
+
+
+# -- the complex-atom evaluator against the retired per-path loops ---------------
+
+
+def oracle_sequence_entries(atoms, window):
+    """The exact loop with its own branch for an atom at 0."""
+    entries = {}
+    for u in window:
+        total = GaussianRational.zero()
+        for weight, z in atoms:
+            if z.is_zero():
+                if u.m == 0 and u.n == 0:
+                    total = total + weight
+                continue
+            total = total + weight * (z ** u.m) * (z.conjugate() ** u.n)
+        entries[(u.m, u.n)] = total
+    return entries
+
+
+def oracle_sequence_residual_float(atoms, origin_mass, seq):
+    worst = 0.0
+    for (m, n), value in seq.entries.items():
+        total = 0.0 + 0.0j
+        for weight, z in atoms:
+            total += weight * (z ** m) * (z.conjugate() ** n)
+        if m == 0 and n == 0:
+            total += origin_mass
+        worst = max(worst, abs(total - complex(value)))
+    return worst
+
+
+def test_sequence_from_measure_matches_loop_oracle():
+    rng = random.Random(11)
+    for _ in range(6):
+        atoms = [(Fraction(rng.randint(1, 5), rng.randint(1, 3)),
+                  G(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                    Fraction(rng.randint(-4, 4), rng.randint(1, 3))))
+                 for _ in range(3)]
+        atoms = [(w, z) for w, z in atoms if not z.is_zero()]
+        window = box_window(3, SgDomain.Z2)
+        assert sequence_from_measure(atoms, window).entries == \
+            oracle_sequence_entries(atoms, window)
+        with_zero = atoms + [(Fraction(1, 2), G(0))]
+        window = box_window(3, SgDomain.N02)
+        assert sequence_from_measure(with_zero, window).entries == \
+            oracle_sequence_entries(with_zero, window)
+
+
+def test_sequence_residual_float_is_bit_identical_to_oracle():
+    rng = random.Random(12)
+    for trial in range(8):
+        exact = [(Fraction(rng.randint(1, 5), rng.randint(1, 3)),
+                  G(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                    Fraction(rng.randint(1, 4), rng.randint(1, 3))))
+                 for _ in range(2)]
+        seq = sequence_from_measure(exact, box_window(6, SgDomain.Z2))
+        report = bisgaard_check(seq, seed=trial)
+        assert report.recovered_atoms, report.recovery_error
+        for origin in (0.0, 0.25):
+            got = sequence_residual_float(report.recovered_atoms, origin, seq)
+            want = oracle_sequence_residual_float(report.recovered_atoms, origin, seq)
+            assert type(got) is float and got == want

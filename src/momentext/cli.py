@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import serialize
@@ -29,22 +28,17 @@ from .functionals.psd import (FloatPsdVerdict, PsdVerdict, hamburger_check,
 from .functionals.recovery import (IndeterminateRankError,
                                    RecoveryFailedError,
                                    polynomial_moment_residual, recover_atoms)
-from .scalars import GaussianRational, format_fraction
+from .scalars import GaussianRational
 from .scenarios import SCENARIOS
 from .semigroups import (SgDomain, bisgaard_check, box_window,
                          laurent_relations_check, nplus_extension_check,
                          sequence_from_measure)
+from .serialize import scalar_to_json
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_UNRESOLVED = 3
-
-
-def _scalar(value):
-    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
-        return format_fraction(Fraction(value))
-    return float(value)
 
 
 def _verdict_dict(verdict: PsdVerdict | FloatPsdVerdict) -> dict:
@@ -54,11 +48,11 @@ def _verdict_dict(verdict: PsdVerdict | FloatPsdVerdict) -> dict:
     if verdict.is_psd:
         return {"outcome": "PSD", "kind": "exact",
                 "permutation": verdict.permutation,
-                "diagonal": [_scalar(d) for d in verdict.diagonal],
-                "unit_lower": [[_scalar(x) for x in row] for row in verdict.unit_lower]}
+                "diagonal": [scalar_to_json(d) for d in verdict.diagonal],
+                "unit_lower": [[scalar_to_json(x) for x in row] for row in verdict.unit_lower]}
     return {"outcome": "NotPSD", "kind": "exact",
-            "witness": [_scalar(w) for w in verdict.witness],
-            "witness_value": _scalar(verdict.witness_value)}
+            "witness": [scalar_to_json(w) for w in verdict.witness],
+            "witness_value": scalar_to_json(verdict.witness_value)}
 
 
 def _emit(report: dict, summary: list[str], out: str | None) -> None:
@@ -160,7 +154,7 @@ def cmd_fibres(args) -> int:
     ideal = fibre_ideal_generators(spec)
     buckets = []
     for value, members in sorted(report_data.buckets.items()):
-        buckets.append({"value": [_scalar(v) for v in value],
+        buckets.append({"value": [scalar_to_json(v) for v in value],
                         "count": len(members), "samples": members})
     report = {"command": "fibres",
               "inputs": {"preorder": args.preorder, "fibre_spec": args.fibre_spec,
@@ -168,10 +162,10 @@ def cmd_fibres(args) -> int:
               "buckets": buckets,
               "outside": report_data.outside,
               "disjoint": report_data.disjoint,
-              "value_ranges": [[_scalar(a), _scalar(b)]
+              "value_ranges": [[scalar_to_json(a), scalar_to_json(b)]
                                for a, b in (report_data.value_ranges or [])],
               "fibre_detail": {
-                  "value": [_scalar(v) for v in spec.value],
+                  "value": [scalar_to_json(v) for v in spec.value],
                   "generators": [str(g) for g in fibre.generators],
                   "ideal_generators": [str(g) for g in ideal]}}
     summary = [f"{len(buckets)} fibres over {sum(b['count'] for b in buckets)} samples "

@@ -23,6 +23,7 @@ direction-type evaluation.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -122,15 +123,17 @@ def _value_of_member(task) -> tuple[Fraction, ...] | None:
 
 
 def _hits_other_fibre(task) -> bool:
-    other_preorder, pts = task
-    return any(kT_membership(other_preorder, pt) for pt in pts)
+    other_ideal, pts = task
+    return any(all(g.eval(pt) == 0 for g in other_ideal) for pt in pts)
 
 
 def _run_tasks(worker, tasks: list, jobs: int) -> list:
-    if jobs <= 1 or len(tasks) < 2:
+    """Map the worker over the tasks, in at most min(jobs, tasks, CPUs) processes."""
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         return [worker(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunk = max(1, len(tasks) // (4 * jobs))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunk = max(1, len(tasks) // (4 * workers))
         return list(pool.map(worker, tasks, chunksize=chunk))
 
 
@@ -139,11 +142,12 @@ def fibre_partition_check(preorder: Preorder, bounded: list[Poly],
     """Bucket samples by exact fibre values and audit disjointness.
 
     Samples outside K(T) are listed separately, untouched by the buckets.
-    Disjointness is re-derived the expensive way: every bucketed sample is
-    tested for membership in each other bucket's fibre set, which must fail.
-    The reported per-polynomial value ranges are the min/max over the in-K
-    samples, a cheap boundedness heuristic (not a proof of boundedness).
-    ``jobs > 1`` spreads the evaluations over worker processes.
+    Disjointness is re-derived apart from the bucket keys: a bucketed sample
+    is in K(T), so it lies in another bucket's fibre exactly when that
+    fibre's ideal generators h_j - lambda'_j all vanish there, which must
+    fail.  The value ranges are the min/max of the bucket values, a cheap
+    boundedness heuristic (not a proof).  ``jobs > 1`` spreads the
+    evaluations over worker processes, at most one per task and per CPU.
     """
     for h in bounded:
         if h.nvars != preorder.dim:
@@ -159,20 +163,16 @@ def fibre_partition_check(preorder: Preorder, bounded: list[Poly],
         else:
             buckets.setdefault(value, []).append(idx)
 
-    fibre_sets = {value: fibre_generators(preorder, FibreSpec(tuple(bounded), value))
-                  for value in buckets}
-    audit = [(fibre_sets[other_value], [points[i] for i in members])
+    ideals = {value: fibre_ideal_generators(FibreSpec(tuple(bounded), value))
+              for value in buckets}
+    audit = [(ideals[other_value], [points[i] for i in members])
              for value, members in buckets.items()
-             for other_value in fibre_sets if other_value != value]
+             for other_value in ideals if other_value != value]
     disjoint = not any(_run_tasks(_hits_other_fibre, audit, jobs))
 
     ranges = None
-    in_k = [i for members in buckets.values() for i in members]
-    if in_k:
-        ranges = []
-        for h in bounded:
-            values = [h.eval(points[i]) for i in in_k]
-            ranges.append((min(values), max(values)))
+    if buckets:
+        ranges = [(min(column), max(column)) for column in zip(*buckets)]
     return PartitionReport(buckets, outside, ranges, disjoint)
 
 

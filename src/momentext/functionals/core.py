@@ -335,13 +335,15 @@ def extend_from_measure(measure: DiscreteMeasure, pole_order: int, degree: int) 
 class MomentWindow:
     """Class structure of a moment matrix on a monomial fraction basis.
 
-    On the basis x^gamma_i / ||x||^(2 m_i) entry (i, j) of a Gram, moment
-    or localizing matrix depends only on the product key (gamma_i + gamma_j,
-    m_i + m_j), its class.  The window stores the basis ``keys`` in the
-    given order, the distinct ``classes`` (sorted by pole order, then
+    On the basis keys k_i = (gamma_i, m_i) entry (i, j) of a Gram, moment
+    or localizing matrix depends only on the product key star(k_i) + k_j,
+    its class, and entry (j, i) reads the star of that key.  ``star`` is the
+    identity for real symmetric matrices; a Hermitian s(u_i* u_j) passes the
+    involution of its index semigroup.  The window stores the ``keys`` in
+    the given order, the distinct ``classes`` (sorted by pole order, then
     grlex), ``class_index`` and the n x n table ``class_of``; a matrix is
-    then built by reading one value per class.  A localizer g enters
-    through the reader, which evaluates L(g * class) once per class.
+    built by reading one value per class.  A localizer g enters through the
+    reader, which evaluates L(g * class) once per class.
 
     In one variable ||x||^2 = x^2 divides a monomial, so product keys are
     reduced the way ``a_normalize`` reduces x^g / |x|^(2m) and can land at
@@ -349,24 +351,23 @@ class MomentWindow:
     ||x||^2.  Keys therefore name the same fraction ``L.apply`` would see.
     """
 
-    def __init__(self, keys: list[Key]):
+    def __init__(self, keys: list[Key], star=lambda key: key):
         self.keys = [(tuple(gamma), m) for gamma, m in keys]
         reduce = self.reduce if any(len(g) == 1 for g, _ in self.keys) else None
-        upper = []
-        for i, (gi, mi) in enumerate(self.keys):
+        n = len(self.keys)
+        table = [[None] * n for _ in range(n)]
+        for i, (gi, mi) in enumerate(map(star, self.keys)):
             row = [(tuple(map(add, gi, gj)), mi + mj) for gj, mj in self.keys[i:]]
-            upper.append(list(map(reduce, row)) if reduce else row)
-        # Reading classes in the order a row-major scan of the upper triangle
-        # meets them makes a missing value fail at the entry an entry-by-entry
+            for j, key in enumerate(map(reduce, row) if reduce else row, start=i):
+                table[i][j] = key
+                table[j][i] = star(key)
+        # Reading classes in the order a row-major scan of the table meets
+        # them makes a missing value fail at the entry an entry-by-entry
         # build would have failed at first.
-        self._scan_order = list(dict.fromkeys(key for row in upper for key in row))
+        self._scan_order = list(dict.fromkeys(key for row in table for key in row))
         self.classes = sorted(self._scan_order, key=lambda k: (k[1], grlex_key(k[0])))
         self.class_index = {key: c for c, key in enumerate(self.classes)}
-        n = len(self.keys)
-        self.class_of = [[0] * n for _ in range(n)]
-        for i, row in enumerate(upper):
-            for j, key in enumerate(row, start=i):
-                self.class_of[i][j] = self.class_of[j][i] = self.class_index[key]
+        self.class_of = [[self.class_index[key] for key in row] for row in table]
 
     @staticmethod
     def reduce(key: Key) -> Key:

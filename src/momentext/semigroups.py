@@ -35,10 +35,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import add
 
 from .extalg import AElement, Mode, a_normalize, embed_poly, norm_inverse_generator
-from .functionals.core import (DiscreteMeasure, LinearFunctional, SCALAR_EXACT,
-                               extend_from_measure)
+from .functionals.core import (DiscreteMeasure, LinearFunctional, MomentWindow,
+                               SCALAR_EXACT, extend_from_measure)
 from .functionals.psd import PsdVerdict, psd_check_exact
 from .functionals.recovery import (IndeterminateRankError, RecoveryFailedError,
                                    recover_atoms)
@@ -148,18 +149,19 @@ class HermitianSequence:
         return all((n, m) in self.entries for (m, n) in self.entries)
 
 
+def _hermitian_window(window: list[SgElement]) -> MomentWindow:
+    """Classes of s(u_i* u_j): keys ((m, n), 0) under the star (m, n) -> (n, m)."""
+    return MomentWindow([((u.m, u.n), 0) for u in window],
+                        star=lambda key: (key[0][::-1], key[1]))
+
+
 def sg_moment_matrix(seq: HermitianSequence, window: list[SgElement]) -> list[list]:
-    """M[i][j] = s(u_i* u_j) over the window; missing entries are named."""
+    """M[i][j] = s(u_i* u_j), one read per class; a missing entry raises
+    MissingMomentError at the first index a row-major entry-by-entry build meets."""
     for u in window:
         if u.domain is not seq.domain:
             raise ValueError("window domain does not match the sequence")
-    size = len(window)
-    out = [[None] * size for _ in range(size)]
-    for i, u in enumerate(window):
-        for j, v in enumerate(window):
-            w = sg_product(sg_involution(u), v)
-            out[i][j] = seq.value(w.m, w.n)
-    return out
+    return _hermitian_window(window).matrix(lambda key: seq.value(*key[0]))
 
 
 def hermitian_embedding(matrix) -> list[list[Fraction]]:
@@ -171,18 +173,15 @@ def hermitian_embedding(matrix) -> list[list[Fraction]]:
         for entry in row:
             if not isinstance(entry, GaussianRational):
                 raise ValueError("exact embedding needs GaussianRational entries")
-    for i in range(n):
-        for j in range(n):
-            if matrix[j][i] != matrix[i][j].conjugate():
-                raise ValueError(f"matrix is not Hermitian at ({i},{j})")
     out = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
     for i in range(n):
         for j in range(n):
             z = matrix[i][j]
-            out[i][j] = z.re
+            if matrix[j][i] != z.conjugate():
+                raise ValueError(f"matrix is not Hermitian at ({i},{j})")
+            out[i][j] = out[i + n][j + n] = z.re
             out[i][j + n] = -z.im
             out[i + n][j] = z.im
-            out[i + n][j + n] = z.re
     return out
 
 
@@ -328,11 +327,10 @@ def nplus_extension_check(s: HermitianSequence, atoms,
         raise ValueError("the input sequence must live on the quarter-plane indices")
     if window is None:
         window = box_window(3, SgDomain.NPLUS)
-    closure_keys = {(u.m, u.n) for u in window}
-    for u in window:
-        for v in window:
-            w = sg_product(sg_involution(u), v)
-            closure_keys.add((w.m, w.n))
+    if any(u.domain is not SgDomain.NPLUS for u in window):
+        raise ValueError("window domain does not match the sequence")
+    moment_window = _hermitian_window(window)
+    closure_keys = {(u.m, u.n) for u in window} | {mn for mn, _ in moment_window.classes}
     target_keys = sorted(closure_keys | set(s.entries.keys()))
     target = [SgElement(m, n, SgDomain.NPLUS) for (m, n) in target_keys]
     extended = sequence_from_measure(atoms, target)
@@ -341,14 +339,17 @@ def nplus_extension_check(s: HermitianSequence, atoms,
                   if extended.entries[key] != value]
     restriction_ok = not mismatches
 
-    psd = sg_psd_check_exact(sg_moment_matrix(extended, window))
+    psd = sg_psd_check_exact(moment_window.matrix(lambda key: extended.value(*key[0])))
 
+    # The translated targets read keys up to pole P and degree T; the
+    # window (p, D) stores every key up to pole 2p >= P and degree 2D >= T.
     pole = max(max(0, -m, -n) for (m, n) in target_keys)
     top_degree = max(m + n + 2 * max(0, -m, -n) for (m, n) in target_keys)
     measure = complex_atoms_to_measure(atoms)
     if measure.origin_mass != 0:
         raise ValueError("atoms at 0 cannot feed the punctured-plane extension")
-    L = extend_from_measure(measure, pole, max(2 * pole, top_degree))
+    half_pole = (pole + 1) // 2
+    L = extend_from_measure(measure, half_pole, max(2 * half_pole, (top_degree + 1) // 2))
     cross_bad = []
     for (m, n) in target_keys:
         re_part, im_part = sg_to_functions(SgElement(m, n, SgDomain.NPLUS))
@@ -468,23 +469,23 @@ def _polynomial_moments_from_sequence(s: HermitianSequence, max_degree: int) -> 
 def inversion_automorphism(a: AElement) -> AElement:
     """The *-automorphism induced by x -> x / ||x||^2 on Laurent elements.
 
-    On a monomial fraction x^gamma / ||x||^(2m) the map lands at pole order
-    |gamma| - m, re-expanded into a polynomial when that count is negative.
-    Applying it twice is the identity, and it exchanges x_j with
-    x_j / ||x||^2.
+    A monomial fraction x^gamma / ||x||^(2m) maps to x^gamma / ||x||^(2t)
+    with t = |gamma| - m.  All terms are written into one numerator at the
+    smallest common pole P = max(0, max t), each multiplied by
+    ||x||^(2(P - t)), and the sum is normalized once.  Applying the map
+    twice is the identity, and it exchanges x_j with x_j / ||x||^2.
     """
     if a.mode is not Mode.LAURENT:
         raise ValueError("the inversion automorphism lives on the Laurent algebra")
-    total = AElement(Poly.zero(a.nvars), 0, Mode.LAURENT)
-    for gamma, coeff in a.numerator.terms.items():
-        target = sum(gamma) - a.pole_order
-        mono = Poly.monomial(a.nvars, gamma, coeff)
-        if target >= 0:
-            term = a_normalize(mono, target, Mode.LAURENT)
-        else:
-            term = a_normalize(mono * norm_squared(a.nvars) ** (-target), 0, Mode.LAURENT)
-        total = total + term
-    return total
+    terms = a.numerator.terms
+    pole = max([0] + [sum(gamma) - a.pole_order for gamma in terms])
+    numerator: dict = {}
+    for gamma, coeff in terms.items():
+        lift = norm_squared(a.nvars) ** (pole - sum(gamma) + a.pole_order)
+        for exp, c in lift.terms.items():
+            key = tuple(map(add, gamma, exp))
+            numerator[key] = numerator.get(key, 0) + coeff * c
+    return a_normalize(Poly(a.nvars, numerator), pole, Mode.LAURENT)
 
 
 @dataclass

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
@@ -7,11 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentext.extalg import Character, Mode, a_normalize, embed_poly, norm_inverse_generator
+from momentext import semigroups
+from momentext.extalg import (AElement, Character, Mode, a_normalize, embed_poly,
+                              norm_inverse_generator)
+from momentext.functionals.core import extend_from_measure
 from momentext.polyalg import Poly, exponents_up_to_degree, norm_squared
 from momentext.scalars import GaussianRational
 from momentext.semigroups import (HermitianSequence, MissingMomentError,
-                                  SgDomain, SgElement, _binomial_expansion,
+                                  NplusExtensionReport, SgDomain, SgElement,
+                                  _binomial_expansion, _hermitian_window,
                                   _polynomial_moments_from_sequence,
                                   bisgaard_check,
                                   box_window, complex_atoms_to_measure,
@@ -19,8 +24,8 @@ from momentext.semigroups import (HermitianSequence, MissingMomentError,
                                   laurent_relations_check,
                                   nplus_extension_check, sequence_from_measure,
                                   sequence_residual_float, sg_moment_matrix,
-                                  sg_product, sg_psd_check_exact,
-                                  sg_to_functions)
+                                  sg_involution, sg_product,
+                                  sg_psd_check_exact, sg_to_functions)
 
 G = GaussianRational.of
 
@@ -201,6 +206,8 @@ def test_nplus_extension_rejects_bad_inputs():
     seq = sequence_from_measure(atoms, box_window(2, SgDomain.N02))
     with pytest.raises(ValueError):
         nplus_extension_check(seq, atoms + [(Fraction(1), G(0))])
+    with pytest.raises(ValueError, match="window domain"):
+        nplus_extension_check(seq, atoms, box_window(1, SgDomain.N02))
 
 
 def test_complex_atoms_to_measure():
@@ -444,3 +451,219 @@ def test_sequence_residual_float_is_bit_identical_to_oracle():
             got = sequence_residual_float(report.recovered_atoms, origin, seq)
             want = oracle_sequence_residual_float(report.recovered_atoms, origin, seq)
             assert type(got) is float and got == want
+
+
+# -- MomentWindow, single-normalization inversion and the half cross window -----
+# -- against the loops they replaced ----------------------------------------------
+
+
+def oracle_sg_moment_matrix(seq, window):
+    """Entry by entry, row-major: M[i][j] = s(u_i* u_j)."""
+    size = len(window)
+    out = [[None] * size for _ in range(size)]
+    for i, u in enumerate(window):
+        for j, v in enumerate(window):
+            w = sg_product(sg_involution(u), v)
+            out[i][j] = seq.value(w.m, w.n)
+    return out
+
+
+def oracle_closure_keys(window):
+    """The window's own keys and every u* v."""
+    keys = {(u.m, u.n) for u in window}
+    for u in window:
+        for v in window:
+            w = sg_product(sg_involution(u), v)
+            keys.add((w.m, w.n))
+    return keys
+
+
+def oracle_inversion_automorphism(a):
+    """Image of each numerator monomial, normalized and added one at a time."""
+    total = AElement(Poly.zero(a.nvars), 0, Mode.LAURENT)
+    for gamma, coeff in a.numerator.terms.items():
+        target = sum(gamma) - a.pole_order
+        mono = Poly.monomial(a.nvars, gamma, coeff)
+        if target >= 0:
+            term = a_normalize(mono, target, Mode.LAURENT)
+        else:
+            term = a_normalize(mono * norm_squared(a.nvars) ** (-target), 0, Mode.LAURENT)
+        total = total + term
+    return total
+
+
+# Memoized on their (hashable) inputs: many oracle runs share a matrix or a
+# moment rectangle.
+@functools.lru_cache(maxsize=None)
+def oracle_psd(rows):
+    return sg_psd_check_exact([list(row) for row in rows])
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_extension(measure, pole, degree):
+    return extend_from_measure(measure, pole, degree)
+
+
+def oracle_nplus_extension_check(s, atoms, window):
+    """The pipeline with the loop closure, the loop matrix and the cross path
+    on the full (P, max(2P, T)) window."""
+    closure_keys = oracle_closure_keys(window)
+    target_keys = sorted(closure_keys | set(s.entries.keys()))
+    extended = sequence_from_measure(
+        atoms, [SgElement(m, n, SgDomain.NPLUS) for (m, n) in target_keys])
+    mismatches = [key for key, value in s.entries.items()
+                  if extended.entries[key] != value]
+    psd = oracle_psd(tuple(map(tuple, oracle_sg_moment_matrix(extended, window))))
+    pole = max(max(0, -m, -n) for (m, n) in target_keys)
+    top_degree = max(m + n + 2 * max(0, -m, -n) for (m, n) in target_keys)
+    L = oracle_extension(complex_atoms_to_measure(atoms), pole, max(2 * pole, top_degree))
+    cross_bad = []
+    for (m, n) in target_keys:
+        re_part, im_part = sg_to_functions(SgElement(m, n, SgDomain.NPLUS))
+        value = extended.entries[(m, n)]
+        if L.apply(re_part) != value.re or L.apply(im_part) != value.im:
+            cross_bad.append((m, n))
+    return NplusExtensionReport(not mismatches, sorted(mismatches), psd,
+                                not cross_bad, cross_bad)
+
+
+SG_ATOMS = [(Fraction(1), G(1, 1)), (Fraction(1, 2), G(2, -1)),
+            (Fraction(2, 3), G(Fraction(-1, 2), Fraction(1, 3)))]
+
+
+def missing_index(build, seq, window):
+    try:
+        build(seq, window)
+    except MissingMomentError as err:
+        return err.index
+    return None
+
+
+def test_moment_matrix_matches_loop_oracle():
+    for domain in SgDomain:
+        seq = sequence_from_measure(SG_ATOMS, box_window(6, domain))
+        for box in range(4):
+            window = box_window(box, domain)
+            got = sg_moment_matrix(seq, window)
+            assert got == oracle_sg_moment_matrix(seq, window), (domain, box)
+            for i in range(len(window)):
+                for j in range(len(window)):
+                    assert got[j][i] == got[i][j].conjugate()
+
+
+def test_missing_moment_index_matches_loop_oracle():
+    rng = random.Random(21)
+    for domain in SgDomain:
+        for data_box in range(4):
+            full = sequence_from_measure(SG_ATOMS, box_window(data_box, domain))
+            thinned = dict(full.entries)
+            for key in rng.sample(sorted(thinned), len(thinned) // 3):
+                del thinned[key]
+            for seq in (full, HermitianSequence(domain, thinned)):
+                for box in range(4):
+                    window = box_window(box, domain)
+                    # a shuffled window moves the first missing entry
+                    for order in (window, rng.sample(window, len(window))):
+                        want = missing_index(oracle_sg_moment_matrix, seq, order)
+                        assert missing_index(sg_moment_matrix, seq, order) == want
+                        if want is None:
+                            assert sg_moment_matrix(seq, order) == \
+                                oracle_sg_moment_matrix(seq, order)
+
+
+def test_closure_keys_match_loop_oracle():
+    rng = random.Random(22)
+    for box in range(5):
+        window = box_window(box, SgDomain.NPLUS)
+        for sub in (window, rng.sample(window, max(1, len(window) // 2))):
+            classes = _hermitian_window(sub).classes
+            assert {(u.m, u.n) for u in sub} | {mn for mn, _ in classes} == \
+                oracle_closure_keys(sub)
+
+
+def random_inversion_input(rng):
+    """Zero, pure polynomials, pure poles and mixed elements in 1-3 variables."""
+    nvars = rng.choice((1, 2, 2, 3))
+    kind = rng.choice(("zero", "polynomial", "pole", "mixed", "mixed"))
+    if kind == "zero":
+        return AElement(Poly.zero(nvars), 0, Mode.LAURENT)
+    if kind == "pole":
+        return a_normalize(Poly.constant(nvars, Fraction(rng.randint(1, 9), rng.randint(1, 4))),
+                           rng.randint(1, 4), Mode.LAURENT)
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        exp = tuple(rng.randint(0, 4) for _ in range(nvars))
+        terms[exp] = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+    numerator = Poly(nvars, terms)
+    # mixed poles reach above the lowest numerator degrees: negative targets
+    pole = 0 if kind == "polynomial" else rng.randint(1, 5)
+    return a_normalize(numerator, pole, Mode.LAURENT)
+
+
+def test_inversion_matches_per_term_oracle():
+    rng = random.Random(23)
+    kinds = {"negative target": 0, "nonnegative target": 0}
+    for _ in range(400):
+        a = random_inversion_input(rng)
+        for gamma in a.numerator.terms:
+            kinds["negative target" if sum(gamma) < a.pole_order
+                  else "nonnegative target"] += 1
+        image = inversion_automorphism(a)
+        assert image == oracle_inversion_automorphism(a), a
+        assert inversion_automorphism(image) == a
+    assert min(kinds.values()) > 100
+    zero = AElement(Poly.zero(2), 0, Mode.LAURENT)
+    assert inversion_automorphism(zero) == zero
+
+
+def test_inversion_normalizes_once_and_adds_no_elements(monkeypatch):
+    rng = random.Random(24)
+    cases = [(a, oracle_inversion_automorphism(a))
+             for a in (random_inversion_input(rng) for _ in range(30))]
+    calls = []
+    real = semigroups.a_normalize
+    monkeypatch.setattr(semigroups, "a_normalize",
+                        lambda *args: calls.append(args) or real(*args))
+
+    def no_add(self, other):
+        raise AssertionError("the inversion added AElements")
+    monkeypatch.setattr(AElement, "__add__", no_add)
+    for a, want in cases:
+        calls.clear()
+        assert inversion_automorphism(a) == want
+        assert len(calls) == 1
+
+
+def test_nplus_reports_match_full_window_oracle():
+    atoms = SG_ATOMS[:2]
+    for data_box in range(5):
+        seq = sequence_from_measure(atoms, box_window(data_box, SgDomain.N02))
+        for box in range(5):
+            window = box_window(box, SgDomain.NPLUS)
+            report = nplus_extension_check(seq, atoms, window)
+            assert report == oracle_nplus_extension_check(seq, atoms, window)
+            assert report.passed, (data_box, box)
+    # Box windows and box data give even P and T; odd ones make the halved
+    # cross window round up.
+    rng = random.Random(25)
+    windows = [[SgElement(0, 0, SgDomain.NPLUS), SgElement(2, -1, SgDomain.NPLUS)]]
+    windows += [rng.sample(box_window(3, SgDomain.NPLUS), rng.randint(1, 4))
+                for _ in range(5)]
+    data = [box_window(b, SgDomain.N02) for b in range(3)]
+    data += [[u for u in box_window(t, SgDomain.N02) if u.m + u.n <= t] for t in (3, 5)]
+    for window in windows + [box_window(b, SgDomain.NPLUS) for b in range(3)]:
+        for data_window in data:
+            seq = sequence_from_measure(atoms, data_window)
+            report = nplus_extension_check(seq, atoms, window)
+            assert report == oracle_nplus_extension_check(seq, atoms, window)
+            assert report.passed
+    seq = sequence_from_measure(atoms, box_window(4, SgDomain.N02))
+    tampered = dict(seq.entries)
+    tampered[(2, 1)] = tampered[(2, 1)] + G(0, 1)
+    tampered[(1, 2)] = tampered[(1, 2)] + G(0, -1)
+    seq = HermitianSequence(SgDomain.N02, tampered)
+    for box in range(4):
+        window = box_window(box, SgDomain.NPLUS)
+        report = nplus_extension_check(seq, atoms, window)
+        assert report == oracle_nplus_extension_check(seq, atoms, window)
+        assert report.restriction_mismatches == [(1, 2), (2, 1)]

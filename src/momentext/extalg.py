@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from .polyalg import (DimensionMismatchError, Exponent, Poly,
                       divide_by_norm_squared, exponents_of_degree, grlex_key,
-                      norm_squared)
+                      norm_squared_power)
 from .scalars import as_fraction, power_by_squaring
 
 
@@ -73,9 +73,6 @@ class AElement:
 
     def is_zero(self) -> bool:
         return self.numerator.is_zero()
-
-    def is_polynomial(self) -> bool:
-        return self.pole_order == 0
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -173,9 +170,8 @@ def embed_poly(p: Poly, mode: Mode = Mode.APLUS) -> AElement:
 def a_add(a: AElement, b: AElement) -> AElement:
     _check_compatible(a, b)
     m = max(a.pole_order, b.pole_order)
-    ns = norm_squared(a.nvars)
-    na = a.numerator * ns ** (m - a.pole_order)
-    nb = b.numerator * ns ** (m - b.pole_order)
+    na = a.numerator * norm_squared_power(a.nvars, m - a.pole_order)
+    nb = b.numerator * norm_squared_power(a.nvars, m - b.pole_order)
     return a_normalize(na + nb, m, a.mode)
 
 

@@ -222,9 +222,7 @@ def _localizing_matrix(L: LinearFunctional, g: Poly,
                        monos: list[Exponent]) -> list[list[Fraction]]:
     """M_g[i][j] = L(g * x^(alpha_i + alpha_j)), one evaluation per class."""
     def localized(key):
-        shift = key[0]
-        return L.apply_poly(Poly(g.nvars, {tuple(x + y for x, y in zip(e, shift)): c
-                                           for e, c in g.terms.items()}))
+        return L.apply_poly(g * Poly.monomial(g.nvars, key[0]))
     return MomentWindow([(a, 0) for a in monos]).matrix(localized)
 
 
@@ -233,9 +231,7 @@ def functional_annihilates_ideal(L: LinearFunctional, ideal_gens: list[Poly],
     """Whether L(g * x^alpha) vanishes for all generators and |alpha| <= degree."""
     for g in ideal_gens:
         for alpha in exponents_up_to_degree(L.nvars, degree):
-            shifted = Poly(g.nvars, {tuple(a + b for a, b in zip(e, alpha)): c
-                                     for e, c in g.terms.items()})
-            if abs(L.apply_poly(shifted)) > tol:
+            if abs(L.apply_poly(g * Poly.monomial(g.nvars, alpha))) > tol:
                 return False
     return True
 

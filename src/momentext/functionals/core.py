@@ -6,9 +6,12 @@ same function admits many representatives, and the reduction relation
 
     sum_k values[(gamma + 2*e_k, m + 1)] == values[(gamma, m)]
 
-ties them together.  ``check_reduction_relations`` audits that consistency;
-``apply`` evaluates an element against the stored keys, lifting by powers
-of ||x||^2 when the element's own pole order is not stored directly.
+ties them together.  ``apply`` evaluates an element against the stored
+keys.  When the element's own pole order is not stored, it lifts the key
+by ||x||^(2t) for t = 1, 2, ... and takes the first lift whose keys are
+all stored.  ``check_reduction_relations`` audits consistency with the
+t = 1 lift.  Both read ||x||^(2t) from ``polyalg.norm_squared_power``, in
+its fixed term order, so float sums are reproducible.
 
 Measures here are finite atomic ones: weighted nonzero points, optional
 mass at the origin, and optional weighted unit directions (limits into the
@@ -26,7 +29,7 @@ from operator import add
 from ..extalg import AElement, Mode, truncated_basis
 from ..polyalg import (DimensionMismatchError, Exponent, Poly,
                        exponents_of_degree, exponents_up_to_degree, grlex_key,
-                       norm_squared)
+                       norm_squared_power)
 from ..scalars import as_fraction
 
 Key = tuple[Exponent, int]
@@ -69,6 +72,8 @@ class LinearFunctional:
                 raise DimensionMismatchError(f"key exponent {gamma} has wrong length")
             if m < 0:
                 raise ValueError("pole order in key must be >= 0")
+            if any(e < 0 for e in gamma):
+                raise ValueError(f"key exponent {gamma} has a negative entry")
             if self.mode is Mode.APLUS and sum(gamma) < 2 * m:
                 raise ValueError(f"key {(gamma, m)} lies outside the bounded-generator algebra")
             if self.scalar_kind == SCALAR_EXACT:
@@ -89,27 +94,29 @@ class LinearFunctional:
             raise DomainOverflowError(key)
         return self.values[key]
 
-    def _key_value(self, gamma: Exponent, m: int, _norm_cache: dict):
+    def _key_value(self, gamma: Exponent, m: int):
         """Value for x^gamma / ||x||^(2m), lifting by ||x||^2 powers if needed."""
         key = (gamma, m)
         if key in self.values:
             return self.values[key]
         for lift in range(1, self.pole_max - m + 1):
-            power = _norm_cache.get(lift)
-            if power is None:
-                power = norm_squared(self.nvars) ** lift
-                _norm_cache[lift] = power
-            total = self.zero_scalar()
-            ok = True
-            for exp, coeff in power.terms.items():
-                lifted = (tuple(a + b for a, b in zip(gamma, exp)), m + lift)
-                if lifted not in self.values:
-                    ok = False
-                    break
-                total += coeff * self.values[lifted]
-            if ok:
+            total = self._lifted_sum(gamma, m, lift)
+            if total is not None:
                 return total
         raise DomainOverflowError(key)
+
+    def _lifted_sum(self, gamma: Exponent, m: int, lift: int):
+        """L(x^gamma ||x||^(2 lift) / ||x||^(2(m + lift))) from the stored keys.
+
+        None when some lifted key is not stored.
+        """
+        total = self.zero_scalar()
+        for exp, coeff in norm_squared_power(self.nvars, lift).terms.items():
+            lifted = (tuple(map(add, gamma, exp)), m + lift)
+            if lifted not in self.values:
+                return None
+            total += coeff * self.values[lifted]
+        return total
 
     def apply(self, a: AElement):
         """L(a) for a reduced element, exact on the exact path."""
@@ -117,11 +124,9 @@ class LinearFunctional:
             raise DimensionMismatchError("element dimension does not match functional")
         if a.mode is not self.mode:
             raise ValueError(f"cannot apply {self.mode.value} functional to {a.mode.value} element")
-        cache: dict = {}
         total = self.zero_scalar()
         for gamma, coeff in a.numerator.terms.items():
-            v = self._key_value(gamma, a.pole_order, cache)
-            total += coeff * v
+            total += coeff * self._key_value(gamma, a.pole_order)
         return total
 
     __call__ = apply
@@ -155,17 +160,9 @@ class LinearFunctional:
         Only fully stored lifts are compared.  On the exact path pass tol=0.
         """
         bad = []
-        ns = norm_squared(self.nvars).terms
         for (gamma, m), value in self.values.items():
-            total = self.zero_scalar()
-            complete = True
-            for exp, coeff in ns.items():
-                lifted = (tuple(a + b for a, b in zip(gamma, exp)), m + 1)
-                if lifted not in self.values:
-                    complete = False
-                    break
-                total += coeff * self.values[lifted]
-            if complete and abs(total - value) > tol:
+            total = self._lifted_sum(gamma, m, 1)
+            if total is not None and abs(total - value) > tol:
                 bad.append((gamma, m))
         return bad
 
@@ -415,8 +412,7 @@ def gram_matrix(L: LinearFunctional, basis: list[AElement]) -> list[list]:
                          f"{basis[0].mode.value} element")
     # zero + value sums exactly as L.apply does, so a stored float -0.0 reads as 0.0.
     zero = L.zero_scalar()
-    cache: dict = {}
-    return window.matrix(lambda key: zero + L._key_value(key[0], key[1], cache))
+    return window.matrix(lambda key: zero + L._key_value(key[0], key[1]))
 
 
 @dataclass

@@ -35,11 +35,12 @@ rejected before iterating.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 import numpy as np
 
 from ..extalg import Mode
-from ..polyalg import Exponent, exponents_of_degree, norm_squared
+from ..polyalg import Exponent, exponents_of_degree, norm_squared_power
 from .core import (InconsistentFunctionalError, Key, LinearFunctional,
                    MomentWindow, SCALAR_EXACT, SCALAR_FLOAT)
 from .psd import FloatPsdVerdict, psd_check_float
@@ -94,13 +95,11 @@ def extension_feasibility(L: LinearFunctional, pole_order: int, degree: int,
     # only touches classes with |eps| = |gamma| + 2(2M - m), for which the
     # variable rescaling s^(|eps| - 4M) equals the value rescaling
     # s^(|gamma| - 2m) exactly, so only b needs dividing.
-    norm_powers = {t: (norm_squared(d) ** t).terms for t in range(2 * M + 1)}
     rows: dict[tuple, tuple[np.ndarray, float, Key]] = {}
     for (gamma, m), value in L.values.items():
-        expansion = norm_powers[2 * M - m]
         row = np.zeros(len(classes))
         signature = []
-        for exp, coeff in expansion.items():
+        for exp, coeff in norm_squared_power(d, 2 * M - m).terms.items():
             eps = tuple(a + b for a, b in zip(gamma, exp))
             row[window.class_index[MomentWindow.reduce((eps, 2 * M))]] += float(coeff)
             signature.append((eps, coeff))
@@ -193,8 +192,8 @@ def _normalization(L: LinearFunctional, d: int) -> tuple[float, float]:
         return 0.0, 1.0
     r2 = 0.0
     seen_all = True
-    for k in range(d):
-        key = (tuple(2 if i == k else 0 for i in range(d)), 0)
+    for exp in norm_squared_power(d, 1).terms:
+        key = (exp, 0)
         if key in L.values:
             r2 += float(L.values[key])
         else:
@@ -205,7 +204,12 @@ def _normalization(L: LinearFunctional, d: int) -> tuple[float, float]:
 
 def _functional_from_top(d: int, classes: list[Exponent], y: np.ndarray,
                          M: int, D: int) -> LinearFunctional:
-    """Fill the shrinking key windows below pole order 2M by downward summation."""
+    """Fill the shrinking key windows below pole order 2M by downward summation.
+
+    Each key sums its lifts by the terms x_k^2 of ||x||^2, in their order;
+    every coefficient is 1.
+    """
+    norm_exps = norm_squared_power(d, 1).terms
     values: dict[Key, float] = {}
     for eps, value in zip(classes, y):
         values[(eps, 2 * M)] = float(value)
@@ -213,9 +217,8 @@ def _functional_from_top(d: int, classes: list[Exponent], y: np.ndarray,
         for t in range(2 * m, 2 * (D - 2 * M) + 2 * m + 1):
             for gamma in exponents_of_degree(d, t):
                 total = 0.0
-                for k in range(d):
-                    lifted = tuple(e + (2 if i == k else 0) for i, e in enumerate(gamma))
-                    total += values[(lifted, m + 1)]
+                for exp in norm_exps:
+                    total += values[(tuple(map(add, gamma, exp)), m + 1)]
                 values[(gamma, m)] = total
     return LinearFunctional(d, Mode.APLUS, SCALAR_FLOAT, values,
                             pole_max=2 * M, degree_max=2 * D)

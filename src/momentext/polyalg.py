@@ -14,7 +14,7 @@ two variables reads 1, x1, x2, x1^2, x1*x2, x2^2, ...
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -123,10 +123,6 @@ class Poly:
     def max_degree(self) -> int:
         rng = self.degree_range()
         return -1 if rng is None else rng[1]
-
-    def min_degree(self) -> int:
-        rng = self.degree_range()
-        return -1 if rng is None else rng[0]
 
     def homogeneous_component(self, degree: int) -> "Poly":
         return Poly(self.nvars,
@@ -237,13 +233,25 @@ def _coerce_poly(value, nvars: int) -> Poly | None:
     return None
 
 
+@functools.lru_cache(maxsize=None)
+def norm_squared_power(nvars: int, t: int) -> Poly:
+    """(x1^2 + ... + xd^2)^t, memoized: the one source of every ||x||^(2t).
+
+    Powers are built from t = 1 by ``power_by_squaring``, so the terms come
+    in one fixed order, and float sums over them keep their bits.  The
+    polynomial is shared between callers: never mutate its terms.
+    """
+    if t < 0:
+        raise ValueError("norm-square powers must be nonnegative")
+    if t != 1:
+        return power_by_squaring(norm_squared(nvars), t, Poly.constant(nvars, 1))
+    return Poly(nvars, {tuple(2 if j == i else 0 for j in range(nvars)): Fraction(1)
+                        for i in range(nvars)})
+
+
 def norm_squared(nvars: int) -> Poly:
     """x1^2 + ... + xd^2."""
-    terms = {}
-    for i in range(nvars):
-        exp = tuple(2 if j == i else 0 for j in range(nvars))
-        terms[exp] = Fraction(1)
-    return Poly(nvars, terms)
+    return norm_squared_power(nvars, 1)
 
 
 def divide_by_norm_squared(p: Poly) -> Poly | None:
@@ -254,10 +262,9 @@ def divide_by_norm_squared(p: Poly) -> Poly | None:
     cancelling leading terms either exhausts the remainder or hits a leading
     term not divisible by x1^2, which certifies non-divisibility.
     """
-    q = norm_squared(p.nvars)
     remainder = dict(p.terms)
     quotient: dict[Exponent, Fraction] = {}
-    q_items = list(q.terms.items())
+    q_items = norm_squared(p.nvars).terms.items()
     while remainder:
         lead = max(remainder, key=lambda e: (sum(e), e))
         if lead[0] < 2:

@@ -83,9 +83,6 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def is_real(self) -> bool:
-        return self.im == 0
-
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other) -> "GaussianRational | None":

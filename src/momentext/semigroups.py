@@ -43,7 +43,7 @@ from .functionals.core import (DiscreteMeasure, LinearFunctional, MomentWindow,
 from .functionals.psd import PsdVerdict, psd_check_exact
 from .functionals.recovery import (IndeterminateRankError, RecoveryFailedError,
                                    recover_atoms)
-from .polyalg import Poly, exponents_up_to_degree, norm_squared
+from .polyalg import Poly, exponents_up_to_degree, norm_squared_power
 from .scalars import GaussianRational, as_fraction
 
 
@@ -481,7 +481,7 @@ def inversion_automorphism(a: AElement) -> AElement:
     pole = max([0] + [sum(gamma) - a.pole_order for gamma in terms])
     numerator: dict = {}
     for gamma, coeff in terms.items():
-        lift = norm_squared(a.nvars) ** (pole - sum(gamma) + a.pole_order)
+        lift = norm_squared_power(a.nvars, pole - sum(gamma) + a.pole_order)
         for exp, c in lift.terms.items():
             key = tuple(map(add, gamma, exp))
             numerator[key] = numerator.get(key, 0) + coeff * c

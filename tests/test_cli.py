@@ -329,3 +329,15 @@ def test_non_list_exponent_is_an_input_error(tmp_path, capsys):
                                 "entries": [{"exp": 5, "pole_order": 0, "value": "1"}]}))
     code, out, err = run(capsys, "psd-check", str(path))
     assert code == 2 and out == "" and "exponent" in err
+
+
+def test_negative_exponent_is_an_input_error(tmp_path, capsys):
+    entries = [{"exp": list(g), "pole_order": 0, "value": v}
+               for g, v in [((0, 0), "1"), ((1, 0), "0"), ((0, 1), "0"),
+                            ((2, 0), "1"), ((1, 1), "0"), ((0, 2), "1")]]
+    entries.append({"exp": [-1, 1], "pole_order": 0, "value": "5"})
+    path = tmp_path / "functional.json"
+    path.write_text(json.dumps({"nvars": 2, "mode": "Aplus", "scalar_kind": "exact_rational",
+                                "entries": entries}))
+    code, out, err = run(capsys, "psd-check", str(path), "-D", "1")
+    assert code == 2 and out == "" and "negative" in err

@@ -16,7 +16,8 @@ from momentext.functionals.core import (DiscreteMeasure, DomainOverflowError,
                                         cs_chain_check, extend_from_measure,
                                         gram_matrix, moments_of_measure,
                                         polynomial_moments)
-from momentext.polyalg import Poly, exponents_up_to_degree, norm_squared
+from momentext.polyalg import (Poly, exponents_of_degree, exponents_up_to_degree,
+                               norm_squared)
 
 
 def two_atom_measure() -> DiscreteMeasure:
@@ -142,6 +143,41 @@ def test_domain_overflow_names_the_key():
 def test_aplus_keys_validated():
     with pytest.raises(ValueError):
         LinearFunctional(2, Mode.APLUS, SCALAR_EXACT, {((1, 0), 1): Fraction(1)})
+
+
+def test_negative_key_exponents_rejected():
+    with pytest.raises(ValueError, match="negative"):
+        LinearFunctional(2, Mode.APLUS, SCALAR_EXACT, {((-1, 1), 0): Fraction(5)})
+    with pytest.raises(ValueError, match="negative"):
+        LinearFunctional(1, Mode.LAURENT, SCALAR_FLOAT, {((-2,), 1): 1.0})
+
+
+# float.hex of the Gram entries below, captured before ||x||^(2t) had one
+# source: a lift must keep summing its terms in the same order.
+FLOAT_LIFT_GRAM_HEX = [
+    ['0x1.e5207914d4864p+11', '0x1.04d4316b670e4p+13', '0x1.796359ace092ep+13',
+     '-0x1.cc4f8e984439cp+11', '0x1.53275591c33ddp+10', '-0x1.dc1fb9ade6cfcp+9'],
+    ['0x1.04d4316b670e4p+13', '-0x1.cc4f8e984439cp+11', '0x1.53275591c33ddp+10',
+     '0x1.3568840935198p+13', '-0x1.beba972a5ffffp+10', '0x1.3d80b105a2bdfp+14'],
+    ['0x1.796359ace092ep+13', '0x1.53275591c33ddp+10', '-0x1.dc1fb9ade6cfcp+9',
+     '-0x1.beba972a5ffffp+10', '0x1.3d80b105a2bdfp+14', '-0x1.09590598e803bp+13'],
+    ['-0x1.cc4f8e984439cp+11', '0x1.3568840935198p+13', '-0x1.beba972a5ffffp+10',
+     '-0x1.890011d58e380p+11', '0x1.06e6ee7a25208p+17', '-0x1.3a319febbada2p+11'],
+    ['0x1.53275591c33ddp+10', '-0x1.beba972a5ffffp+10', '0x1.3d80b105a2bdfp+14',
+     '0x1.06e6ee7a25208p+17', '-0x1.3a319febbada2p+11', '-0x1.769f56613958bp+12'],
+    ['-0x1.dc1fb9ade6cfcp+9', '0x1.3d80b105a2bdfp+14', '-0x1.09590598e803bp+13',
+     '-0x1.3a319febbada2p+11', '-0x1.769f56613958bp+12', '-0x1.b719c6f9d9740p+7'],
+]
+
+
+def test_float_lift_from_top_pole_is_bit_stable():
+    # stored only at pole 2, read at pole 0: every entry lifts by ||x||^4
+    rng = random.Random(5)
+    values = {(g, 2): float(Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 997)))
+              for t in range(4, 9) for g in exponents_of_degree(2, t)}
+    L = LinearFunctional(2, Mode.APLUS, SCALAR_FLOAT, values)
+    G = gram_matrix(L, truncated_basis(0, 2, 2))
+    assert [[v.hex() for v in row] for row in G] == FLOAT_LIFT_GRAM_HEX
 
 
 def test_polynomial_restriction_matches_direct_moments():

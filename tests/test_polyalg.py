@@ -5,9 +5,15 @@ from fractions import Fraction
 
 import pytest
 
+from momentext.extalg import Mode, a_normalize, embed_poly, truncated_basis
+from momentext.functionals.core import (DiscreteMeasure, LinearFunctional,
+                                        SCALAR_EXACT, extend_from_measure,
+                                        gram_matrix, polynomial_moments)
+from momentext.functionals.feasibility import extension_feasibility
 from momentext.polyalg import (DimensionMismatchError, Poly, divide_by_norm_squared,
                                exponents_of_degree, exponents_up_to_degree,
-                               grlex_key, norm_squared)
+                               grlex_key, norm_squared, norm_squared_power)
+from momentext.semigroups import inversion_automorphism
 
 
 def random_poly(rng: random.Random, nvars: int, max_degree: int = 3) -> Poly:
@@ -89,6 +95,50 @@ def test_norm_squared_shapes():
     assert norm_squared(1).terms == {(2,): Fraction(1)}
     assert norm_squared(3).terms == {
         (2, 0, 0): Fraction(1), (0, 2, 0): Fraction(1), (0, 0, 2): Fraction(1)}
+
+
+def norm_power_by_product_loop(d: int, t: int) -> list:
+    """(x1^2 + ... + xd^2)^t as t explicit products, its terms in order."""
+    ns = Poly(d, {tuple(2 if j == i else 0 for j in range(d)): 1 for i in range(d)})
+    result = Poly.constant(d, 1)
+    for _ in range(t):
+        result = result * ns
+    return list(result.terms.items())
+
+
+def test_norm_squared_power_matches_product_loop():
+    # the term order is part of the contract: float lifts sum in this order
+    for d in range(1, 5):
+        for t in range(7):
+            expected = norm_power_by_product_loop(d, t)
+            assert list(norm_squared_power(d, t).terms.items()) == expected
+            assert list((norm_squared(d) ** t).terms.items()) == expected
+            assert norm_squared_power(d, t) is norm_squared_power(d, t)
+        assert norm_squared(d) is norm_squared_power(d, 1)
+    with pytest.raises(ValueError):
+        norm_squared_power(2, -1)
+
+
+def test_callers_leave_the_shared_norm_powers_intact():
+    # every lift and reduction reads the memoized polynomials; none may edit them
+    x1 = embed_poly(Poly.variable(2, 0), Mode.LAURENT)
+    y1 = a_normalize(Poly.variable(2, 0), 1, Mode.LAURENT)
+    inv_norm_cube = a_normalize(Poly.constant(2, 1), 3, Mode.LAURENT)
+    assert (x1 + y1) + inv_norm_cube == x1 + (y1 + inv_norm_cube)
+    mixed = x1 * inv_norm_cube + y1
+    assert inversion_automorphism(inversion_automorphism(mixed)) == mixed
+    mu = DiscreteMeasure(2, atoms=((Fraction(1), (Fraction(1), Fraction(2))),
+                                   (Fraction(1, 2), (Fraction(-1), Fraction(1, 3)))))
+    L = extend_from_measure(mu, 2, 4)
+    top = LinearFunctional(2, Mode.APLUS, SCALAR_EXACT,
+                           {k: v for k, v in L.values.items() if k[1] == 2})
+    basis = truncated_basis(0, 2, 2)
+    assert gram_matrix(top, basis) == gram_matrix(L, basis)
+    assert extension_feasibility(polynomial_moments(mu, 2), 1, 4).feasible
+    for d in range(1, 5):
+        for t in range(7):
+            assert list(norm_squared_power(d, t).terms.items()) == \
+                norm_power_by_product_loop(d, t)
 
 
 def test_divide_by_norm_squared_roundtrip():

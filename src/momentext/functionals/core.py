@@ -17,19 +17,23 @@ Measures here are finite atomic ones: weighted nonzero points, optional
 mass at the origin, and optional weighted unit directions (limits into the
 origin).  The origin-mass evaluation is pinned to the direction (1,0,...,0)
 so that results are reproducible; any unit direction gives the same values
-on polynomial keys.
+on polynomial keys.  Exact moment rectangles are built in one pass over
+integer power tables (``_moment_table``); the per-key evaluator
+``_key_value_of_measure`` is the float path of recovered measures and the
+test oracle of the tables.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from math import lcm
+from operator import add, getitem, mul
 
 from ..extalg import AElement, Mode, truncated_basis
 from ..polyalg import (DimensionMismatchError, Exponent, Poly,
-                       exponents_of_degree, exponents_up_to_degree, grlex_key,
-                       norm_squared_power)
+                       exponents_of_degree, grlex_key, norm_squared_power)
 from ..scalars import as_fraction
 
 Key = tuple[Exponent, int]
@@ -237,11 +241,13 @@ class DiscreteMeasure:
 
 
 def _key_value_of_measure(measure: DiscreteMeasure, gamma: Exponent, m: int):
-    """Integral of x^gamma / ||x||^(2m) against a measure.
+    """Integral of x^gamma / ||x||^(2m) against a measure, one key at a time.
 
-    Generic in the scalar: an exact measure gives a Fraction, a float one
-    (a recovered measure) a float.  Each point atom multiplies its weight
-    by each coordinate power in turn, then divides by ||p||^(2m) when m > 0.
+    The float path (``polynomial_moment_residual`` of a recovered measure)
+    and the test oracle of ``_moment_table``, which builds exact rectangles.
+    Generic in the scalar: an exact measure gives a Fraction, a float one a
+    float.  Each point atom multiplies its weight by each coordinate power
+    in turn, then divides by ||p||^(2m) when m > 0.
     Directions (and the origin mass, which is a direction pinned to e1) see
     only the |gamma| == 2m keys, where the fraction is homogeneous of degree
     zero with radial limit t^gamma.  An empty sum is the int 0.
@@ -287,24 +293,9 @@ def moments_of_measure(measure: DiscreteMeasure, basis: list[AElement]) -> Linea
         raise ValueError("Laurent-mode moments require a measure supported away from the origin")
     pole_max = 2 * max(b.pole_order for b in basis)
     degree_max = 2 * max(max(b.numerator.max_degree(), 0) for b in basis)
-    values: dict[Key, Fraction] = {}
-    for m in range(pole_max + 1):
-        low = 2 * m if mode is Mode.APLUS else 0
-        for t in range(low, degree_max + 1):
-            for gamma in _exponents_of_degree_cached(measure.dim, t):
-                values[(gamma, m)] = _key_value_of_measure(measure, gamma, m)
-    return LinearFunctional(measure.dim, mode, SCALAR_EXACT, values,
+    return LinearFunctional(measure.dim, mode, SCALAR_EXACT,
+                            _moment_table(measure, pole_max, degree_max, mode),
                             pole_max=pole_max, degree_max=degree_max)
-
-
-_EXP_CACHE: dict[tuple[int, int], list[Exponent]] = {}
-
-
-def _exponents_of_degree_cached(nvars: int, degree: int) -> list[Exponent]:
-    key = (nvars, degree)
-    if key not in _EXP_CACHE:
-        _EXP_CACHE[key] = exponents_of_degree(nvars, degree)
-    return _EXP_CACHE[key]
 
 
 def polynomial_moments(measure: DiscreteMeasure, max_degree: int,
@@ -312,9 +303,45 @@ def polynomial_moments(measure: DiscreteMeasure, max_degree: int,
     """Plain moment functional on the pole-free keys up to max_degree."""
     if not measure.is_exact():
         raise ValueError("polynomial_moments needs an exact measure")
-    values = {(gamma, 0): _key_value_of_measure(measure, gamma, 0)
-              for gamma in exponents_up_to_degree(measure.dim, max_degree)}
-    return LinearFunctional(measure.dim, mode, SCALAR_EXACT, values)
+    return LinearFunctional(measure.dim, mode, SCALAR_EXACT,
+                            _moment_table(measure, 0, max_degree, mode))
+
+
+def _moment_table(measure: DiscreteMeasure, pole_max: int, degree_max: int,
+                  mode: Mode) -> dict[Key, Fraction]:
+    """Exact values on the keys m <= pole_max, |gamma| <= degree_max, pole by pole.
+
+    A point p = a/q (a integer, q the lcm of p's denominators) adds
+    w * q^(2m-t) / |a|^(2m) * a^gamma at t = |gamma|.  Per (m, t) the atoms'
+    scales share one denominator, so a key is one integer dot product with
+    the monomials a^gamma from integer power tables, and one Fraction.
+    Directions and the origin mass (the unit point e1) come after the points
+    and are scaled only at t == 2m.
+    """
+    e1 = (1,) + (0,) * (measure.dim - 1)
+    origin = ((measure.origin_mass, e1),) if measure.origin_mass else ()
+    rows = []
+    for weight, point in measure.atoms + measure.sphere_atoms + origin:
+        q = lcm(*(Fraction(c).denominator for c in point))
+        a = [int(c * q) for c in point]
+        rows.append((weight, q, sum(c * c for c in a), a))
+    powers = [[[a[k] ** e for *_, a in rows] for e in range(degree_max + 1)]
+              for k in range(measure.dim)]  # powers[k][e][i] = a_ik ** e
+    exponents = [exponents_of_degree(measure.dim, t) for t in range(degree_max + 1)]
+    values, monomials = {}, {}
+    for m in range(pole_max + 1):
+        for t in range(2 * m if mode is Mode.APLUS else 0, degree_max + 1):
+            scales = [w * Fraction(q) ** (2 * m - t) / n ** m
+                      for w, q, n, _ in (rows if t == 2 * m else rows[:len(measure.atoms)])]
+            den = lcm(*(s.denominator for s in scales))
+            numerators = [s.numerator * (den // s.denominator) for s in scales]
+            for gamma in exponents[t]:
+                if gamma not in monomials:
+                    monomials[gamma] = functools.reduce(lambda x, y: list(map(mul, x, y)),
+                                                        map(getitem, powers, gamma))
+                # map stops at the shorter list, so directions without scales drop out
+                values[(gamma, m)] = Fraction(sum(map(mul, numerators, monomials[gamma])), den)
+    return values
 
 
 def extend_from_measure(measure: DiscreteMeasure, pole_order: int, degree: int) -> LinearFunctional:
@@ -334,13 +361,14 @@ class MomentWindow:
 
     On the basis keys k_i = (gamma_i, m_i) entry (i, j) of a Gram, moment
     or localizing matrix depends only on the product key star(k_i) + k_j,
-    its class, and entry (j, i) reads the star of that key.  ``star`` is the
-    identity for real symmetric matrices; a Hermitian s(u_i* u_j) passes the
-    involution of its index semigroup.  The window stores the ``keys`` in
-    the given order, the distinct ``classes`` (sorted by pole order, then
-    grlex), ``class_index`` and the n x n table ``class_of``; a matrix is
-    built by reading one value per class.  A localizer g enters through the
-    reader, which evaluates L(g * class) once per class.
+    its class, and entry (j, i) reads the star of that key.  ``star`` is
+    None (the identity) for real symmetric matrices; a Hermitian
+    s(u_i* u_j) passes the involution of its index semigroup.  The window
+    stores the ``keys`` in the given order, the distinct ``classes``
+    (sorted by pole order, then grlex), ``class_index`` and the n x n table
+    ``class_of``; a matrix is built by reading one value per class.  A
+    localizer g enters through the reader, which evaluates L(g * class)
+    once per class.
 
     In one variable ||x||^2 = x^2 divides a monomial, so product keys are
     reduced the way ``a_normalize`` reduces x^g / |x|^(2m) and can land at
@@ -348,20 +376,24 @@ class MomentWindow:
     ||x||^2.  Keys therefore name the same fraction ``L.apply`` would see.
     """
 
-    def __init__(self, keys: list[Key], star=lambda key: key):
+    def __init__(self, keys: list[Key], star=None):
         self.keys = [(tuple(gamma), m) for gamma, m in keys]
         reduce = self.reduce if any(len(g) == 1 for g, _ in self.keys) else None
         n = len(self.keys)
         table = [[None] * n for _ in range(n)]
-        for i, (gi, mi) in enumerate(map(star, self.keys)):
+        for i, (gi, mi) in enumerate(self.keys if star is None else map(star, self.keys)):
             row = [(tuple(map(add, gi, gj)), mi + mj) for gj, mj in self.keys[i:]]
-            for j, key in enumerate(map(reduce, row) if reduce else row, start=i):
-                table[i][j] = key
-                table[j][i] = star(key)
+            if reduce:
+                row = list(map(reduce, row))
+            table[i][i:] = row
+            for j, key in enumerate(row if star is None else map(star, row), start=i):
+                table[j][i] = key
         # Reading classes in the order a row-major scan of the table meets
         # them makes a missing value fail at the entry an entry-by-entry
-        # build would have failed at first.
-        self._scan_order = list(dict.fromkeys(key for row in table for key in row))
+        # build would have failed at first.  A symmetric table (no star)
+        # meets every key of row i left of the diagonal in row j < i first.
+        rows = table if star is not None else (row[i:] for i, row in enumerate(table))
+        self._scan_order = list(dict.fromkeys(key for row in rows for key in row))
         self.classes = sorted(self._scan_order, key=lambda k: (k[1], grlex_key(k[0])))
         self.class_index = {key: c for c, key in enumerate(self.classes)}
         self.class_of = [[self.class_index[key] for key in row] for row in table]

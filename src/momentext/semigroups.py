@@ -255,7 +255,8 @@ def sequence_from_measure(atoms, window: list[SgElement]) -> HermitianSequence:
     domain = window[0].domain
     if any(u.domain is not domain for u in window):
         raise ValueError("window mixes semigroup domains")
-    has_negative = any(u.m < 0 or u.n < 0 for u in window)
+    low = min(0, *(min(u.m, u.n) for u in window))
+    high = max(0, *(max(u.m, u.n) for u in window))
     clean = []
     for weight, z in atoms:
         weight = as_fraction(weight)
@@ -263,18 +264,28 @@ def sequence_from_measure(atoms, window: list[SgElement]) -> HermitianSequence:
             raise ValueError(f"atom weight {weight} must be positive")
         if not isinstance(z, GaussianRational):
             raise ValueError("exact sequence needs GaussianRational atoms")
-        if z.is_zero() and has_negative:
+        if z.is_zero() and low < 0:
             raise ValueError("an atom at 0 has no moments at negative powers")
         clean.append((weight, z))
+    # One table of w * z^e and one of conj(z)^e per atom over the window's
+    # exponents; z ** 0 == 1 keeps the 0^0 = 1 rule for an atom at 0.
+    tables = []
+    for weight, z in clean:
+        powers = {e: z ** e for e in range(low, high + 1)}
+        tables.append(({e: weight * p for e, p in powers.items()},
+                       {e: p.conjugate() for e, p in powers.items()}))
     zero = GaussianRational.zero()
-    entries = {(u.m, u.n): _atom_moment(clean, u.m, u.n, zero) for u in window}
+    entries = {(u.m, u.n): sum((weighted[u.m] * conj[u.n] for weighted, conj in tables), zero)
+               for u in window}
     return HermitianSequence(domain, entries)
 
 
 def _atom_moment(atoms, m: int, n: int, zero):
     """Sum of w * z^m * conj(z)^n over (w, z) atoms, from ``zero`` up.
 
-    Generic in the scalar: GaussianRational atoms sum exactly (an atom at 0
+    The float evaluator behind ``sequence_residual_float``, and the test
+    oracle of the exact tables in ``sequence_from_measure``.  Generic in
+    the scalar: GaussianRational atoms sum exactly (an atom at 0
     contributes only at (0,0), by 0^0 = 1), complex atoms in floats.
     """
     total = zero

@@ -341,3 +341,29 @@ def test_negative_exponent_is_an_input_error(tmp_path, capsys):
                                 "entries": entries}))
     code, out, err = run(capsys, "psd-check", str(path), "-D", "1")
     assert code == 2 and out == "" and "negative" in err
+
+
+# Captured before the moment rectangle moved onto integer power tables.
+# The d=3 measure mixes integer, negative and mixed-denominator coordinates
+# with an origin mass and an exact rational direction.
+EXTEND_D3_APLUS_REPORT = "64f15d1dc2e03619afd697fd89af7c6d17d6da230de0c51deedc66b8df921658"
+EXTEND_D2_LAURENT_REPORT = "3a3b78ebceeef63098a9a7f81673ff40e5fbd153a05bc7ee0d05489a9fc6f111"
+
+
+def test_extend_reports_are_byte_stable(tmp_path, capsys):
+    F = Fraction
+    d3 = DiscreteMeasure(3, atoms=(
+        (F(1, 2), (F(1), F(-2, 3), F(3, 5))),
+        (F(3), (F(-2), F(0), F(1))),
+        (F(2, 7), (F(1, 4), F(1, 2), F(-1)))),
+        origin_mass=F(1, 3), sphere_atoms=((F(5, 4), (F(2, 3), F(-1, 3), F(2, 3))),))
+    path = tmp_path / "d3.json"
+    serialize.dump_json(serialize.measure_to_dict(d3), path)
+    assert report_digest(capsys, tmp_path, "extend", str(path), "-M", "1", "-D", "3")[:2] == \
+        (0, EXTEND_D3_APLUS_REPORT)
+
+    laurent = write_measure(tmp_path / "d2.json",
+                            [(F(1), (F(1, 2), F(-3))), (F(2, 3), (F(-2), F(5, 4))),
+                             (F(4), (F(0), F(1)))])
+    assert report_digest(capsys, tmp_path, "extend", laurent, "-M", "1", "-D", "3",
+                         "--mode", "laurent")[:2] == (0, EXTEND_D2_LAURENT_REPORT)

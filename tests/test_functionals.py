@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from momentext import scenarios
 from momentext.extalg import Mode, a_normalize, embed_poly, generator_f, truncated_basis
 from momentext.functionals.core import (DiscreteMeasure, DomainOverflowError,
                                         InconsistentFunctionalError,
                                         LinearFunctional, MomentWindow,
                                         SCALAR_EXACT, SCALAR_FLOAT,
+                                        _key_value_of_measure, _moment_table,
                                         cs_chain_check, extend_from_measure,
                                         gram_matrix, moments_of_measure,
                                         polynomial_moments)
@@ -430,3 +432,36 @@ def test_window_gram_property(dim, pole, extra, laurent, seed):
     mu = random_measure(random.Random(seed), dim, max_atoms=3)
     L = moments_of_measure(mu, basis)
     assert same_entries(gram_matrix(L, basis), oracle_gram(L, basis))
+
+
+# Integer, negative and mixed-denominator coordinates.
+COORDINATES = st.one_of(st.integers(-6, 6).map(Fraction),
+                        st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 3), laurent=st.booleans(), pole=st.integers(0, 3),
+       degree=st.integers(0, 6), seed=st.integers(0, 10 ** 6),
+       origin=st.booleans(), direction=st.booleans(),
+       extra=st.lists(st.tuples(st.integers(1, 5), st.lists(COORDINATES, min_size=3,
+                                                            max_size=3)), max_size=3))
+def test_moment_table_matches_key_oracle(dim, laurent, pole, degree, seed, origin,
+                                         direction, extra):
+    rng = random.Random(seed)
+    base = scenarios.random_measure(rng, dim, allow_origin=not laurent,
+                                    allow_sphere=not laurent)
+    atoms = base.atoms + tuple((Fraction(w), tuple(p[:dim])) for w, p in extra if any(p[:dim]))
+    origin_mass, sphere = base.origin_mass, base.sphere_atoms
+    if not laurent and origin:
+        origin_mass += Fraction(2, 3)
+    if not laurent and direction:
+        sphere += ((Fraction(3, 2), scenarios.rational_direction(rng, dim)),)
+    mu = DiscreteMeasure(dim, atoms, origin_mass, sphere)
+    mode = Mode.LAURENT if laurent else Mode.APLUS
+    table = _moment_table(mu, pole, degree, mode)
+    assert list(table) == [(g, m) for m in range(pole + 1)
+                           for t in range(0 if laurent else 2 * m, degree + 1)
+                           for g in exponents_of_degree(dim, t)]
+    for (gamma, m), value in table.items():
+        assert type(value) is Fraction
+        assert value == _key_value_of_measure(mu, gamma, m), (gamma, m)

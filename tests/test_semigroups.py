@@ -16,7 +16,7 @@ from momentext.polyalg import Poly, exponents_up_to_degree, norm_squared
 from momentext.scalars import GaussianRational
 from momentext.semigroups import (HermitianSequence, MissingMomentError,
                                   NplusExtensionReport, SgDomain, SgElement,
-                                  _binomial_expansion, _hermitian_window,
+                                  _atom_moment, _binomial_expansion, _hermitian_window,
                                   _polynomial_moments_from_sequence,
                                   bisgaard_check,
                                   box_window, complex_atoms_to_measure,
@@ -667,3 +667,22 @@ def test_nplus_reports_match_full_window_oracle():
         report = nplus_extension_check(seq, atoms, window)
         assert report == oracle_nplus_extension_check(seq, atoms, window)
         assert report.restriction_mismatches == [(1, 2), (2, 1)]
+
+
+def test_sequence_tables_match_atom_moment_oracle():
+    rng = random.Random(21)
+    for trial in range(4):
+        atoms = [(Fraction(rng.randint(1, 5), rng.randint(1, 3)),
+                  G(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                    Fraction(rng.randint(1, 4), rng.randint(1, 3))))
+                 for _ in range(3)]
+        for domain in SgDomain:
+            for box in (0, 1, 3):
+                window = box_window(box, domain)
+                # an atom at 0 only on windows without negative indices
+                used = atoms + [(Fraction(1, 2), G(0))] if domain is SgDomain.N02 else atoms
+                entries = sequence_from_measure(used, window).entries
+                assert list(entries) == [(u.m, u.n) for u in window]
+                for (m, n), value in entries.items():
+                    assert value == _atom_moment(used, m, n, GaussianRational.zero()), \
+                        (domain, m, n)

@@ -268,12 +268,14 @@ def sequence_from_measure(atoms, window: list[SgElement]) -> HermitianSequence:
             raise ValueError("an atom at 0 has no moments at negative powers")
         clean.append((weight, z))
     # One table of w * z^e and one of conj(z)^e per atom over the window's
-    # exponents; z ** 0 == 1 keeps the 0^0 = 1 rule for an atom at 0.
+    # exponents, by a running product from z^low; an atom at 0 has low == 0,
+    # so z^0 == 1 keeps the 0^0 = 1 rule.
     tables = []
     for weight, z in clean:
-        powers = {e: z ** e for e in range(low, high + 1)}
-        tables.append(({e: weight * p for e, p in powers.items()},
-                       {e: p.conjugate() for e, p in powers.items()}))
+        weighted, conj, power = {}, {}, z ** low
+        for e in range(low, high + 1):
+            weighted[e], conj[e], power = weight * power, power.conjugate(), power * z
+        tables.append((weighted, conj))
     zero = GaussianRational.zero()
     entries = {(u.m, u.n): sum((weighted[u.m] * conj[u.n] for weighted, conj in tables), zero)
                for u in window}

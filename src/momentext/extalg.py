@@ -49,9 +49,11 @@ class NotInAlgebraError(ValueError):
 class AElement:
     """Reduced fraction numerator / ||x||^(2*pole_order).
 
-    Construction validates the invariants (numerator not divisible by
-    ||x||^2 unless pole_order is 0, APLUS degree condition); build elements
-    through ``a_normalize`` / ``embed_poly`` / the arithmetic operators
+    The public constructor is the input boundary: it validates the
+    invariants (numerator not divisible by ||x||^2 unless pole_order is 0,
+    APLUS degree condition).  ``a_normalize``, negation and nonzero scalar
+    multiples establish them and build through ``AElement._trusted``, which
+    checks nothing.  Build elements through those and ``embed_poly``
     rather than by fixing up raw parts.
     """
 
@@ -66,6 +68,13 @@ class AElement:
             raise ValueError("AElement not reduced: numerator divisible by ||x||^2")
         if self.mode is Mode.APLUS:
             _check_degree_condition(self.numerator, self.pole_order)
+
+    @classmethod
+    def _trusted(cls, numerator: Poly, pole_order: int, mode: Mode) -> "AElement":
+        """An element whose invariants the caller has just established."""
+        a = object.__new__(cls)
+        a.__dict__.update(numerator=numerator, pole_order=pole_order, mode=mode)
+        return a
 
     @property
     def nvars(self) -> int:
@@ -97,13 +106,13 @@ class AElement:
         return a_add(other, -self)
 
     def __neg__(self) -> "AElement":
-        return AElement(-self.numerator, self.pole_order, self.mode)
+        return AElement._trusted(-self.numerator, self.pole_order, self.mode)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             if other == 0:
                 return AElement(Poly.zero(self.nvars), 0, self.mode)
-            return AElement(self.numerator * other, self.pole_order, self.mode)
+            return AElement._trusted(self.numerator * other, self.pole_order, self.mode)
         if not isinstance(other, AElement):
             return NotImplemented
         return a_mul(self, other)
@@ -146,6 +155,8 @@ def a_normalize(numerator: Poly, pole_order: int, mode: Mode = Mode.APLUS) -> AE
 
     Raises NotInAlgebraError in APLUS mode when some numerator monomial has
     total degree below 2*pole_order (the offending monomial is named).
+    Dividing by ||x||^2 lowers the least degree by exactly 2, so the checked
+    degree condition holds for the reduced pair as well.
     """
     if pole_order < 0:
         raise ValueError("pole_order must be >= 0")
@@ -159,7 +170,7 @@ def a_normalize(numerator: Poly, pole_order: int, mode: Mode = Mode.APLUS) -> AE
         pole_order -= 1
     if numerator.is_zero():
         pole_order = 0
-    return AElement(numerator, pole_order, mode)
+    return AElement._trusted(numerator, pole_order, mode)
 
 
 def embed_poly(p: Poly, mode: Mode = Mode.APLUS) -> AElement:

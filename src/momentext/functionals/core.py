@@ -57,7 +57,13 @@ class InconsistentFunctionalError(ValueError):
 
 @dataclass
 class LinearFunctional:
-    """Explicit values of a linear functional on monomial fraction keys."""
+    """Explicit values of a linear functional on monomial fraction keys.
+
+    The public constructor checks every key and coerces every value.
+    ``LinearFunctional._trusted`` takes an exact table the caller has just
+    built, with tuple keys that fit ``nvars`` and ``mode``, Fraction values,
+    and ``pole_max``/``degree_max`` already covering the keys.
+    """
 
     nvars: int
     mode: Mode
@@ -88,6 +94,15 @@ class LinearFunctional:
         self.values = clean
         self.pole_max = max([m for (_, m) in clean] + [self.pole_max])
         self.degree_max = max([sum(g) for (g, _) in clean] + [self.degree_max])
+
+    @classmethod
+    def _trusted(cls, nvars: int, mode: Mode, values: dict[Key, Fraction],
+                 pole_max: int, degree_max: int) -> "LinearFunctional":
+        """An exact functional on a canonical key table; nothing is checked."""
+        f = object.__new__(cls)
+        f.__dict__.update(nvars=nvars, mode=mode, scalar_kind=SCALAR_EXACT, values=values,
+                          pole_max=pole_max, degree_max=degree_max)
+        return f
 
     def zero_scalar(self):
         return Fraction(0) if self.scalar_kind == SCALAR_EXACT else 0.0
@@ -293,9 +308,9 @@ def moments_of_measure(measure: DiscreteMeasure, basis: list[AElement]) -> Linea
         raise ValueError("Laurent-mode moments require a measure supported away from the origin")
     pole_max = 2 * max(b.pole_order for b in basis)
     degree_max = 2 * max(max(b.numerator.max_degree(), 0) for b in basis)
-    return LinearFunctional(measure.dim, mode, SCALAR_EXACT,
-                            _moment_table(measure, pole_max, degree_max, mode),
-                            pole_max=pole_max, degree_max=degree_max)
+    return LinearFunctional._trusted(measure.dim, mode,
+                                     _moment_table(measure, pole_max, degree_max, mode),
+                                     pole_max, degree_max)
 
 
 def polynomial_moments(measure: DiscreteMeasure, max_degree: int,
@@ -303,8 +318,9 @@ def polynomial_moments(measure: DiscreteMeasure, max_degree: int,
     """Plain moment functional on the pole-free keys up to max_degree."""
     if not measure.is_exact():
         raise ValueError("polynomial_moments needs an exact measure")
-    return LinearFunctional(measure.dim, mode, SCALAR_EXACT,
-                            _moment_table(measure, 0, max_degree, mode))
+    return LinearFunctional._trusted(measure.dim, mode,
+                                     _moment_table(measure, 0, max_degree, mode),
+                                     0, max(max_degree, 0))
 
 
 def _moment_table(measure: DiscreteMeasure, pole_max: int, degree_max: int,

@@ -15,8 +15,10 @@ two variables reads 1, x1, x2, x1^2, x1*x2, x2^2, ...
 from __future__ import annotations
 
 import functools
+import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, neg
 
 from .scalars import as_fraction, format_fraction, power_by_squaring
 
@@ -62,9 +64,11 @@ def exponents_up_to_degree(nvars: int, degree: int) -> list[Exponent]:
 class Poly:
     """Sparse polynomial with exact rational coefficients.
 
-    ``terms`` is canonicalized on construction: coefficients are coerced to
-    Fraction, zero coefficients dropped, exponent vectors checked.  Treat
-    the stored dict as immutable.
+    The public constructor is the input boundary: it checks every exponent
+    vector, coerces coefficients to Fraction and drops zeros.  Arithmetic
+    results come from ``Poly._trusted``, which assumes valid tuple exponents
+    and Fraction coefficients and only drops zeros.  Both keep the given
+    term order.  Treat the stored dict as immutable.
     """
 
     nvars: int
@@ -85,6 +89,13 @@ class Poly:
             if coeff != 0:
                 clean[exp] = coeff
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _trusted(cls, nvars: int, terms: dict[Exponent, Fraction]) -> "Poly":
+        """Canonical terms the caller has just built, minus the zeros; no checks."""
+        p = object.__new__(cls)
+        p.__dict__.update(nvars=nvars, terms={e: c for e, c in terms.items() if c})
+        return p
 
     # -- constructors ------------------------------------------------------
 
@@ -162,8 +173,8 @@ class Poly:
         _check_same_nvars(self, other)
         terms = dict(self.terms)
         for exp, coeff in other.terms.items():
-            terms[exp] = terms.get(exp, Fraction(0)) + coeff
-        return Poly(self.nvars, terms)
+            terms[exp] = terms[exp] + coeff if exp in terms else coeff
+        return Poly._trusted(self.nvars, terms)
 
     __radd__ = __add__
 
@@ -180,21 +191,21 @@ class Poly:
         return other + (-self)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Poly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             scalar = Fraction(other)
-            return Poly(self.nvars, {e: c * scalar for e, c in self.terms.items()})
+            return Poly._trusted(self.nvars, {e: c * scalar for e, c in self.terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
         _check_same_nvars(self, other)
         terms: dict[Exponent, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                terms[exp] = terms.get(exp, Fraction(0)) + c1 * c2
-        return Poly(self.nvars, terms)
+                exp = tuple(map(add, e1, e2))
+                terms[exp] = terms[exp] + c1 * c2 if exp in terms else c1 * c2
+        return Poly._trusted(self.nvars, terms)
 
     __rmul__ = __mul__
 
@@ -257,26 +268,38 @@ def norm_squared(nvars: int) -> Poly:
 def divide_by_norm_squared(p: Poly) -> Poly | None:
     """The exact quotient p / (x1^2+...+xd^2), or None when it does not divide.
 
-    Leading-term division under grlex: if p = q * s exactly then the leading
-    term of p is the product of the leading terms of q and s, so repeatedly
-    cancelling leading terms either exhausts the remainder or hits a leading
-    term not divisible by x1^2, which certifies non-divisibility.
+    Leading-term division, leads ordered by (total degree, exponent): if
+    p = q * s exactly then the leading term of p is the product of the
+    leading terms of q and s, so cancelling leading terms either exhausts
+    the remainder or hits a lead not divisible by x1^2, which certifies
+    non-divisibility.  Cancelling x^e only adds terms x^(e - 2*e1 + 2*e_k)
+    below it, so one pass over a heap of pending exponents meets the leads
+    in descending order, the order of the quotient's terms.  ``p`` is
+    trusted to be canonical.
     """
     remainder = dict(p.terms)
     quotient: dict[Exponent, Fraction] = {}
-    q_items = norm_squared(p.nvars).terms.items()
-    while remainder:
-        lead = max(remainder, key=lambda e: (sum(e), e))
+    # x^(e - 2*e1 + 2*e_k) = x^(e + step); every coefficient of ||x||^2 is 1
+    steps = [(-2,) + tuple(2 if j == k else 0 for j in range(1, p.nvars))
+             for k in range(1, p.nvars)]
+    pending = [(-sum(e), tuple(map(neg, e))) for e in remainder]
+    heapq.heapify(pending)
+    while pending:
+        degree, key = heapq.heappop(pending)
+        lead = tuple(map(neg, key))
+        coeff = remainder.pop(lead, None)
+        if coeff is None:  # cancelled after it was pushed
+            continue
         if lead[0] < 2:
             return None
-        shift = (lead[0] - 2,) + lead[1:]
-        coeff = remainder[lead]
-        quotient[shift] = coeff
-        for qe, qc in q_items:
-            exp = tuple(a + b for a, b in zip(shift, qe))
-            new = remainder.get(exp, Fraction(0)) - coeff * qc
-            if new == 0:
-                remainder.pop(exp, None)
-            else:
+        quotient[(lead[0] - 2,) + lead[1:]] = coeff
+        for step in steps:
+            exp = tuple(map(add, lead, step))
+            if exp not in remainder:
+                remainder[exp] = -coeff
+                heapq.heappush(pending, (degree, tuple(map(neg, exp))))
+            elif new := remainder[exp] - coeff:
                 remainder[exp] = new
-    return Poly(p.nvars, quotient)
+            else:
+                del remainder[exp]
+    return Poly._trusted(p.nvars, quotient)

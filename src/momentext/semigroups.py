@@ -498,7 +498,7 @@ def inversion_automorphism(a: AElement) -> AElement:
         for exp, c in lift.terms.items():
             key = tuple(map(add, gamma, exp))
             numerator[key] = numerator.get(key, 0) + coeff * c
-    return a_normalize(Poly(a.nvars, numerator), pole, Mode.LAURENT)
+    return a_normalize(Poly._trusted(a.nvars, numerator), pole, Mode.LAURENT)
 
 
 @dataclass

@@ -465,3 +465,27 @@ def test_moment_table_matches_key_oracle(dim, laurent, pole, degree, seed, origi
     for (gamma, m), value in table.items():
         assert type(value) is Fraction
         assert value == _key_value_of_measure(mu, gamma, m), (gamma, m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(1, 3), laurent=st.booleans(), pole=st.integers(0, 2),
+       degree=st.integers(0, 5), seed=st.integers(0, 10 ** 6))
+def test_measure_functionals_match_validated_construction(dim, laurent, pole, degree, seed):
+    mode = Mode.LAURENT if laurent else Mode.APLUS
+    mu = scenarios.random_measure(random.Random(seed), dim, allow_origin=not laurent,
+                                  allow_sphere=not laurent)
+    if mode is Mode.APLUS:
+        degree = max(degree, 2 * pole)
+    basis = truncated_basis(pole, degree, dim, mode)
+    pole_max = 2 * max(b.pole_order for b in basis)
+    degree_max = 2 * max(max(b.numerator.max_degree(), 0) for b in basis)
+    cases = [(moments_of_measure(mu, basis),
+              LinearFunctional(dim, mode, SCALAR_EXACT,
+                               _moment_table(mu, pole_max, degree_max, mode),
+                               pole_max=pole_max, degree_max=degree_max)),
+             (polynomial_moments(mu, degree, mode),
+              LinearFunctional(dim, mode, SCALAR_EXACT, _moment_table(mu, 0, degree, mode)))]
+    for got, want in cases:
+        assert got == want
+        assert (got.pole_max, got.degree_max) == (want.pole_max, want.degree_max)
+        assert list(got.values.items()) == list(want.values.items())

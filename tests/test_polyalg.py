@@ -2,10 +2,15 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from momentext.extalg import Mode, a_normalize, embed_poly, truncated_basis
+import momentext
+from momentext.extalg import (AElement, Mode, NotInAlgebraError, a_normalize,
+                              embed_poly, truncated_basis)
 from momentext.functionals.core import (DiscreteMeasure, LinearFunctional,
                                         SCALAR_EXACT, extend_from_measure,
                                         gram_matrix, polynomial_moments)
@@ -193,3 +198,146 @@ def test_string_rendering():
     x2 = Poly.variable(2, 1)
     assert str(x1 ** 2 - x2) in ("x1^2 - x2", "-x2 + x1^2")
     assert str(Poly.zero(2)) == "0"
+
+
+# -- trusted internal construction against the validated path ---------------
+
+
+def divide_by_norm_squared_by_rescan(p: Poly) -> Poly | None:
+    """The division as first written: rescan the remainder for its lead after
+    every cancellation.  The oracle of the one-pass division."""
+    remainder = dict(p.terms)
+    quotient: dict = {}
+    q_items = norm_squared(p.nvars).terms.items()
+    while remainder:
+        lead = max(remainder, key=lambda e: (sum(e), e))
+        if lead[0] < 2:
+            return None
+        shift = (lead[0] - 2,) + lead[1:]
+        coeff = remainder[lead]
+        quotient[shift] = coeff
+        for qe, qc in q_items:
+            exp = tuple(a + b for a, b in zip(shift, qe))
+            new = remainder.get(exp, Fraction(0)) - coeff * qc
+            if new == 0:
+                remainder.pop(exp, None)
+            else:
+                remainder[exp] = new
+    return Poly(p.nvars, quotient)
+
+
+COEFFICIENTS = st.fractions(min_value=-8, max_value=8, max_denominator=5)
+
+
+@st.composite
+def polys(draw, nvars: int, max_degree: int = 3) -> Poly:
+    exponents = st.tuples(*[st.integers(0, max_degree)] * nvars)
+    return Poly(nvars, draw(st.dictionaries(exponents, COEFFICIENTS, max_size=6)))
+
+
+@st.composite
+def poly_pairs(draw) -> tuple[Poly, Poly]:
+    d = draw(st.integers(1, 4))
+    return draw(polys(d)), draw(polys(d))
+
+
+@st.composite
+def dividends(draw) -> Poly:
+    """Random polynomials, some multiplied by ||x||^(2t), some then disturbed."""
+    d = draw(st.integers(1, 4))
+    p = draw(polys(d)) * norm_squared_power(d, draw(st.integers(0, 2)))
+    if draw(st.booleans()):
+        p = p + draw(polys(d, max_degree=5))
+    return p
+
+
+def assert_same_poly(got: Poly, want: Poly) -> None:
+    assert got.nvars == want.nvars
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert all(type(c) is Fraction for c in got.terms.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=dividends())
+def test_one_pass_division_matches_rescan_oracle(p):
+    got, want = divide_by_norm_squared(p), divide_by_norm_squared_by_rescan(p)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert_same_poly(got, want)
+
+
+def validated_sum(p: Poly, q: Poly) -> Poly:
+    terms = dict(p.terms)
+    for exp, coeff in q.terms.items():
+        terms[exp] = terms.get(exp, Fraction(0)) + coeff
+    return Poly(p.nvars, terms)
+
+
+def validated_product(p: Poly, q: Poly) -> Poly:
+    terms: dict = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            exp = tuple(a + b for a, b in zip(e1, e2))
+            terms[exp] = terms.get(exp, Fraction(0)) + c1 * c2
+    return Poly(p.nvars, terms)
+
+
+def validated_normalize(numerator: Poly, pole: int, mode: Mode) -> AElement:
+    while pole > 0 and (quotient := divide_by_norm_squared_by_rescan(numerator)) is not None:
+        numerator, pole = quotient, pole - 1
+    return AElement(numerator, 0 if numerator.is_zero() else pole, mode)
+
+
+def assert_same_element(got: AElement, want: AElement) -> None:
+    assert got == want
+    assert_same_poly(got.numerator, want.numerator)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=poly_pairs(), scalar=COEFFICIENTS, t=st.integers(0, 2), extra=st.integers(0, 2))
+def test_trusted_arithmetic_matches_validated_construction(pair, scalar, t, extra):
+    p, q = pair
+    d = p.nvars
+    assert_same_poly(p + q, validated_sum(p, q))
+    assert_same_poly(p - q, validated_sum(p, Poly(d, {e: -c for e, c in q.terms.items()})))
+    assert_same_poly(-p, Poly(d, {e: -c for e, c in p.terms.items()}))
+    assert_same_poly(p * q, validated_product(p, q))
+    assert_same_poly(p * scalar, Poly(d, {e: c * scalar for e, c in p.terms.items()}))
+    # numerators with ||x||^2 factors to strip, in both modes
+    numerator = validated_product(p, norm_squared_power(d, t))
+    low = numerator.degree_range()[0] if not numerator.is_zero() else 0
+    for mode, pole in ((Mode.LAURENT, t + extra), (Mode.APLUS, low // 2)):
+        a = a_normalize(numerator, pole, mode)
+        assert_same_element(a, validated_normalize(numerator, pole, mode))
+        assert_same_element(-a, AElement(-a.numerator, a.pole_order, mode))
+        if scalar:
+            assert_same_element(a * scalar, AElement(a.numerator * scalar, a.pole_order, mode))
+
+
+def test_public_constructors_keep_their_checks():
+    with pytest.raises(ValueError):
+        Poly(2, {(1, -1): 1})
+    with pytest.raises(DimensionMismatchError):
+        Poly(2, {(1,): 1})
+    with pytest.raises(DimensionMismatchError):
+        Poly(2, {(1, 0, 0): 1})
+    x1 = Poly.variable(2, 0)
+    with pytest.raises(ValueError, match="not reduced"):
+        AElement(norm_squared(2) * x1, 1, Mode.LAURENT)
+    with pytest.raises(NotInAlgebraError):
+        AElement(x1, 1, Mode.APLUS)
+    bad_keys = [{((1,), 0): 1},                  # wrong length
+                {((1, -1), 0): 1},               # negative exponent
+                {((2, 0), -1): 1},               # negative pole order
+                {((1, 0), 1): 1}]                # outside the bounded-generator algebra
+    for values in bad_keys:
+        with pytest.raises(ValueError):
+            LinearFunctional(2, Mode.APLUS, SCALAR_EXACT, values)
+
+
+def test_trusted_constructors_stay_internal():
+    src = Path(momentext.__file__).parent
+    callers = {str(path.relative_to(src)) for path in src.rglob("*.py")
+               if "_trusted(" in path.read_text()}
+    assert callers <= {"polyalg.py", "extalg.py", "semigroups.py", "functionals/core.py"}
+    assert not [name for name in dir(momentext) if "trusted" in name]

@@ -36,14 +36,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import add
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ..extalg import Mode
 from ..polyalg import Exponent, exponents_of_degree, norm_squared_power
 from .core import (InconsistentFunctionalError, Key, LinearFunctional,
                    MomentWindow, SCALAR_EXACT, SCALAR_FLOAT)
 from .psd import FloatPsdVerdict, psd_check_float
+
+if TYPE_CHECKING:  # numpy is imported where it is used, not with the package
+    import numpy as np
 
 
 @dataclass
@@ -63,6 +65,8 @@ class FeasibilityResult:
 def extension_feasibility(L: LinearFunctional, pole_order: int, degree: int,
                           max_iters: int = 5000, tol: float = 1e-7) -> FeasibilityResult:
     """Try to complete L to a PSD functional on the (pole_order, degree) window."""
+    import numpy as np
+
     if L.mode is not Mode.APLUS:
         raise ValueError("feasibility search runs in the bounded-generator mode")
     M, D = pole_order, degree
@@ -181,6 +185,8 @@ def _normalization(L: LinearFunctional, d: int) -> tuple[float, float]:
     the defining keys are absent; any positive pair keeps the rescaled
     problem equivalent, so the fallbacks only affect conditioning.
     """
+    import numpy as np
+
     origin: Key = (tuple([0] * d), 0)
     if origin in L.values:
         mass = float(L.values[origin])

@@ -1,10 +1,15 @@
 """Positive-semidefiniteness checks with reproducible certificates.
 
 The exact route factors a symmetric rational matrix as P*G*P^T = L*D*L^T
-with symmetric largest-diagonal pivoting, entirely over Fraction.  A PSD
-verdict carries (permutation, unit lower factor, nonnegative diagonal); a
-NotPSD verdict carries a rational vector v with v^T*G*v < 0.  Either
-certificate is checked back against G by ``PsdVerdict.verify``.
+with symmetric largest-diagonal pivoting.  The elimination runs on integer
+rows: row i of each Schur complement is held as integers over one positive
+denominator d[i], a pivot step updates it with one integer
+cross-multiplication per entry and divides out the row's gcd, and
+Fractions are built only for the certificate's L and D.  A PSD verdict
+carries (permutation, unit lower factor, nonnegative diagonal); a NotPSD
+verdict carries a rational vector v with v^T*G*v < 0.  Either certificate
+is checked back against G by ``PsdVerdict.verify``, which replays it on
+integer rows as well.
 
 The float route is a plain eigenvalue bound and certifies nothing; it backs
 the approximate feasibility search where exactness is out of reach.
@@ -14,10 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from math import gcd, lcm
 
 from ..scalars import as_fraction
+
+# L's zeros and ones, shared rather than built n^2 times.
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 @dataclass
@@ -37,45 +45,71 @@ class PsdVerdict:
 
     def verify(self, matrix) -> bool:
         """Replay the certificate against the original matrix."""
-        G = _as_exact_matrix(matrix)
+        G, dG = _int_rows(matrix)
         n = len(G)
         if self.is_psd:
             perm, L, D = self.permutation, self.unit_lower, self.diagonal
             if perm is None or L is None or D is None or sorted(perm) != list(range(n)):
                 return False
-            if any(d < 0 for d in D):
+            if not _rational(D) or any(d < 0 for d in D):
                 return False
             for i in range(n):
-                if L[i][i] != 1 or any(L[i][j] != 0 for j in range(i + 1, n)):
+                if not _rational(L[i]) or L[i][i] != 1 \
+                        or any(L[i][j] != 0 for j in range(i + 1, n)):
                     return False
-            # G is checked symmetric and L*D*L^T is symmetric by construction,
-            # so the lower triangle decides; zero pivots add nothing.
-            support = [k for k in range(n) if D[k] != 0]
-            for i in range(n):
-                row = [(k, L[i][k] * D[k]) for k in support if k <= i]
-                G_row = G[perm[i]]
-                for j in range(i + 1):
-                    L_j = L[j]
-                    if G_row[perm[j]] != sum(ld * L_j[k] for k, ld in row if k <= j):
+            # Replay the elimination in the certificate's order on integer
+            # rows of P*G*P^T.  Before step k, rows < k of what is left are
+            # zero and row k must read D[k] times column k of L; step k then
+            # subtracts D[k] * l_k * l_k^T.  Zero pivots add nothing.
+            R = [[G[p][q] for q in perm] for p in perm]
+            dR = [dG[p] for p in perm]
+            for k in range(n):
+                row, num, den = R[k], D[k].numerator * dR[k], D[k].denominator
+                for j in range(k, n):
+                    entry = L[j][k]
+                    if row[j] * den * entry.denominator != num * entry.numerator:
                         return False
+                if num:
+                    _eliminate(R, dR, k)
             return True
         v = self.witness
-        if v is None or len(v) != n:
+        if v is None or len(v) != n or not _rational(v):
             return False
-        value = sum(v[i] * G[i][j] * v[j] for i in range(n) for j in range(n))
+        value = _quadratic_form(G, dG, v)
         return value == self.witness_value and value < 0
 
 
-def _as_exact_matrix(matrix) -> list[list[Fraction]]:
+def _rational(values) -> bool:
+    return all(isinstance(x, (int, Fraction)) for x in values)
+
+
+def _cleared(values) -> tuple[list[int], int]:
+    """Rationals as integers over one positive denominator, their lcm."""
+    den = lcm(*[x.denominator for x in values])
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def _int_rows(matrix) -> tuple[list[list[int]], list[int]]:
+    """A square symmetric rational matrix as integer rows: G[i][j] = N[i][j] / d[i].
+
+    Entries are coerced with ``as_fraction`` (floats refused); d[i] > 0 is
+    the lcm of row i's denominators.
+    """
     rows = [[as_fraction(entry) for entry in row] for row in matrix]
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
+    N, d = [], []
+    for row in rows:
+        ints, den = _cleared(row)
+        N.append(ints)
+        d.append(den)
     for i in range(n):
+        N_i, d_i = N[i], d[i]
         for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
+            if N_i[j] * d[j] != N[j][i] * d_i:
                 raise ValueError(f"matrix not symmetric at ({i},{j})")
-    return rows
+    return N, d
 
 
 def psd_check_exact(matrix) -> PsdVerdict:
@@ -84,54 +118,90 @@ def psd_check_exact(matrix) -> PsdVerdict:
     Entries may be ints, Fractions or "p/q" strings; floats are refused so
     the exact path cannot silently degrade.
     """
-    A = _as_exact_matrix(matrix)
-    n = len(A)
+    G, dG = _int_rows(matrix)
+    n = len(G)
+    N, d = [row[:] for row in G], dG[:]  # G stays for the witness value
     perm = list(range(n))
-    L = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    D = [Fraction(0)] * n
-    k = 0
-    while k < n:
-        p = max(range(k, n), key=lambda i: A[i][i])
-        if A[p][p] > 0:
-            _swap(A, L, perm, k, p)
-            pivot = A[k][k]
-            D[k] = pivot
-            for i in range(k + 1, n):
-                L[i][k] = A[i][k] / pivot
-            for i in range(k + 1, n):
-                if A[i][k] == 0:
-                    continue
-                for j in range(k + 1, i + 1):
-                    A[i][j] -= L[i][k] * A[j][k]
-                    A[j][i] = A[i][j]
-            k += 1
+    L = [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
+    D = [_ZERO] * n
+    for k in range(n):
+        # First argmax of the Schur diagonal N[i][i] / d[i], with every d[i] > 0.
+        p = k
+        for i in range(k + 1, n):
+            if N[i][i] * d[p] > N[p][p] * d[i]:
+                p = i
+        if N[p][p] <= 0:
+            # No positive diagonal left in the Schur complement.  Every d[i]
+            # is positive, so the integers carry the entries' signs.
+            for j in range(k, n):
+                if N[j][j] < 0:
+                    return _not_psd(G, dG, L, perm, k, {j: _ONE})
+            for i in range(k, n):
+                for j in range(i + 1, n):
+                    if N[i][j] != 0:
+                        sign = _ONE if N[i][j] > 0 else -_ONE
+                        return _not_psd(G, dG, L, perm, k, {i: _ONE, j: -sign})
+            break  # Schur complement is identically zero: remaining D entries stay 0.
+        _swap(N, d, L, perm, k, p)
+        pivot, d_k = N[k][k], d[k]
+        D[k] = Fraction(pivot, d_k)
+        for i in range(k + 1, n):
+            if N[i][k]:
+                L[i][k] = Fraction(N[i][k] * d_k, d[i] * pivot)
+        _eliminate(N, d, k)
+    return PsdVerdict(True, permutation=perm, unit_lower=L, diagonal=D)
+
+
+def _eliminate(N: list[list[int]], d: list[int], k: int) -> None:
+    """One Schur step on integer rows (row i holds N[i][j] / d[i]), in place.
+
+    Every row i > k with N[i][k] != 0 loses N[i][k] / N[k][k] times row k
+    on the columns after k; the two denominators d[k] cancel, so column j
+    becomes pivot*N[i][j] - N[i][k]*N[k][j] over d[i]*pivot, and the row's
+    gcd with that denominator is divided out.  Rows with a zero in column k
+    are left as they are, as are the dead columns <= k.
+    """
+    pivot, tail = N[k][k], N[k][k + 1:]
+    for i in range(k + 1, len(N)):
+        row = N[i]
+        a = row[k]
+        if a == 0:
             continue
-        # No positive diagonal left in the Schur complement.
-        for j in range(k, n):
-            if A[j][j] < 0:
-                return _not_psd(matrix, L, perm, k, {j: Fraction(1)})
-        for i in range(k, n):
-            for j in range(i + 1, n):
-                if A[i][j] != 0:
-                    sign = Fraction(1) if A[i][j] > 0 else Fraction(-1)
-                    return _not_psd(matrix, L, perm, k, {i: Fraction(1), j: -sign})
-        break  # Schur complement is identically zero: remaining D entries stay 0.
-    return PsdVerdict(True, permutation=perm,
-                      unit_lower=[row[:] for row in L], diagonal=D)
+        live = [pivot * x - a * y for x, y in zip(row[k + 1:], tail)]
+        den = d[i] * pivot
+        g = gcd(den, *live)
+        if g != 1:
+            live = [x // g for x in live]
+            den //= g
+        row[k + 1:] = live
+        d[i] = den
 
 
-def _swap(A, L, perm, k, p) -> None:
+def _swap(N, d, L, perm, k, p) -> None:
     if k == p:
         return
     perm[k], perm[p] = perm[p], perm[k]
-    A[k], A[p] = A[p], A[k]
-    for row in A:
+    N[k], N[p] = N[p], N[k]
+    d[k], d[p] = d[p], d[k]
+    for row in N[k:]:  # rows before k are finished pivot rows
         row[k], row[p] = row[p], row[k]
     for j in range(k):
         L[k][j], L[p][j] = L[p][j], L[k][j]
 
 
-def _not_psd(matrix, L, perm, k, schur_coeffs: dict[int, Fraction]) -> PsdVerdict:
+def _quadratic_form(G: list[list[int]], dG: list[int], v) -> Fraction:
+    """v^T * G * v for G in integer rows, with one Fraction at the end."""
+    a, q = _cleared(v)
+    support = [i for i in range(len(a)) if a[i]]
+    m = lcm(*[dG[i] for i in support])
+    total = 0
+    for i in support:
+        G_row = G[i]
+        total += a[i] * (m // dG[i]) * sum(G_row[j] * a[j] for j in support)
+    return Fraction(total, m * q * q)
+
+
+def _not_psd(G, dG, L, perm, k, schur_coeffs: dict[int, Fraction]) -> PsdVerdict:
     """Lift a witness for the Schur complement back to original coordinates.
 
     With M = P*G*P^T split after k processed pivots, a vector u on the
@@ -139,21 +209,17 @@ def _not_psd(matrix, L, perm, k, schur_coeffs: dict[int, Fraction]) -> PsdVerdic
     u^T S u.  Back substitution against the stored unit multipliers does it.
     """
     n = len(perm)
-    t = [Fraction(0)] * k
-    for i in range(k):
-        t[i] = sum(L[j][i] * c for j, c in schur_coeffs.items())
-    top = [Fraction(0)] * k
+    t = [sum(L[j][i] * c for j, c in schur_coeffs.items()) for i in range(k)]
+    top = [_ZERO] * k
     for i in range(k - 1, -1, -1):
         top[i] = -t[i] - sum(L[j][i] * top[j] for j in range(i + 1, k))
-    w = top + [Fraction(0)] * (n - k)
+    w = top + [_ZERO] * (n - k)
     for j, c in schur_coeffs.items():
         w[j] = c
-    witness = [Fraction(0)] * n
+    witness = [_ZERO] * n
     for pos, orig in enumerate(perm):
         witness[orig] = w[pos]
-    G = _as_exact_matrix(matrix)
-    value = sum(witness[i] * G[i][j] * witness[j] for i in range(n) for j in range(n))
-    return PsdVerdict(False, witness=witness, witness_value=value)
+    return PsdVerdict(False, witness=witness, witness_value=_quadratic_form(G, dG, witness))
 
 
 @dataclass
@@ -171,6 +237,8 @@ class FloatPsdVerdict:
 
 def psd_check_float(matrix, tol: float = 1e-9) -> FloatPsdVerdict:
     """Approximate PSD test: smallest eigenvalue of the symmetrized matrix >= -tol."""
+    import numpy as np
+
     M = np.asarray(matrix, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("matrix must be square")

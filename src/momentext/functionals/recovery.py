@@ -17,11 +17,14 @@ is returned.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ..polyalg import Exponent, exponents_up_to_degree
 from .core import (DiscreteMeasure, LinearFunctional, MomentWindow,
                    _key_value_of_measure)
+
+if TYPE_CHECKING:  # numpy is imported where it is used, not with the package
+    import numpy as np
 
 
 class IndeterminateRankError(RuntimeError):
@@ -45,6 +48,8 @@ def recover_atoms(L: LinearFunctional, dim: int, degree: int,
                   rank_tol: float = 1e-8, seed: int = 0,
                   residual_tol: float = 1e-8) -> DiscreteMeasure:
     """Atomic measure (float data) whose moments up to 2*degree match L."""
+    import numpy as np
+
     if dim != L.nvars:
         raise ValueError(f"functional has {L.nvars} variables, expected {dim}")
     if degree < 1:
@@ -133,12 +138,16 @@ def recover_atoms(L: LinearFunctional, dim: int, degree: int,
 
 def _moment_matrix(L: LinearFunctional, monos: list[Exponent]) -> np.ndarray:
     """M[i][j] = L(x^(a_i + a_j)) as floats, read from the stored keys only."""
+    import numpy as np
+
     window = MomentWindow([(a, 0) for a in monos])
     return np.array(window.matrix(lambda key: float(L.value(*key))))
 
 
 def _greedy_pivots(W: np.ndarray, rank: int) -> list[int] | None:
     """First rows of W, in order, spanning its row space (None if short)."""
+    import numpy as np
+
     pivots: list[int] = []
     basis: list[np.ndarray] = []
     for idx in range(W.shape[0]):

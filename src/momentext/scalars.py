@@ -15,7 +15,12 @@ from fractions import Fraction
 
 
 def as_fraction(value: int | Fraction | str) -> Fraction:
-    """Coerce ints, Fractions and "p/q" strings to Fraction.  Floats refused."""
+    """Coerce ints, Fractions and "p/q" strings to Fraction.  Floats refused.
+
+    A Fraction comes back as itself: it is immutable, so no copy is needed.
+    """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, bool):
         raise TypeError("bool is not a rational scalar")
     if isinstance(value, (int, Fraction)):
@@ -43,7 +48,8 @@ def power_by_squaring(base, exponent: int, one):
 
 def format_fraction(value: Fraction) -> str:
     """Render a Fraction as "p" or "p/q" (the JSON on-disk form)."""
-    value = Fraction(value)
+    if type(value) is not Fraction:
+        value = Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"

@@ -26,7 +26,7 @@ from .semigroups import HermitianSequence, SgDomain
 
 def scalar_to_json(value):
     if isinstance(value, (int, Fraction)):
-        return format_fraction(Fraction(value))
+        return format_fraction(value)
     return float(value)
 
 

@@ -367,3 +367,14 @@ def test_extend_reports_are_byte_stable(tmp_path, capsys):
                              (F(4), (F(0), F(1)))])
     assert report_digest(capsys, tmp_path, "extend", laurent, "-M", "1", "-D", "3",
                          "--mode", "laurent")[:2] == (0, EXTEND_D2_LAURENT_REPORT)
+
+
+def test_importing_the_package_leaves_numpy_unloaded():
+    # numpy is imported inside the float paths, so exact commands never pay for it
+    env = dict(os.environ, PYTHONPATH=str(Path(momentext.__file__).parents[1]))
+    for module in ("momentext", "momentext.cli"):
+        probe = subprocess.run([sys.executable, "-c",
+                                f"import sys, {module}; print('numpy' in sys.modules)"],
+                               capture_output=True, text=True, env=env, timeout=60)
+        assert probe.returncode == 0, probe.stderr
+        assert probe.stdout.strip() == "False", module

@@ -21,6 +21,19 @@ def test_as_fraction_refuses_inexact_inputs():
         as_fraction(True)
 
 
+def test_as_fraction_returns_a_fraction_itself_and_copies_subclasses():
+    class Tagged(Fraction):
+        pass
+
+    q = Fraction(3, 4)
+    assert as_fraction(q) is q
+    tagged = as_fraction(Tagged(3, 4))
+    assert type(tagged) is Fraction and tagged == q
+    with pytest.raises(TypeError):
+        as_fraction(True)
+    assert format_fraction(q) == "3/4" and format_fraction(Tagged(6, 3)) == "2"
+
+
 def test_format_fraction():
     assert format_fraction(Fraction(3)) == "3"
     assert format_fraction(Fraction(-1, 2)) == "-1/2"

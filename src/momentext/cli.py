@@ -81,7 +81,7 @@ def cmd_psd_check(args) -> int:
 
     L = serialize.functional_from_dict(serialize.load_json(args.input))
     exact = L.scalar_kind == SCALAR_EXACT
-    L.validate(0.0 if exact else args.tol)
+    L.validate(args.tol)
     scalar = args.scalar or ("exact" if exact else "float")
     if scalar == "exact" and not exact:
         raise ValueError("cannot run the exact check on float-valued input")
@@ -192,7 +192,7 @@ def cmd_semigroup(args) -> int:
     if args.pipeline == "laurent-relations":
         result = laurent_relations_check(seed=args.seed)
         report = {"command": "semigroup", "pipeline": args.pipeline,
-                  "identities": result.identities,
+                  "seed": args.seed, "identities": result.identities,
                   "multiplicative_pairs": result.multiplicative_pairs,
                   "multiplicative_failures": result.multiplicative_failures,
                   "passed": result.passed}

@@ -28,13 +28,12 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import add, getitem, mul
 
 from ..extalg import AElement, Mode, truncated_basis
 from ..polyalg import (DimensionMismatchError, Exponent, Poly,
                        exponents_of_degree, grlex_key, norm_squared_power)
-from ..scalars import as_fraction
+from ..scalars import as_fraction, clear_denominators
 
 Key = tuple[Exponent, int]
 
@@ -176,8 +175,10 @@ class LinearFunctional:
     def check_reduction_relations(self, tol: float = 0.0) -> list[Key]:
         """Keys whose stored value disagrees with the lift one pole order up.
 
-        Only fully stored lifts are compared.  On the exact path pass tol=0.
+        Only fully stored lifts are compared.  An exact functional compares
+        exactly and ignores ``tol``; a float one compares within ``tol``.
         """
+        tol = 0 if self.scalar_kind == SCALAR_EXACT else tol
         bad = []
         for (gamma, m), value in self.values.items():
             total = self._lifted_sum(gamma, m, 1)
@@ -187,6 +188,7 @@ class LinearFunctional:
 
     def validate(self, tol: float = 0.0) -> None:
         """Raise InconsistentFunctionalError on relation violations or L(1) < 0."""
+        tol = 0 if self.scalar_kind == SCALAR_EXACT else tol
         bad = self.check_reduction_relations(tol)
         if bad:
             raise InconsistentFunctionalError(
@@ -338,8 +340,7 @@ def _moment_table(measure: DiscreteMeasure, pole_max: int, degree_max: int,
     origin = ((measure.origin_mass, e1),) if measure.origin_mass else ()
     rows = []
     for weight, point in measure.atoms + measure.sphere_atoms + origin:
-        q = lcm(*(Fraction(c).denominator for c in point))
-        a = [int(c * q) for c in point]
+        a, q = clear_denominators(point)
         rows.append((weight, q, sum(c * c for c in a), a))
     powers = [[[a[k] ** e for *_, a in rows] for e in range(degree_max + 1)]
               for k in range(measure.dim)]  # powers[k][e][i] = a_ik ** e
@@ -349,8 +350,7 @@ def _moment_table(measure: DiscreteMeasure, pole_max: int, degree_max: int,
         for t in range(2 * m if mode is Mode.APLUS else 0, degree_max + 1):
             scales = [w * Fraction(q) ** (2 * m - t) / n ** m
                       for w, q, n, _ in (rows if t == 2 * m else rows[:len(measure.atoms)])]
-            den = lcm(*(s.denominator for s in scales))
-            numerators = [s.numerator * (den // s.denominator) for s in scales]
+            numerators, den = clear_denominators(scales)
             for gamma in exponents[t]:
                 if gamma not in monomials:
                     monomials[gamma] = functools.reduce(lambda x, y: list(map(mul, x, y)),

@@ -74,7 +74,7 @@ def extension_feasibility(L: LinearFunctional, pole_order: int, degree: int,
         raise ValueError("need degree >= 2*pole_order >= 0")
     d = L.nvars
     exact = L.scalar_kind == SCALAR_EXACT
-    L.validate(0.0 if exact else 1e-9)
+    L.validate(1e-9)
 
     for (gamma, m) in L.values:
         if m > M or sum(gamma) - 2 * m > D - 2 * M:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from ..scalars import as_fraction
+from ..scalars import as_fraction, clear_denominators
 
 # L's zeros and ones, shared rather than built n^2 times.
 _ZERO = Fraction(0)
@@ -83,12 +83,6 @@ def _rational(values) -> bool:
     return all(isinstance(x, (int, Fraction)) for x in values)
 
 
-def _cleared(values) -> tuple[list[int], int]:
-    """Rationals as integers over one positive denominator, their lcm."""
-    den = lcm(*[x.denominator for x in values])
-    return [x.numerator * (den // x.denominator) for x in values], den
-
-
 def _int_rows(matrix) -> tuple[list[list[int]], list[int]]:
     """A square symmetric rational matrix as integer rows: G[i][j] = N[i][j] / d[i].
 
@@ -101,7 +95,7 @@ def _int_rows(matrix) -> tuple[list[list[int]], list[int]]:
         raise ValueError("matrix must be square")
     N, d = [], []
     for row in rows:
-        ints, den = _cleared(row)
+        ints, den = clear_denominators(row)
         N.append(ints)
         d.append(den)
     for i in range(n):
@@ -191,7 +185,7 @@ def _swap(N, d, L, perm, k, p) -> None:
 
 def _quadratic_form(G: list[list[int]], dG: list[int], v) -> Fraction:
     """v^T * G * v for G in integer rows, with one Fraction at the end."""
-    a, q = _cleared(v)
+    a, q = clear_denominators(v)
     support = [i for i in range(len(a)) if a[i]]
     m = lcm(*[dG[i] for i in support])
     total = 0

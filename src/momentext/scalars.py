@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 
 def as_fraction(value: int | Fraction | str) -> Fraction:
@@ -28,6 +29,12 @@ def as_fraction(value: int | Fraction | str) -> Fraction:
     if isinstance(value, str):
         return Fraction(value.strip())
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def clear_denominators(values) -> tuple[list[int], int]:
+    """Rationals as integers over one positive denominator, their lcm."""
+    den = lcm(*[x.denominator for x in values])
+    return [x.numerator * (den // x.denominator) for x in values], den
 
 
 def power_by_squaring(base, exponent: int, one):

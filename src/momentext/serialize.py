@@ -1,7 +1,8 @@
 """JSON file forms for the toolkit's data types.
 
 Rationals travel as "p/q" strings so files stay exact; floats (from the
-approximate paths) are written as JSON numbers and read back as floats.
+approximate paths) are written as JSON numbers and read back as finite
+floats.  Sequence and univariate moment files hold rationals only.
 Dump functions emit deterministically ordered structures, so identical
 inputs serialize byte-identically.  Load functions check the shape of what
 they read and raise ValueError on anything malformed (a list where an
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any
 
 from .extalg import AElement, Mode, a_normalize
 from .fibres import FibreSpec, Preorder
@@ -32,8 +32,19 @@ def scalar_to_json(value):
 
 def scalar_from_json(value):
     if isinstance(value, float):
-        return value
+        return _finite(value)
     return _rational(value)
+
+
+def _finite(value) -> float:
+    """``value`` as a float; NaN, infinities and overflow are input errors."""
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValueError("value is too large for a float") from None
+    if not abs(number) < float("inf"):  # false for NaN as well
+        raise ValueError(f"{number} is not a finite number")
+    return number
 
 
 def _object(data, what: str) -> dict:
@@ -155,7 +166,7 @@ def functional_from_dict(data: dict) -> LinearFunctional:
         item = _object(item, "entry")
         value = scalar_from_json(item["value"])
         if kind == SCALAR_FLOAT:
-            value = float(value)
+            value = _finite(value)
         elif isinstance(value, float):
             raise ValueError("exact functional file contains a float value")
         values[(_exponent(item["exp"]), _integer(item["pole_order"], "pole_order"))] = value
@@ -168,7 +179,7 @@ def functional_from_dict(data: dict) -> LinearFunctional:
 def moments_from_dict(data: dict) -> list:
     """The moment list of a univariate input {"moments": [...]}."""
     data = _object(data, "univariate moment file")
-    return [scalar_from_json(v) for v in _array(data["moments"], "moments")]
+    return [_rational(v) for v in _array(data["moments"], "moments")]
 
 
 # -- fibre inputs ------------------------------------------------------------
@@ -216,32 +227,19 @@ def samples_from_dict(data: dict) -> list[list[Fraction]]:
 
 
 def sequence_to_dict(seq: HermitianSequence) -> dict:
-    entries = []
-    for (m, n) in sorted(seq.entries):
-        value = seq.entries[(m, n)]
-        if isinstance(value, GaussianRational):
-            entries.append({"m": m, "n": n,
-                            "re": format_fraction(value.re),
-                            "im": format_fraction(value.im)})
-        else:
-            value = complex(value)
-            entries.append({"m": m, "n": n, "re": value.real, "im": value.imag})
-    return {"domain": seq.domain.value, "entries": entries}
+    return {"domain": seq.domain.value,
+            "entries": [{"m": m, "n": n, "re": format_fraction(z.re), "im": format_fraction(z.im)}
+                        for (m, n), z in sorted(seq.entries.items())]}
 
 
 def sequence_from_dict(data: dict) -> HermitianSequence:
     data = _object(data, "sequence")
     domain = SgDomain(data["domain"])
-    entries: dict[tuple[int, int], Any] = {}
+    entries = {}
     for item in _array(data["entries"], "entries"):
         item = _object(item, "entry")
-        re = scalar_from_json(item["re"])
-        im = scalar_from_json(item.get("im", 0))
-        if isinstance(re, float) or isinstance(im, float):
-            value: Any = complex(float(re), float(im))
-        else:
-            value = GaussianRational(re, im)
-        entries[(_integer(item["m"], "m"), _integer(item["n"], "n"))] = value
+        entries[(_integer(item["m"], "m"), _integer(item["n"], "n"))] = \
+            GaussianRational(_rational(item["re"]), _rational(item.get("im", 0)))
     return HermitianSequence(domain, entries)
 
 

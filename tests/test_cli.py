@@ -190,7 +190,14 @@ NPLUS_BOX2_REPORTS = {
     4: "c6c99971894fc9d0afc224d311769c51905b276ed667ca4cbd5dad906ca32779",
 }
 BISGAARD_NO_RECOVERY_REPORT = "3e9f85cfb0f9ab79b6e3c83f65cd045ef754e514250aeab788a7c59b042834d9"
-LAURENT_SEED0_REPORT = "885cda0002407b404cbebe28d520604174558684229a8e0df04aa418897ee14b"
+# The laurent-relations report records its --seed; without that key every
+# passing seed dumps the same identities and counts.
+LAURENT_REPORTS = {
+    0: "fcb35aacfe6d0db75e8afeeb7a15556405dc05c075e79e2b22be6d4a09db4e2f",
+    1: "01602c2921e431e49e21f10ba977b166f8eac8343474d90bd64f28e01c09f4f9",
+    2: "f0622b57858da83ef4eb6b8ac7d47c725934351d292d4af53c03407fd3a8a9c8",
+}
+LAURENT_REPORT_WITHOUT_SEED = "885cda0002407b404cbebe28d520604174558684229a8e0df04aa418897ee14b"
 
 
 def report_digest(capsys, tmp_path, *argv):
@@ -222,7 +229,7 @@ def test_exact_semigroup_reports_are_byte_stable(tmp_path, capsys):
                          "--sequence", sequence, "--no-recovery")[:2] == \
         (0, BISGAARD_NO_RECOVERY_REPORT)
     assert report_digest(capsys, tmp_path, "semigroup", "--pipeline",
-                         "laurent-relations", "--seed", "0")[:2] == (0, LAURENT_SEED0_REPORT)
+                         "laurent-relations", "--seed", "0")[:2] == (0, LAURENT_REPORTS[0])
 
 
 # Captured before the Hermitian matrices moved onto MomentWindow, the
@@ -237,12 +244,14 @@ def test_heavy_semigroup_reports_are_byte_stable(tmp_path, capsys):
     assert report_digest(capsys, tmp_path, "semigroup", "--pipeline", "nplus-extension",
                          "--measure", measure, "--box", "3")[:2] == \
         (0, NPLUS_BOX3_SEED1_REPORT)
-    # The report holds identities and counts only, so every passing seed
-    # prints the same bytes.
-    for seed in ("1", "2"):
+    for seed, digest in LAURENT_REPORTS.items():
         assert report_digest(capsys, tmp_path, "semigroup", "--pipeline",
-                             "laurent-relations", "--seed", seed)[:2] == \
-            (0, LAURENT_SEED0_REPORT)
+                             "laurent-relations", "--seed", str(seed))[:2] == (0, digest)
+        # the seed is the only key the report gained
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report.pop("seed") == seed
+        payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        assert hashlib.sha256(payload.encode()).hexdigest() == LAURENT_REPORT_WITHOUT_SEED
 
 
 def test_recover_atoms_failure_modes(tmp_path, capsys):
@@ -318,9 +327,11 @@ def test_top_level_list_is_an_input_error(tmp_path, capsys):
 
 def test_univariate_moment_string_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "moments.json"
-    path.write_text(json.dumps({"moments": "12345"}))
-    code, out, err = run(capsys, "psd-check", "--univariate", str(path))
-    assert code == 2 and out == "" and "must be a JSON array" in err
+    for moments, message in [("12345", "must be a JSON array"),
+                             ([1.0, 0, 1], "not an exact rational")]:
+        path.write_text(json.dumps({"moments": moments}))
+        code, out, err = run(capsys, "psd-check", "--univariate", str(path))
+        assert code == 2 and out == "" and message in err
 
 
 def test_non_list_exponent_is_an_input_error(tmp_path, capsys):
@@ -378,3 +389,38 @@ def test_importing_the_package_leaves_numpy_unloaded():
                                capture_output=True, text=True, env=env, timeout=60)
         assert probe.returncode == 0, probe.stderr
         assert probe.stdout.strip() == "False", module
+
+
+def float_functional(value, degree=2):
+    """A float L(1) = value on the line, with L(x) = 0 and L(x^2) = 1 up to degree."""
+    values = [value, 0.0, 1.0][:degree + 1]
+    return {"nvars": 1, "mode": "Aplus", "scalar_kind": "float",
+            "entries": [{"exp": [k], "pole_order": 0, "value": v} for k, v in enumerate(values)]}
+
+
+# Each of these once became a verdict, a traceback or an unresolved search.
+@pytest.mark.parametrize("command,data", [
+    pytest.param(["semigroup", "--pipeline", "nplus-extension", "--box", "1",
+                  "--measure", "{measure}", "--sequence", "{input}"],
+                 {"domain": "N02", "entries": [{"m": 0, "n": 0, "re": 1.0, "im": 0.0}]},
+                 id="float-sequence"),
+    pytest.param(["psd-check", "--univariate", "{input}"], {"moments": [1.0, 0, 1]},
+                 id="float-moment"),
+    pytest.param(["psd-check", "{input}"], float_functional(float("nan")), id="nan"),
+    pytest.param(["psd-check", "{input}"], float_functional(float("inf")), id="infinity"),
+    pytest.param(["psd-check", "{input}"], float_functional("1e400"), id="overflow"),
+    pytest.param(["feasibility", "{input}", "-M", "0", "-D", "0"],
+                 float_functional(float("nan"), degree=0), id="nan-feasibility"),
+])
+def test_malformed_numbers_are_input_errors(tmp_path, command, data):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    measure = write_measure(tmp_path / "measure.json", [(Fraction(1), (Fraction(1), Fraction(2)))])
+    env = dict(os.environ, PYTHONPATH=str(Path(momentext.__file__).parents[1]))
+    argv = [arg.format(input=path, measure=measure) for arg in command]
+    proc = subprocess.run([sys.executable, "-m", "momentext", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2, (proc.stdout, proc.stderr)
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines

@@ -117,6 +117,24 @@ def test_reduction_relations_hold_and_break():
         bad.validate()
 
 
+def test_exact_functionals_ignore_the_tolerance():
+    # a violation far below any float tolerance still counts on the exact path
+    L = extend_from_measure(two_atom_measure(), 1, 2)
+    nudged = dict(L.values)
+    nudged[((0, 0), 0)] += Fraction(1, 10 ** 30)
+    exact = LinearFunctional(2, Mode.APLUS, SCALAR_EXACT, nudged)
+    assert exact.check_reduction_relations(1.0) == [((0, 0), 0)]
+    with pytest.raises(InconsistentFunctionalError):
+        exact.validate(1.0)
+    approx = LinearFunctional(2, Mode.APLUS, SCALAR_FLOAT, nudged)
+    assert approx.check_reduction_relations(1e-9) == []
+    approx.validate(1e-9)
+    tiny = {((0, 0), 0): Fraction(-1, 10 ** 30)}
+    with pytest.raises(InconsistentFunctionalError):
+        LinearFunctional(2, Mode.APLUS, SCALAR_EXACT, tiny).validate(1.0)
+    LinearFunctional(2, Mode.APLUS, SCALAR_FLOAT, tiny).validate(1e-9)
+
+
 def test_negative_mass_rejected_by_validate():
     L = LinearFunctional(2, Mode.APLUS, SCALAR_EXACT, {((0, 0), 0): Fraction(-1)})
     with pytest.raises(InconsistentFunctionalError):

@@ -686,3 +686,84 @@ def test_sequence_tables_match_atom_moment_oracle():
                 for (m, n), value in entries.items():
                     assert value == _atom_moment(used, m, n, GaussianRational.zero()), \
                         (domain, m, n)
+
+
+# -- the upper-triangle embedding against the full n^2 walk it replaced ----------
+
+
+def oracle_hermitian_embedding(matrix):
+    """Checks every (i, j) against the conjugate of (j, i), filling as it goes."""
+    n = len(matrix)
+    for row in matrix:
+        if len(row) != n:
+            raise ValueError("matrix must be square")
+        for entry in row:
+            if not isinstance(entry, GaussianRational):
+                raise ValueError("exact embedding needs GaussianRational entries")
+    out = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        for j in range(n):
+            z = matrix[i][j]
+            if matrix[j][i] != z.conjugate():
+                raise ValueError(f"matrix is not Hermitian at ({i},{j})")
+            out[i][j] = out[i + n][j + n] = z.re
+            out[i][j + n] = -z.im
+            out[i + n][j] = z.im
+    return out
+
+
+def embedding_outcome(embed, matrix):
+    try:
+        return embed(matrix)
+    except Exception as err:  # compared by type and message
+        return type(err), str(err)
+
+
+def test_hermitian_embedding_matches_full_walk_oracle():
+    rng = random.Random(31)
+
+    def rational():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+    def hermitian(n):
+        m = [[None] * n for _ in range(n)]
+        for i in range(n):
+            m[i][i] = G(rational())
+            for j in range(i + 1, n):
+                m[i][j] = G(rational(), rational())
+                m[j][i] = m[i][j].conjugate()
+        return m
+
+    cases = [[]]
+    for n in range(1, 7):
+        for _ in range(4):
+            cases.append(hermitian(n))
+            broken = hermitian(n)  # one broken pair, upper or lower side
+            i, j = rng.randrange(n), rng.randrange(n)
+            broken[i][j] = broken[i][j] + G(0, 1) if i == j else broken[i][j] + G(1, 1)
+            cases.append(broken)
+            twice = hermitian(n)  # two broken pairs: the first (i, j) is reported
+            for _ in range(2):
+                i, j = rng.randrange(n), rng.randrange(n)
+                twice[i][j] = twice[i][j] + G(rational() or 1, rational())
+            cases.append(twice)
+        ragged = hermitian(n)
+        ragged[rng.randrange(n)].append(G(1))
+        cases.append(ragged)
+        floats = hermitian(n)
+        floats[rng.randrange(n)][rng.randrange(n)] = complex(1, 0)
+        cases.append(floats)
+        both = hermitian(n)  # faults in two rows: the earlier row's is reported
+        both[-1].append(G(1))
+        both[0][0] = Fraction(1)
+        cases.append(both)
+    cases.append([[G(1), G(0)]])  # non-square
+    cases.append([[G(0, 2)]])  # non-real diagonal
+    seen = set()
+    for matrix in cases:
+        got = embedding_outcome(hermitian_embedding, matrix)
+        assert got == embedding_outcome(oracle_hermitian_embedding, matrix), matrix
+        seen.add(got[1].split(" at ")[0] if isinstance(got, tuple) else "embedded")
+    assert seen == {"embedded", "matrix must be square",
+                           "exact embedding needs GaussianRational entries",
+                           "matrix is not Hermitian"}

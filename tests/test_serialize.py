@@ -119,14 +119,14 @@ def test_sequence_roundtrip_exact_and_float():
                                 box_window(2, SgDomain.Z2))
     back = sequence_from_dict(sequence_to_dict(seq))
     assert back.domain is seq.domain and back.entries == seq.entries
-    assert back.is_exact()
 
-    approx = HermitianSequence(SgDomain.N02, {(0, 0): complex(1.5, 0.0),
-                                              (1, 0): complex(0.5, -0.25),
-                                              (0, 1): complex(0.5, 0.25)})
-    restored = sequence_from_dict(sequence_to_dict(approx))
-    assert not restored.is_exact()
-    assert restored.entries[(1, 0)] == complex(0.5, -0.25)
+    # Sequences are exact only: a float entry in a file, or a complex value
+    # handed to the constructor, is refused.
+    with pytest.raises(ValueError, match="not an exact rational"):
+        sequence_from_dict({"domain": "N02",
+                            "entries": [{"m": 0, "n": 0, "re": "3/2", "im": 0.25}]})
+    with pytest.raises(ValueError, match="not a GaussianRational"):
+        HermitianSequence(SgDomain.N02, {(0, 0): complex(1.5, 0.0)})
 
 
 def test_dump_json_is_deterministic(tmp_path):

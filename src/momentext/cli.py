@@ -298,6 +298,28 @@ def cmd_gen_examples(args) -> int:
 # -- parser -------------------------------------------------------------------------
 
 
+def _tolerance(text: str) -> float:
+    """Flag type: a finite float >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0 <= value < float("inf"):  # false for NaN as well
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """Flag type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="momentext",
@@ -312,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-M", "--pole-order", type=int, default=None)
     p.add_argument("-D", "--degree", type=int, default=None)
     p.add_argument("--scalar", choices=["exact", "float"], default=None)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_psd_check)
 
@@ -328,8 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="functional JSON with the fixed values")
     p.add_argument("-M", "--pole-order", type=int, required=True)
     p.add_argument("-D", "--degree", type=int, required=True)
-    p.add_argument("--max-iters", type=int, default=5000)
-    p.add_argument("--tol", type=float, default=1e-7)
+    p.add_argument("--max-iters", type=_positive_int, default=5000)
+    p.add_argument("--tol", type=_tolerance, default=1e-7)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_feasibility)
 
@@ -337,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preorder", required=True)
     p.add_argument("--fibre-spec", required=True)
     p.add_argument("--samples", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_fibres)
 
@@ -355,8 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recover-atoms", help="atomic measure from moment data")
     p.add_argument("input", help="functional JSON")
     p.add_argument("--degree", type=int, default=None)
-    p.add_argument("--rank-tol", type=float, default=1e-8)
-    p.add_argument("--residual-tol", type=float, default=1e-8)
+    p.add_argument("--rank-tol", type=_tolerance, default=1e-8)
+    p.add_argument("--residual-tol", type=_tolerance, default=1e-8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_recover_atoms)

@@ -13,6 +13,15 @@ relative to a preorder: for every squarefree product of generators, the
 localizing matrix M_g[alpha][beta] = L(g * x^(alpha+beta)) has to be PSD.
 With exact rational data the verdicts carry exact certificates.
 
+``fibre_partition_check`` buckets sample points by their exact values of
+h and audits that the fibres are disjoint.  It evaluates in integers:
+each polynomial is cleared once to integer coefficients over one
+denominator and each sample once to a/q with an integer vector a, so
+K(T) membership and the audit are sign and zero tests of integer sums and
+only the bucket values are built as Fractions.  ``jobs > 1`` spreads this
+over worker processes, which no longer pays: on a 21x21 strip grid two
+workers take about four times the serial time, on 41x41 about twice.
+
 ``sphere_fibre_reduction`` handles the fibres of the angular generators
 f_kl: a value matrix with trace 1 forces the linear relations
 x_l = (lambda_kl / lambda_kk) * x_k against the first coordinate with
@@ -24,14 +33,13 @@ direction-type evaluation.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .functionals.core import LinearFunctional, MomentWindow, SCALAR_EXACT
 from .functionals.psd import PsdVerdict, psd_check_exact
-from .polyalg import (DimensionMismatchError, Exponent, Poly,
-                      exponents_up_to_degree)
+from .polyalg import (ClearedPoint, ClearedPoly, DimensionMismatchError,
+                      Exponent, Poly, exponents_up_to_degree)
 from .scalars import as_fraction
 
 
@@ -116,15 +124,23 @@ class PartitionReport:
 
 
 def _value_of_member(task) -> tuple[Fraction, ...] | None:
-    preorder, bounded, pt = task
-    if not kT_membership(preorder, pt):
+    # task[2] is the sample's Fraction point, unused here but kept in the
+    # task so that a wrapper of this function can tell which sample it is
+    generators, bounded, _, point = task
+    if any(g.numerator_at(point) < 0 for g in generators):
         return None
-    return tuple(h.eval(pt) for h in bounded)
+    return tuple(h.value_at(point) for h in bounded)
 
 
 def _hits_other_fibre(task) -> bool:
-    other_ideal, pts = task
-    return any(all(g.eval(pt) == 0 for g in other_ideal) for pt in pts)
+    other_ideal, points = task
+    for pt in points:
+        for g in other_ideal:
+            if g.numerator_at(pt):
+                break
+        else:
+            return True
+    return False
 
 
 def _run_tasks(worker, tasks: list, jobs: int) -> list:
@@ -132,6 +148,7 @@ def _run_tasks(worker, tasks: list, jobs: int) -> list:
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         return [worker(task) for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunk = max(1, len(tasks) // (4 * workers))
         return list(pool.map(worker, tasks, chunksize=chunk))
@@ -146,26 +163,40 @@ def fibre_partition_check(preorder: Preorder, bounded: list[Poly],
     is in K(T), so it lies in another bucket's fibre exactly when that
     fibre's ideal generators h_j - lambda'_j all vanish there, which must
     fail.  The value ranges are the min/max of the bucket values, a cheap
-    boundedness heuristic (not a proof).  ``jobs > 1`` spreads the
-    evaluations over worker processes, at most one per task and per CPU.
+    boundedness heuristic (not a proof).
+
+    Polynomials and samples are cleared of denominators once
+    (``ClearedPoly``, ``ClearedPoint``), so membership and the audit are
+    integer tests.  ``jobs > 1`` spreads the evaluations over worker
+    processes, at most one per task and per CPU.
     """
     for h in bounded:
         if h.nvars != preorder.dim:
             raise DimensionMismatchError("bounded polynomial dimension mismatch")
     points = [[as_fraction(c) for c in p] for p in samples]
+    for pt in points:
+        if len(pt) != preorder.dim:
+            raise DimensionMismatchError(f"point of dimension {len(pt)} fed to "
+                                         f"polynomial in {preorder.dim} variables")
+    degree = max(0, *(p.max_degree() for p in preorder.generators + tuple(bounded)))
+    cleared = [ClearedPoint(pt, degree) for pt in points]
+    generators = [ClearedPoly(g) for g in preorder.generators]
+    bounded_forms = [ClearedPoly(h) for h in bounded]
     buckets: dict[tuple[Fraction, ...], list[int]] = {}
     outside: list[int] = []
     values = _run_tasks(_value_of_member,
-                        [(preorder, tuple(bounded), pt) for pt in points], jobs)
+                        [(generators, bounded_forms, pt, point)
+                         for pt, point in zip(points, cleared)], jobs)
     for idx, value in enumerate(values):
         if value is None:
             outside.append(idx)
         else:
             buckets.setdefault(value, []).append(idx)
 
-    ideals = {value: fibre_ideal_generators(FibreSpec(tuple(bounded), value))
+    ideals = {value: [ClearedPoly(g) for g in
+                      fibre_ideal_generators(FibreSpec(tuple(bounded), value))]
               for value in buckets}
-    audit = [(ideals[other_value], [points[i] for i in members])
+    audit = [(ideals[other_value], [cleared[i] for i in members])
              for value, members in buckets.items()
              for other_value in ideals if other_value != value]
     disjoint = not any(_run_tasks(_hits_other_fibre, audit, jobs))

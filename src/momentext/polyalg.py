@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, neg
 
-from .scalars import as_fraction, format_fraction, power_by_squaring
+from .scalars import (as_fraction, clear_denominators, format_fraction,
+                      power_by_squaring)
 
 Exponent = tuple[int, ...]
 
@@ -234,6 +235,60 @@ class Poly:
                 chunks.append(f"{format_fraction(coeff)}*{body}")
         text = " + ".join(chunks)
         return text.replace("+ -", "- ")
+
+
+# -- integer evaluation at rational points -------------------------------------
+
+
+class ClearedPoint:
+    """A rational point written as a/q: a an integer vector, q > 0.
+
+    q is the lcm of the coordinates' denominators.  ``powers[k][j]`` is
+    a_k^j and ``q_powers[j]`` is q^j, for j up to ``degree``, the largest
+    degree of the polynomials to be evaluated here.
+    """
+
+    __slots__ = ("powers", "q_powers")
+
+    def __init__(self, point, degree: int) -> None:
+        a, q = clear_denominators([as_fraction(c) for c in point])
+        self.powers = [[c ** j for j in range(degree + 1)] for c in a]
+        self.q_powers = [q ** j for j in range(degree + 1)]
+
+
+class ClearedPoly:
+    """A polynomial as integer coefficients c_e over one denominator den > 0.
+
+    At a point a/q (a ``ClearedPoint``) the value is S / (den * q^degree)
+    with the integer S = sum_e c_e * a^e * q^(degree - |e|), so its sign and
+    its zeros are those of S, and only the value itself needs a Fraction.
+    ``Poly.eval`` is the reference; this form pays for clearing once per
+    polynomial and once per point instead of on every evaluation.
+    """
+
+    __slots__ = ("terms", "den", "degree")
+
+    def __init__(self, p: Poly) -> None:
+        coeffs, self.den = clear_denominators(list(p.terms.values()))
+        self.degree = max(p.max_degree(), 0)
+        # per term: (c_e, degree - |e|, the (variable, exponent) pairs with exponent > 0)
+        self.terms = [(c, self.degree - sum(exp), [(k, e) for k, e in enumerate(exp) if e])
+                      for c, exp in zip(coeffs, p.terms)]
+
+    def numerator_at(self, point: ClearedPoint) -> int:
+        """S, whose sign and zeros are those of the value at the point."""
+        powers, q_powers = point.powers, point.q_powers
+        total = 0
+        for c, lift, factors in self.terms:
+            c *= q_powers[lift]
+            for k, e in factors:
+                c *= powers[k][e]
+            total += c
+        return total
+
+    def value_at(self, point: ClearedPoint) -> Fraction:
+        """The exact value S / (den * q^degree)."""
+        return Fraction(self.numerator_at(point), self.den * point.q_powers[self.degree])
 
 
 def _coerce_poly(value, nvars: int) -> Poly | None:

@@ -47,10 +47,21 @@ def _finite(value) -> float:
     return number
 
 
+class _Record(dict):
+    """A JSON object whose missing fields are input errors naming the field."""
+
+    __slots__ = ("what",)
+
+    def __missing__(self, key):
+        raise ValueError(f"{self.what} has no {key!r} field")
+
+
 def _object(data, what: str) -> dict:
     if not isinstance(data, dict):
         raise ValueError(f"{what} must be a JSON object, not {type(data).__name__}")
-    return data
+    record = _Record(data)
+    record.what = what
+    return record
 
 
 def _array(value, what: str) -> list:

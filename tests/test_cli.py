@@ -381,14 +381,17 @@ def test_extend_reports_are_byte_stable(tmp_path, capsys):
 
 
 def test_importing_the_package_leaves_numpy_unloaded():
-    # numpy is imported inside the float paths, so exact commands never pay for it
+    # numpy is imported inside the float paths, so exact commands never pay for
+    # it; likewise the fibre process pool is imported only when one is started
     env = dict(os.environ, PYTHONPATH=str(Path(momentext.__file__).parents[1]))
+    heavy = ("numpy", "multiprocessing", "concurrent.futures.process")
     for module in ("momentext", "momentext.cli"):
         probe = subprocess.run([sys.executable, "-c",
-                                f"import sys, {module}; print('numpy' in sys.modules)"],
+                                f"import sys, {module}; "
+                                f"print([m for m in {heavy!r} if m in sys.modules])"],
                                capture_output=True, text=True, env=env, timeout=60)
         assert probe.returncode == 0, probe.stderr
-        assert probe.stdout.strip() == "False", module
+        assert probe.stdout.strip() == "[]", module
 
 
 def float_functional(value, degree=2):
@@ -424,3 +427,58 @@ def test_malformed_numbers_are_input_errors(tmp_path, command, data):
     assert proc.stdout == "" and "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+# Each of these flags once became a verdict or an unresolved search.
+@pytest.mark.parametrize("command,flag", [
+    pytest.param(["psd-check", "{input}", "--tol", "nan"], "--tol", id="psd-tol-nan"),
+    pytest.param(["psd-check", "{input}", "--tol", "-1"], "--tol", id="psd-tol-negative"),
+    pytest.param(["feasibility", "{input}", "-M", "0", "-D", "2", "--tol", "-1"], "--tol",
+                 id="feasibility-tol-negative"),
+    pytest.param(["feasibility", "{input}", "-M", "0", "-D", "2", "--max-iters", "0"],
+                 "--max-iters", id="max-iters-zero"),
+    pytest.param(["feasibility", "{input}", "-M", "0", "-D", "2", "--max-iters", "-5"],
+                 "--max-iters", id="max-iters-negative"),
+    pytest.param(["recover-atoms", "{input}", "--rank-tol", "nan"], "--rank-tol",
+                 id="rank-tol-nan"),
+    pytest.param(["recover-atoms", "{input}", "--residual-tol", "-1"], "--residual-tol",
+                 id="residual-tol-negative"),
+    pytest.param(["fibres", "--preorder", "{input}", "--fibre-spec", "{input}",
+                  "--samples", "{input}", "--jobs", "0"], "--jobs", id="jobs-zero"),
+])
+def test_out_of_range_flags_are_usage_errors(tmp_path, capsys, command, flag):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(float_functional(1.0)))
+    with pytest.raises(SystemExit) as stop:
+        main([arg.format(input=path) for arg in command])
+    captured = capsys.readouterr()
+    assert stop.value.code == 2
+    assert captured.out == "" and "Traceback" not in captured.err
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and f"error: argument {flag}: " in errors[0], errors
+
+
+def test_in_range_flags_keep_their_values():
+    from momentext.cli import build_parser
+    args = build_parser().parse_args(["feasibility", "f.json", "-M", "0", "-D", "2",
+                                      "--tol", "0", "--max-iters", "1"])
+    assert (args.tol, args.max_iters) == (0.0, 1)
+    args = build_parser().parse_args(["recover-atoms", "f.json", "--rank-tol", "1e-15"])
+    assert (args.rank_tol, args.residual_tol) == (1e-15, 1e-8)
+
+
+def test_a_missing_field_is_named(tmp_path, capsys):
+    data = float_functional(1.0)
+    del data["scalar_kind"]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "psd-check", str(path))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: functional has no 'scalar_kind' field"]
+
+    preorder = {"dim": 1, "generators": [{"nvars": 1, "terms": [{"exp": [1]}]}]}
+    path.write_text(json.dumps(preorder))
+    code, _, err = run(capsys, "fibres", "--preorder", str(path), "--fibre-spec", str(path),
+                       "--samples", str(path))
+    assert code == 2
+    assert err.splitlines() == ["error: polynomial term has no 'coeff' field"]

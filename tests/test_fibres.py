@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import concurrent.futures
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentext import fibres
-from momentext.fibres import (FibreSpec, Preorder, fibre_generators,
+from momentext.fibres import (FibreSpec, PartitionReport, Preorder, fibre_generators,
                               fibre_ideal_generators, fibre_partition_check,
                               functional_annihilates_ideal, kT_membership,
                               sphere_fibre_reduction, t_positivity_check)
@@ -144,7 +147,7 @@ class SerialExecutor:
 
 
 def test_jobs_cap_the_pool_at_tasks_and_cpus(monkeypatch):
-    monkeypatch.setattr(fibres, "ProcessPoolExecutor", SerialExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialExecutor)
     monkeypatch.setattr(SerialExecutor, "sizes", [])
     monkeypatch.setattr(fibres.os, "cpu_count", lambda: 3)
     strip = strip_preorder()
@@ -182,6 +185,84 @@ def test_partition_audit_catches_a_misfiled_sample(monkeypatch):
     assert samples.index(misfiled) in report.buckets[(Fraction(1, 2),)]
     assert not report.disjoint
     assert report.value_ranges == [(Fraction(0), Fraction(1))]
+
+
+def _fraction_partition_oracle(preorder, bounded, samples) -> PartitionReport:
+    """The partition check evaluated with ``Poly.eval`` in Fractions throughout."""
+    points = [[Fraction(c) for c in p] for p in samples]
+    buckets, outside = {}, []
+    for idx, pt in enumerate(points):
+        if all(g.eval(pt) >= 0 for g in preorder.generators):
+            buckets.setdefault(tuple(h.eval(pt) for h in bounded), []).append(idx)
+        else:
+            outside.append(idx)
+    ideals = {value: fibre_ideal_generators(FibreSpec(tuple(bounded), value))
+              for value in buckets}
+    overlap = any(all(g.eval(points[i]) == 0 for g in ideals[other])
+                  for value, members in buckets.items()
+                  for other in ideals if other != value for i in members)
+    ranges = [(min(c), max(c)) for c in zip(*buckets)] if buckets else None
+    return PartitionReport(buckets, outside, ranges, not overlap)
+
+
+def disc_preorder() -> Preorder:
+    x1, x2 = Poly.variable(2, 0), Poly.variable(2, 1)
+    return Preorder(2, (Poly.constant(2, 1) - x1 * x1 - x2 * x2,))
+
+
+def partition_cases():
+    """(preorder, bounded polynomials) pairs: strip, unit disc, two bounded."""
+    x1, x2 = Poly.variable(2, 0), Poly.variable(2, 1)
+    return {"strip": (strip_preorder(), [x1]),
+            "disc": (disc_preorder(), [x1 * x1 + x2 * x2]),
+            "two-bounded": (disc_preorder(), [x1 - Fraction(1, 3), x1 * x2 * Fraction(2, 7)])}
+
+
+def assert_same_report(report, expected):
+    assert report == expected
+    assert list(report.buckets) == list(expected.buckets)  # first-seen order too
+
+
+GRID = st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=12),
+                min_size=1, max_size=6, unique=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(sorted(partition_cases())), xs=GRID, ys=GRID)
+def test_partition_matches_fraction_oracle(case, xs, ys):
+    # grids over [-2, 2]^2 put points outside the strip and the disc
+    preorder, bounded = partition_cases()[case]
+    samples = grid(xs, ys)
+    assert_same_report(fibre_partition_check(preorder, bounded, samples),
+                       _fraction_partition_oracle(preorder, bounded, samples))
+
+
+@pytest.mark.parametrize("case", sorted(partition_cases()))
+def test_parallel_partition_matches_fraction_oracle(case):
+    preorder, bounded = partition_cases()[case]
+    steps = [Fraction(i, 4) for i in range(-5, 6)]
+    samples = grid(steps, steps) + [(Fraction(3, 5), Fraction(4, 5)), (0, Fraction(-1))]
+    expected = _fraction_partition_oracle(preorder, bounded, samples)
+    assert expected.outside and len(expected.buckets) > 1
+    for jobs in (1, 2):
+        assert_same_report(fibre_partition_check(preorder, bounded, samples, jobs=jobs),
+                           expected)
+
+
+def test_partition_with_constant_and_zero_polynomials():
+    samples = grid([Fraction(-1), Fraction(0), Fraction(5, 3)], [Fraction(1, 7), Fraction(2)])
+    zero, third = Poly.zero(2), Poly.constant(2, Fraction(1, 3))
+    for preorder, bounded in [(Preorder(2, (zero,)), [zero]),
+                              (Preorder(2, (zero, third)), [third, zero]),
+                              (Preorder(2, (-third,)), [zero])]:
+        assert_same_report(fibre_partition_check(preorder, bounded, samples),
+                           _fraction_partition_oracle(preorder, bounded, samples))
+
+
+def test_partition_refuses_points_of_the_wrong_dimension():
+    with pytest.raises(DimensionMismatchError, match="point of dimension 3"):
+        fibre_partition_check(strip_preorder(), [Poly.variable(2, 0)],
+                              [(0, 0), (0, 0, 0)])
 
 
 def test_t_positivity_passes_on_strip_measure():

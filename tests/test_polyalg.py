@@ -15,7 +15,8 @@ from momentext.functionals.core import (DiscreteMeasure, LinearFunctional,
                                         SCALAR_EXACT, extend_from_measure,
                                         gram_matrix, polynomial_moments)
 from momentext.functionals.feasibility import extension_feasibility
-from momentext.polyalg import (DimensionMismatchError, Poly, divide_by_norm_squared,
+from momentext.polyalg import (ClearedPoint, ClearedPoly, DimensionMismatchError,
+                               Poly, divide_by_norm_squared,
                                exponents_of_degree, exponents_up_to_degree,
                                grlex_key, norm_squared, norm_squared_power)
 from momentext.semigroups import inversion_automorphism
@@ -341,3 +342,47 @@ def test_trusted_constructors_stay_internal():
                if "_trusted(" in path.read_text()}
     assert callers <= {"polyalg.py", "extalg.py", "semigroups.py", "functionals/core.py"}
     assert not [name for name in dir(momentext) if "trusted" in name]
+
+
+COORDINATES = st.one_of(st.just(Fraction(0)), st.integers(-30, 30).map(Fraction),
+                        st.fractions(min_value=-1000, max_value=1000, max_denominator=10 ** 6))
+
+
+@st.composite
+def polys_at_points(draw):
+    """A polynomial in 1-3 variables of degree <= 6 and a rational point.
+
+    Besides general polynomials there are zero polynomials, constants and
+    polynomials with a factor (x_k - point_k), which vanish at the point.
+    """
+    nvars = draw(st.integers(1, 3))
+    point = draw(st.lists(COORDINATES, min_size=nvars, max_size=nvars))
+    coeffs = st.fractions(min_value=-50, max_value=50, max_denominator=10 ** 6)
+    kind = draw(st.sampled_from(["zero", "constant", "general", "root"]))
+    if kind == "zero":
+        return Poly.zero(nvars), point
+    if kind == "constant":
+        return Poly.constant(nvars, draw(coeffs)), point
+    degree = draw(st.integers(0, 6 if kind == "general" else 5))
+    monomials = st.sampled_from(exponents_up_to_degree(nvars, degree))
+    p = Poly(nvars, draw(st.dictionaries(monomials, coeffs, max_size=8)))
+    if kind == "root":
+        k = draw(st.integers(0, nvars - 1))
+        p = p * (Poly.variable(nvars, k) - point[k])
+    return p, point
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=polys_at_points(), extra=st.integers(0, 2))
+def test_integer_evaluation_matches_fraction_eval(case, extra):
+    p, point = case
+    expected = p.eval(point)
+    # the point's power tables may reach past the polynomial's degree
+    cleared = ClearedPoint(point, max(p.max_degree(), 0) + extra)
+    form = ClearedPoly(p)
+    value = form.value_at(cleared)
+    assert type(value) is Fraction and value == expected
+    numerator = form.numerator_at(cleared)
+    assert type(numerator) is int
+    assert (numerator > 0) - (numerator < 0) == (expected > 0) - (expected < 0)
+    assert form.den > 0 and cleared.q_powers[0] == 1 and cleared.q_powers[-1] > 0

@@ -17,6 +17,24 @@ Every element carries a unique reduced representative: ``a_normalize``
 strips all common ||x||^2 factors from the numerator, so equality of
 elements is equality of (numerator, pole_order) pairs.
 
+Arithmetic decides most of that reduction from the ||x||^2-adic valuation
+of reduced operands instead of trial division.  Write s = ||x||^2.  A
+reduced numerator with a pole is not divisible by s.  For d >= 2, s is
+irreducible over Q: a factorization of the quadratic form s would be into
+two linear forms, whose product vanishes on a hyperplane, and for d >= 2
+that hyperplane has nonzero real points while s is positive off the
+origin.  So s is prime in the factorial ring Q[x] and divides a product
+only through a factor: a product of two elements with poles is reduced as
+it stands, and a pole-free factor is divided by s no more often than the
+other factor's pole.  For d = 1, s = x1^2 is not prime and products are
+normalized.  In a sum with unequal poles the lifted summand is divisible
+by s and the other is not, so the sum is reduced.  And since s is
+homogeneous, s divides a polynomial exactly when it divides each of its
+homogeneous components (``semigroups.inversion_automorphism`` reduces
+component by component).  ``a_normalize`` and ``divide_by_norm_squared``
+remain the public reducer and the reference the shortcuts are tested
+against.
+
 Characters (multiplicative evaluations) come in two kinds: evaluation at a
 nonzero point, and the limit along a direction t into the origin, which
 kills every polynomial of positive degree but sees the angular generators
@@ -31,8 +49,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .polyalg import (DimensionMismatchError, Exponent, Poly,
-                      divide_by_norm_squared, exponents_of_degree, grlex_key,
-                      norm_squared_power)
+                      divide_by_norm_squared, divide_out_norm_squared,
+                      exponents_of_degree, grlex_key, norm_squared_power)
 from .scalars import as_fraction, power_by_squaring
 
 
@@ -179,16 +197,39 @@ def embed_poly(p: Poly, mode: Mode = Mode.APLUS) -> AElement:
 
 
 def a_add(a: AElement, b: AElement) -> AElement:
+    """Reduced a + b; only equal poles go through ``a_normalize``.
+
+    With poles m_a > m_b, s = ||x||^2 does not divide the reduced N_a but
+    divides N_b * s^(m_a - m_b), so the sum is nonzero and reduced, any d.
+    """
     _check_compatible(a, b)
     m = max(a.pole_order, b.pole_order)
     na = a.numerator * norm_squared_power(a.nvars, m - a.pole_order)
     nb = b.numerator * norm_squared_power(a.nvars, m - b.pole_order)
-    return a_normalize(na + nb, m, a.mode)
+    if a.pole_order == b.pole_order:
+        return a_normalize(na + nb, m, a.mode)
+    return AElement._trusted(na + nb, m, a.mode)
 
 
 def a_mul(a: AElement, b: AElement) -> AElement:
+    """Reduced a * b, from the valuation rule of the module docstring.
+
+    For d >= 2 the prime s = ||x||^2 divides neither reduced numerator with
+    a pole: with both poles positive N_a * N_b is reduced, and a pole-free
+    factor is divided by s at most the other's pole times.  Zero factors
+    and d = 1 (s = x1^2 is not prime) go through ``a_normalize``.  The
+    APLUS degree condition of the factors carries over to the product.
+    """
     _check_compatible(a, b)
-    return a_normalize(a.numerator * b.numerator, a.pole_order + b.pole_order, a.mode)
+    pole = a.pole_order + b.pole_order
+    if a.nvars == 1 or a.is_zero() or b.is_zero():
+        return a_normalize(a.numerator * b.numerator, pole, a.mode)
+    na, nb = a.numerator, b.numerator
+    if not a.pole_order:
+        na, pole = divide_out_norm_squared(na, pole)
+    elif not b.pole_order:
+        nb, pole = divide_out_norm_squared(nb, pole)
+    return AElement._trusted(na * nb, pole, a.mode)
 
 
 def _check_compatible(a: AElement, b: AElement) -> None:

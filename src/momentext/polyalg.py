@@ -358,3 +358,13 @@ def divide_by_norm_squared(p: Poly) -> Poly | None:
             else:
                 del remainder[exp]
     return Poly._trusted(p.nvars, quotient)
+
+
+def divide_out_norm_squared(p: Poly, limit: int) -> tuple[Poly, int]:
+    """(p / ||x||^(2j), limit - j) for the largest j <= limit dividing p."""
+    while limit:
+        quotient = divide_by_norm_squared(p)
+        if quotient is None:
+            break
+        p, limit = quotient, limit - 1
+    return p, limit

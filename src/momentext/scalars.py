@@ -42,7 +42,11 @@ def power_by_squaring(base, exponent: int, one):
 
     ``one`` is the multiplicative identity of base's type; callers check
     the exponent (and invert for negative powers) before delegating here.
+    A bool exponent is refused here for every caller, as ``as_fraction``
+    refuses a bool scalar.
     """
+    if isinstance(exponent, bool):
+        raise TypeError("bool is not an exponent")
     result = one
     while exponent:
         if exponent & 1:

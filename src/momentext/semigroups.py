@@ -35,7 +35,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from operator import add
 
 from .extalg import AElement, Mode, a_normalize, embed_poly, norm_inverse_generator
 from .functionals.core import (DiscreteMeasure, LinearFunctional, MomentWindow,
@@ -43,7 +42,8 @@ from .functionals.core import (DiscreteMeasure, LinearFunctional, MomentWindow,
 from .functionals.psd import PsdVerdict, psd_check_exact
 from .functionals.recovery import (IndeterminateRankError, RecoveryFailedError,
                                    recover_atoms)
-from .polyalg import Poly, exponents_up_to_degree, norm_squared_power
+from .polyalg import (Poly, divide_out_norm_squared, exponents_up_to_degree,
+                      norm_squared_power)
 from .scalars import GaussianRational, as_fraction
 
 
@@ -480,21 +480,36 @@ def inversion_automorphism(a: AElement) -> AElement:
 
     A monomial fraction x^gamma / ||x||^(2m) maps to x^gamma / ||x||^(2t)
     with t = |gamma| - m.  All terms are written into one numerator at the
-    smallest common pole P = max(0, max t), each multiplied by
-    ||x||^(2(P - t)), and the sum is normalized once.  Applying the map
-    twice is the identity, and it exchanges x_j with x_j / ||x||^2.
+    smallest common pole P = max(0, max t): the degree-k component of the
+    numerator is lifted by s^(P - k + m), s = ||x||^2.  The lifted
+    components have distinct degrees and s is homogeneous, so s divides
+    their sum exactly when it divides every lifted component; the common
+    reduction r is found by dividing only components whose lift is below
+    the r found so far, and the components are merged at pole P - r with
+    no key shared.  Applying the map twice is the identity, and it
+    exchanges x_j with x_j / ||x||^2.
     """
     if a.mode is not Mode.LAURENT:
         raise ValueError("the inversion automorphism lives on the Laurent algebra")
-    terms = a.numerator.terms
-    pole = max([0] + [sum(gamma) - a.pole_order for gamma in terms])
+    d, m = a.nvars, a.pole_order
+    components: dict[int, dict] = {}
+    for gamma, coeff in a.numerator.terms.items():
+        components.setdefault(sum(gamma), {})[gamma] = coeff
+    if not components:
+        return a
+    pole = reduction = max(0, max(components) - m)
+    parts = []
+    for k in sorted(components, reverse=True):  # ascending lift
+        part, lift = Poly._trusted(d, components[k]), pole - k + m
+        if lift < reduction:
+            part, left = divide_out_norm_squared(part, reduction - lift)
+            lift = reduction = reduction - left
+        parts.append((part, lift))
     numerator: dict = {}
-    for gamma, coeff in terms.items():
-        lift = norm_squared_power(a.nvars, pole - sum(gamma) + a.pole_order)
-        for exp, c in lift.terms.items():
-            key = tuple(map(add, gamma, exp))
-            numerator[key] = numerator.get(key, 0) + coeff * c
-    return a_normalize(Poly._trusted(a.nvars, numerator), pole, Mode.LAURENT)
+    for part, lift in parts:
+        numerator.update((part * norm_squared_power(d, lift - reduction)
+                          if lift > reduction else part).terms)
+    return AElement._trusted(Poly._trusted(d, numerator), pole - reduction, Mode.LAURENT)
 
 
 @dataclass

@@ -4,12 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentext.extalg import (AElement, Character, Mode, NotInAlgebraError,
-                              a_normalize, char_eval, embed_poly, generator_f,
-                              norm_inverse_generator, origin_character,
-                              truncated_basis)
-from momentext.polyalg import Poly, norm_squared
+                              a_add, a_mul, a_normalize, char_eval, embed_poly,
+                              generator_f, norm_inverse_generator,
+                              origin_character, truncated_basis)
+from momentext.polyalg import Poly, norm_squared, norm_squared_power
 
 
 def rational_direction(rng: random.Random, dim: int) -> tuple[Fraction, ...]:
@@ -182,8 +184,144 @@ def test_power_operator():
     assert f ** 3 == f * f * f
 
 
+def test_power_refuses_bool_exponents():
+    f = generator_f(1, 2, 3)
+    for exponent in (True, False):
+        with pytest.raises(TypeError, match="bool"):
+            f ** exponent
+
+
 def test_mode_mixing_rejected():
     a = generator_f(1, 1, 2)
     y = norm_inverse_generator(1)
     with pytest.raises(ValueError):
         a + y  # bounded-mode element plus Laurent element
+
+
+# -- valuation shortcuts against a_normalize --------------------------------------
+
+COEFFICIENTS = st.fractions(min_value=-8, max_value=8, max_denominator=5)
+
+
+@st.composite
+def polys(draw, d: int, max_degree: int = 3) -> Poly:
+    exponents = st.tuples(*[st.integers(0, max_degree)] * d)
+    return Poly(d, draw(st.dictionaries(exponents, COEFFICIENTS, max_size=5)))
+
+
+def lowest_degree(p: Poly) -> int:
+    return 0 if p.is_zero() else p.degree_range()[0]
+
+
+@st.composite
+def elements(draw, d: int, mode: Mode) -> AElement:
+    """Reduced elements, zero included; pole-free ones may carry ||x||^2 factors."""
+    numerator = draw(polys(d)) * norm_squared_power(d, draw(st.integers(0, 2)))
+    if mode is Mode.APLUS:
+        # x1^(2j) makes room for poles under the degree condition
+        numerator = numerator * Poly.monomial(d, (2 * draw(st.integers(0, 2)),) + (0,) * (d - 1))
+        pole = draw(st.integers(0, lowest_degree(numerator) // 2))
+    else:
+        pole = draw(st.integers(0, 3))
+    return a_normalize(numerator, pole, mode)
+
+
+@st.composite
+def element_pairs(draw) -> tuple[AElement, AElement]:
+    """Pairs that reach every shortcut and every case the shortcuts exclude."""
+    d, mode = draw(st.integers(1, 4)), draw(st.sampled_from(Mode))
+    shape = draw(st.sampled_from(("independent", "equal poles cancel",
+                                  "pole-free factor with s", "one variable")))
+    if shape == "independent":
+        return draw(elements(d, mode)), draw(elements(d, mode))
+    if shape == "pole-free factor with s":
+        s_factor = norm_squared_power(d, draw(st.integers(1, 2)))
+        return embed_poly(draw(polys(d)) * s_factor, mode), draw(elements(d, mode))
+    if shape == "one variable":
+        # x1*p / x1^(2m) is reduced when p(0) != 0, and a product of two
+        # such numerators is divisible by x1^2
+        x1 = Poly.variable(1, 0)
+        return tuple(a_normalize(x1 * draw(polys(1)), draw(st.integers(1, 3)), Mode.LAURENT)
+                     for _ in range(2))
+    pole = draw(st.integers(1, 3))
+    shift = Poly.monomial(d, (2 * pole,) + (0,) * (d - 1))
+    p, q = draw(polys(d)) * shift, draw(polys(d)) * shift
+    return a_normalize(p, pole, mode), a_normalize(q * norm_squared(d) - p, pole, mode)
+
+
+def assert_reduced(a: AElement) -> None:
+    """The public constructor re-checks reducedness and the degree condition."""
+    AElement(a.numerator, a.pole_order, a.mode)
+    assert a.pole_order == 0 or not a.is_zero()
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=element_pairs())
+def test_product_matches_normalized_product(pair):
+    a, b = pair
+    for x, y in ((a, b), (b, a)):
+        got = a_mul(x, y)
+        assert got == a_normalize(x.numerator * y.numerator,
+                                  x.pole_order + y.pole_order, x.mode)
+        assert_reduced(got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=element_pairs())
+def test_sum_matches_normalized_sum(pair):
+    a, b = pair
+    m = max(a.pole_order, b.pole_order)
+    want = a_normalize(a.numerator * norm_squared_power(a.nvars, m - a.pole_order)
+                       + b.numerator * norm_squared_power(a.nvars, m - b.pole_order), m, a.mode)
+    for x, y in ((a, b), (b, a)):
+        got = a_add(x, y)
+        assert got == want
+        assert_reduced(got)
+
+
+def test_shortcut_cases_by_hand():
+    s = norm_squared(2)
+    x1, x2 = Poly.variable(2, 0), Poly.variable(2, 1)
+    y1 = norm_inverse_generator(1)
+    # a pole-free factor carrying s cancels the other factor's pole
+    assert a_mul(embed_poly(s * x1, Mode.LAURENT), y1) == embed_poly(x1 * x1, Mode.LAURENT)
+    # equal poles cancel: x1^2/s + x2^2/s = 1
+    assert a_add(a_normalize(x1 * x1, 1), a_normalize(x2 * x2, 1)) == embed_poly(Poly.constant(2, 1))
+    # d = 1: s = x1^2 is not prime, (x1/x1^2)^2 = 1/x1^2
+    u = a_normalize(Poly.variable(1, 0), 1, Mode.LAURENT)
+    assert a_mul(u, u) == a_normalize(Poly.constant(1, 1), 1, Mode.LAURENT)
+
+
+# -- canonical form ------------------------------------------------------------------
+
+
+@st.composite
+def numerators_with_poles(draw) -> tuple[Poly, int, Mode]:
+    d, mode = draw(st.integers(1, 4)), draw(st.sampled_from(Mode))
+    numerator = draw(polys(d))
+    if mode is Mode.APLUS:
+        return numerator, draw(st.integers(0, lowest_degree(numerator) // 2)), mode
+    return numerator, draw(st.integers(0, 3)), mode
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=numerators_with_poles(), j=st.integers(0, 3))
+def test_normal_form_ignores_norm_square_factors(case, j):
+    numerator, pole, mode = case
+    assert a_normalize(numerator * norm_squared_power(numerator.nvars, j), pole + j, mode) \
+        == a_normalize(numerator, pole, mode)
+
+
+@settings(max_examples=100, deadline=None)
+@given(first=numerators_with_poles(), other=st.data(), j=st.integers(0, 2))
+def test_elements_are_equal_exactly_when_cross_products_agree(first, other, j):
+    numerator, pole, mode = first
+    d = numerator.nvars
+    a = a_normalize(numerator, pole, mode)
+    if other.draw(st.booleans()):
+        b = a_normalize(numerator * norm_squared_power(d, j), pole + j, mode)
+    else:
+        b = other.draw(elements(d, mode))
+    cross = (a.numerator * norm_squared_power(d, b.pole_order)
+             == b.numerator * norm_squared_power(d, a.pole_order))
+    assert (a == b) == cross

@@ -187,6 +187,13 @@ def test_arithmetic_matches_evaluation():
         assert (p ** k)(pt) == p(pt) ** k
 
 
+def test_power_refuses_bool_exponents():
+    x1 = Poly.variable(2, 0)
+    for exponent in (True, False):
+        with pytest.raises(TypeError, match="bool"):
+            x1 ** exponent
+
+
 def test_scalar_coercion():
     x1 = Poly.variable(2, 0)
     assert (2 * x1)([Fraction(3), Fraction(0)]) == 6

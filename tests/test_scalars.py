@@ -68,6 +68,13 @@ def test_gaussian_negative_powers():
     assert z ** 3 == GaussianRational.of(-2, 2)
 
 
+def test_gaussian_power_refuses_bool_exponents():
+    z = GaussianRational.of(1, 1)
+    for exponent in (True, False):
+        with pytest.raises(TypeError, match="bool"):
+            z ** exponent
+
+
 def test_gaussian_mixed_scalar_arithmetic():
     z = GaussianRational.of(2, -1)
     assert z + 1 == GaussianRational.of(3, -1)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentext import semigroups
+from momentext import extalg, semigroups
 from momentext.extalg import (AElement, Character, Mode, a_normalize, embed_poly,
                               norm_inverse_generator)
 from momentext.functionals.core import extend_from_measure
@@ -616,22 +616,54 @@ def test_inversion_matches_per_term_oracle():
     assert inversion_automorphism(zero) == zero
 
 
-def test_inversion_normalizes_once_and_adds_no_elements(monkeypatch):
+@st.composite
+def inversion_inputs_with_norm_factors(draw):
+    """Laurent elements whose degree components carry ||x||^2 factors, d = 1..4."""
+    d = draw(st.integers(1, 4))
+    numerator = Poly.zero(d)
+    for _ in range(draw(st.integers(1, 3))):
+        exp = draw(st.tuples(*[st.integers(0, 3)] * d))
+        coeff = draw(st.fractions(min_value=-6, max_value=6, max_denominator=4))
+        numerator = numerator + Poly.monomial(d, exp, coeff) * norm_squared(d) ** draw(st.integers(0, 2))
+    return a_normalize(numerator, draw(st.integers(0, 4)), Mode.LAURENT)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=inversion_inputs_with_norm_factors())
+def test_inversion_reduces_per_component_like_the_oracle(a):
+    image = inversion_automorphism(a)
+    assert image == oracle_inversion_automorphism(a)
+    AElement(image.numerator, image.pole_order, Mode.LAURENT)  # re-checks reducedness
+    assert inversion_automorphism(image) == a
+
+
+def test_inversion_reduction_below_the_common_pole():
+    # (s*x1 + 1)/s: the lifted components x1^3 + x1*x2^2 and s^3 share one
+    # factor s, so the image (x1 + s^2)/s sits one below the common pole 2
+    s = norm_squared(2)
+    x1 = Poly.variable(2, 0)
+    a = a_normalize(s * x1 + 1, 1, Mode.LAURENT)
+    assert inversion_automorphism(a) == a_normalize(x1 + s * s, 1, Mode.LAURENT)
+    # d = 1: x1^3/x1^2 = x1 maps to x1/x1^2
+    u = a_normalize(Poly.variable(1, 0) ** 3, 1, Mode.LAURENT)
+    assert inversion_automorphism(u) == a_normalize(Poly.variable(1, 0), 1, Mode.LAURENT)
+
+
+def test_inversion_never_normalizes_and_adds_no_elements(monkeypatch):
     rng = random.Random(24)
     cases = [(a, oracle_inversion_automorphism(a))
              for a in (random_inversion_input(rng) for _ in range(30))]
-    calls = []
-    real = semigroups.a_normalize
-    monkeypatch.setattr(semigroups, "a_normalize",
-                        lambda *args: calls.append(args) or real(*args))
+
+    def no_normalize(*args):
+        raise AssertionError("the inversion called a_normalize")
 
     def no_add(self, other):
         raise AssertionError("the inversion added AElements")
+    monkeypatch.setattr(semigroups, "a_normalize", no_normalize)
+    monkeypatch.setattr(extalg, "a_normalize", no_normalize)
     monkeypatch.setattr(AElement, "__add__", no_add)
     for a, want in cases:
-        calls.clear()
         assert inversion_automorphism(a) == want
-        assert len(calls) == 1
 
 
 def test_nplus_reports_match_full_window_oracle():

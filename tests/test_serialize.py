@@ -3,6 +3,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentext.extalg import Mode, a_normalize
 from momentext.fibres import FibreSpec, Preorder
@@ -164,3 +166,130 @@ def test_scalar_from_json_rejects_containers():
     for value in (None, [1], {"p": 1}, "1/0"):
         with pytest.raises(ValueError):
             scalar_from_json(value)
+
+
+# -- round trips: every to_dict/from_dict pair reaches an equal object and the
+# same file bytes -------------------------------------------------------------
+
+RATIONALS = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+POSITIVE = st.fractions(min_value=Fraction(1, 6), max_value=9, max_denominator=6)
+FLOATS = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def polys(draw, d: int) -> Poly:
+    exponents = st.tuples(*[st.integers(0, 3)] * d)
+    return Poly(d, draw(st.dictionaries(exponents, RATIONALS, max_size=4)))
+
+
+@st.composite
+def aelements(draw):
+    d, mode = draw(st.integers(1, 3)), draw(st.sampled_from(Mode))
+    numerator = draw(polys(d))
+    low = numerator.degree_range()[0] if not numerator.is_zero() else 0
+    return a_normalize(numerator, draw(st.integers(0, low // 2 if mode is Mode.APLUS else 3)),
+                       mode)
+
+
+def rational_unit_vector(u: list[Fraction]) -> tuple[Fraction, ...]:
+    """Inverse stereographic image of u: a rational point on the unit sphere."""
+    n = sum(c * c for c in u)
+    return tuple(2 * c / (1 + n) for c in u) + ((1 - n) / (1 + n),)
+
+
+@st.composite
+def measures(draw):
+    d, exact = draw(st.integers(1, 3)), draw(st.booleans())
+    weight = POSITIVE if exact else st.floats(min_value=1e-3, max_value=1e3)
+    coord = RATIONALS if exact else FLOATS
+    points = st.tuples(*[coord] * d).filter(lambda p: any(c != 0 for c in p))
+    atoms = draw(st.lists(st.tuples(weight, points), max_size=3))
+    sphere = [(draw(weight), rational_unit_vector(draw(st.lists(RATIONALS, min_size=d - 1,
+                                                              max_size=d - 1))))
+              for _ in range(draw(st.integers(0, 2)))]
+    if not exact:
+        sphere = [(w, tuple(float(c) for c in t)) for w, t in sphere]
+    origin = draw(POSITIVE if exact else weight) if draw(st.booleans()) else \
+        (Fraction(0) if exact else 0.0)
+    return DiscreteMeasure(d, tuple(atoms), origin, tuple(sphere))
+
+
+@st.composite
+def functionals(draw):
+    d, mode = draw(st.integers(1, 3)), draw(st.sampled_from(Mode))
+    kind = draw(st.sampled_from((SCALAR_EXACT, SCALAR_FLOAT)))
+    values = {}
+    for gamma in draw(st.lists(st.tuples(*[st.integers(0, 4)] * d), max_size=6)):
+        top = sum(gamma) // 2 if mode is Mode.APLUS else 3
+        values[(gamma, draw(st.integers(0, top)))] = draw(RATIONALS if kind == SCALAR_EXACT
+                                                          else FLOATS)
+    return LinearFunctional(d, mode, kind, values, pole_max=draw(st.integers(0, 3)),
+                            degree_max=draw(st.integers(0, 5)))
+
+
+@st.composite
+def preorders(draw):
+    d = draw(st.integers(1, 3))
+    return Preorder(d, tuple(draw(st.lists(polys(d), min_size=1, max_size=3))))
+
+
+@st.composite
+def fibre_specs(draw):
+    d, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return FibreSpec(tuple(draw(polys(d)) for _ in range(n)),
+                     tuple(draw(RATIONALS) for _ in range(n)))
+
+
+@st.composite
+def samples(draw):
+    d = draw(st.integers(1, 3))
+    return d, draw(st.lists(st.lists(RATIONALS, min_size=d, max_size=d), max_size=4))
+
+
+@st.composite
+def sequences(draw):
+    domain = draw(st.sampled_from(SgDomain))
+    low = {SgDomain.N02: lambda m: 0, SgDomain.NPLUS: lambda m: max(-3, -m),
+           SgDomain.Z2: lambda m: -3}[domain]
+    entries = {}
+    for _ in range(draw(st.integers(0, 5))):
+        m = draw(st.integers(0 if domain is SgDomain.N02 else -3, 3))
+        n = draw(st.integers(low(m), 3))
+        entries[(m, n)] = GaussianRational(draw(RATIONALS), draw(RATIONALS))
+    return HermitianSequence(domain, entries)
+
+
+def file_bytes(data: dict, path) -> bytes:
+    dump_json(data, path)
+    return path.read_bytes()
+
+
+def assert_round_trip(value, to_dict, from_dict, path) -> None:
+    written = file_bytes(to_dict(value), path)
+    back = from_dict(load_json(path))
+    assert back == value
+    assert file_bytes(to_dict(back), path) == written
+
+
+ROUND_TRIPS = {
+    "poly": (st.integers(1, 3).flatmap(polys), poly_to_dict, poly_from_dict),
+    "aelement": (aelements(), aelement_to_dict, aelement_from_dict),
+    "measure": (measures(), measure_to_dict, measure_from_dict),
+    "functional": (functionals(), functional_to_dict, functional_from_dict),
+    "preorder": (preorders(), preorder_to_dict, preorder_from_dict),
+    "fibre_spec": (fibre_specs(), fibre_spec_to_dict, fibre_spec_from_dict),
+    "samples": (samples(), lambda case: samples_to_dict(*case),
+                lambda data: (data["dim"], samples_from_dict(data))),
+    "sequence": (sequences(), sequence_to_dict, sequence_from_dict),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIPS))
+def test_round_trip_reaches_equal_object_and_bytes(name, tmp_path):
+    strategy, to_dict, from_dict = ROUND_TRIPS[name]
+
+    @settings(max_examples=40, deadline=None)
+    @given(value=strategy)
+    def check(value):
+        assert_round_trip(value, to_dict, from_dict, tmp_path / "value.json")
+    check()

@@ -148,8 +148,7 @@ def cmd_fibres(args) -> int:
     preorder = serialize.preorder_from_dict(serialize.load_json(args.preorder))
     spec = serialize.fibre_spec_from_dict(serialize.load_json(args.fibre_spec))
     samples = serialize.samples_from_dict(serialize.load_json(args.samples))
-    report_data = fibre_partition_check(preorder, list(spec.bounded), samples,
-                                        jobs=args.jobs)
+    report_data = fibre_partition_check(preorder, list(spec.bounded), samples)
     fibre = fibre_generators(preorder, spec)
     ideal = fibre_ideal_generators(spec)
     buckets = []
@@ -240,7 +239,9 @@ def cmd_semigroup(args) -> int:
                  f"{'pass' if result.passed else 'FAIL'}"
                  + (f" ({result.recovery_error})" if result.recovery_error else "")]
         _emit(report, lines, args.out)
-        return EXIT_OK if result.passed else EXIT_NEGATIVE
+        if result.passed:
+            return EXIT_OK
+        return EXIT_UNRESOLVED if result.recovery_unresolved else EXIT_NEGATIVE
 
     raise ValueError(f"unknown pipeline {args.pipeline!r}")
 
@@ -359,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preorder", required=True)
     p.add_argument("--fibre-spec", required=True)
     p.add_argument("--samples", required=True)
-    p.add_argument("--jobs", type=_positive_int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="accepted for compatibility; the audit runs in one process")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_fibres)
 

@@ -18,9 +18,7 @@ h and audits that the fibres are disjoint.  It evaluates in integers:
 each polynomial is cleared once to integer coefficients over one
 denominator and each sample once to a/q with an integer vector a, so
 K(T) membership and the audit are sign and zero tests of integer sums and
-only the bucket values are built as Fractions.  ``jobs > 1`` spreads this
-over worker processes, which no longer pays: on a 21x21 strip grid two
-workers take about four times the serial time, on 41x41 about twice.
+only the bucket values are built as Fractions.
 
 ``sphere_fibre_reduction`` handles the fibres of the angular generators
 f_kl: a value matrix with trace 1 forces the linear relations
@@ -32,7 +30,6 @@ direction-type evaluation.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -123,39 +120,31 @@ class PartitionReport:
         return len(self.buckets)
 
 
-def _value_of_member(task) -> tuple[Fraction, ...] | None:
-    # task[2] is the sample's Fraction point, unused here but kept in the
-    # task so that a wrapper of this function can tell which sample it is
-    generators, bounded, _, point = task
+def _fibre_value(generators: list[ClearedPoly], bounded: list[ClearedPoly],
+                 point: ClearedPoint) -> tuple[Fraction, ...] | None:
+    """The values of h at a point of K(T), or None for a point outside it."""
     if any(g.numerator_at(point) < 0 for g in generators):
         return None
     return tuple(h.value_at(point) for h in bounded)
 
 
-def _hits_other_fibre(task) -> bool:
-    other_ideal, points = task
-    for pt in points:
-        for g in other_ideal:
-            if g.numerator_at(pt):
-                break
-        else:
-            return True
+def _fibres_overlap(buckets: dict, ideals: dict, cleared: list[ClearedPoint]) -> bool:
+    """Whether some bucketed sample lies in another bucket's fibre."""
+    for value, members in buckets.items():
+        for other_value, ideal in ideals.items():
+            if other_value == value:
+                continue
+            for i in members:
+                for g in ideal:
+                    if g.numerator_at(cleared[i]):
+                        break
+                else:
+                    return True
     return False
 
 
-def _run_tasks(worker, tasks: list, jobs: int) -> list:
-    """Map the worker over the tasks, in at most min(jobs, tasks, CPUs) processes."""
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    if workers <= 1:
-        return [worker(task) for task in tasks]
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, len(tasks) // (4 * workers))
-        return list(pool.map(worker, tasks, chunksize=chunk))
-
-
 def fibre_partition_check(preorder: Preorder, bounded: list[Poly],
-                          samples: list, jobs: int = 1) -> PartitionReport:
+                          samples: list) -> PartitionReport:
     """Bucket samples by exact fibre values and audit disjointness.
 
     Samples outside K(T) are listed separately, untouched by the buckets.
@@ -167,8 +156,7 @@ def fibre_partition_check(preorder: Preorder, bounded: list[Poly],
 
     Polynomials and samples are cleared of denominators once
     (``ClearedPoly``, ``ClearedPoint``), so membership and the audit are
-    integer tests.  ``jobs > 1`` spreads the evaluations over worker
-    processes, at most one per task and per CPU.
+    integer tests.
     """
     for h in bounded:
         if h.nvars != preorder.dim:
@@ -184,10 +172,8 @@ def fibre_partition_check(preorder: Preorder, bounded: list[Poly],
     bounded_forms = [ClearedPoly(h) for h in bounded]
     buckets: dict[tuple[Fraction, ...], list[int]] = {}
     outside: list[int] = []
-    values = _run_tasks(_value_of_member,
-                        [(generators, bounded_forms, pt, point)
-                         for pt, point in zip(points, cleared)], jobs)
-    for idx, value in enumerate(values):
+    for idx, point in enumerate(cleared):
+        value = _fibre_value(generators, bounded_forms, point)
         if value is None:
             outside.append(idx)
         else:
@@ -196,10 +182,7 @@ def fibre_partition_check(preorder: Preorder, bounded: list[Poly],
     ideals = {value: [ClearedPoly(g) for g in
                       fibre_ideal_generators(FibreSpec(tuple(bounded), value))]
               for value in buckets}
-    audit = [(ideals[other_value], [cleared[i] for i in members])
-             for value, members in buckets.items()
-             for other_value in ideals if other_value != value]
-    disjoint = not any(_run_tasks(_hits_other_fibre, audit, jobs))
+    disjoint = not _fibres_overlap(buckets, ideals, cleared)
 
     ranges = None
     if buckets:

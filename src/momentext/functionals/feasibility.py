@@ -83,8 +83,10 @@ def extension_feasibility(L: LinearFunctional, pole_order: int, degree: int,
                 f"(pole_order={M}, degree={D}) window")
 
     basis_exps = [e for t in range(2 * M, D + 1) for e in exponents_of_degree(d, t)]
-    window = MomentWindow([(e, M) for e in basis_exps])
-    classes = [_exponent_at_pole(key, 2 * M) for key in window.classes]
+    # every basis element has pole M, so a Gram class depends only on
+    # gamma_i + gamma_j: the window runs on pole-free keys
+    window = MomentWindow([(e, 0) for e in basis_exps])
+    classes = [eps for eps, _ in window.classes]
     class_of = np.array(window.class_of)
     counts = np.bincount(class_of.ravel(), minlength=len(classes)).astype(float)
 
@@ -105,7 +107,7 @@ def extension_feasibility(L: LinearFunctional, pole_order: int, degree: int,
         signature = []
         for exp, coeff in norm_squared_power(d, 2 * M - m).terms.items():
             eps = tuple(a + b for a, b in zip(gamma, exp))
-            row[window.class_index[MomentWindow.reduce((eps, 2 * M))]] += float(coeff)
+            row[window.class_index[(eps, 0)]] += float(coeff)
             signature.append((eps, coeff))
         sig = tuple(sorted(signature))
         fval = float(value) / (mass * radius ** (sum(gamma) - 2 * m))
@@ -166,16 +168,6 @@ def extension_feasibility(L: LinearFunctional, pole_order: int, degree: int,
                                      psd_check_float(G_aff, tol), residual)
         Z = Z + G_psd - G_aff
     return FeasibilityResult(False, None, gap, max_iters, None, None)
-
-
-def _exponent_at_pole(key: Key, pole: int) -> Exponent:
-    """Exponent of the representative of a window class at the given pole order.
-
-    The window reduces keys only in one variable, where ||x||^2 = x^2, so
-    lifting back multiplies by x^2 once per pole order.
-    """
-    gamma, m = key
-    return (gamma[0] + 2 * (pole - m),) + gamma[1:]
 
 
 def _normalization(L: LinearFunctional, d: int) -> tuple[float, float]:

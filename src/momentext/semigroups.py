@@ -386,6 +386,9 @@ class BisgaardReport:
     recovered_origin: float | None = None
     recovery_residual: float | None = None
     recovery_error: str | None = None
+    # the recovery could not decide (window too small, indeterminate rank),
+    # as opposed to a recovery that misses the data
+    recovery_unresolved: bool = False
 
     @property
     def passed(self) -> bool:
@@ -430,6 +433,7 @@ def bisgaard_check(s: HermitianSequence, try_recovery: bool = True,
     degree = band // 2
     if degree < 1:
         report.recovery_error = "window too small for recovery"
+        report.recovery_unresolved = True
         return report
     poly_moments = _polynomial_moments_from_sequence(s, 2 * degree)
     try:
@@ -438,6 +442,7 @@ def bisgaard_check(s: HermitianSequence, try_recovery: bool = True,
                                 residual_tol=residual_tol)
     except (IndeterminateRankError, RecoveryFailedError) as err:
         report.recovery_error = str(err)
+        report.recovery_unresolved = isinstance(err, IndeterminateRankError)
         return report
     if measure.origin_mass > residual_tol:
         report.recovery_error = ("recovered mass at the origin is incompatible "

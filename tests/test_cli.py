@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -9,11 +12,17 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import momentext
-from momentext import serialize
+from momentext import semigroups, serialize
 from momentext.cli import main
 from momentext.functionals.core import DiscreteMeasure, polynomial_moments
+from momentext.functionals.recovery import IndeterminateRankError, RecoveryFailedError
+from momentext.scalars import GaussianRational
+from momentext.scenarios import SCENARIOS
+from momentext.semigroups import SgDomain, box_window, sequence_from_measure
 
 
 def run(capsys, *argv):
@@ -167,6 +176,36 @@ def test_semigroup_bisgaard_cli(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["passed"] is True and report["recovered_atoms"] == []
+
+
+def test_bisgaard_undecided_recovery_is_unresolved(tmp_path, capsys):
+    # 2*delta_1 + delta_(-2i) on the box-1 window: the moment matrix is PSD but
+    # the window is too small to recover atoms, which decides nothing
+    atoms = [(Fraction(2), GaussianRational.one()), (Fraction(1), GaussianRational.of(0, -2))]
+    path = tmp_path / "sequence.json"
+    serialize.dump_json(serialize.sequence_to_dict(
+        sequence_from_measure(atoms, box_window(1, SgDomain.Z2))), path)
+    code, out, err = run(capsys, "semigroup", "--pipeline", "bisgaard", "--sequence", str(path))
+    assert code == 3
+    report = json.loads(out)
+    assert report["psd"]["outcome"] == "PSD" and report["passed"] is False
+    assert report["recovery_error"] == "window too small for recovery"
+    assert "recovery_unresolved" not in report
+    assert err == "laurent positivity: FAIL (window too small for recovery)\n"
+
+
+@pytest.mark.parametrize("error,code", [
+    (IndeterminateRankError("rank undecided", [1e-4], (1e-5, 1e-3)), 3),
+    (RecoveryFailedError("atoms miss", 1.0), 1)])
+def test_bisgaard_recovery_errors_keep_their_exit_codes(tmp_path, capsys, monkeypatch,
+                                                        error, code):
+    run(capsys, "gen-examples", "--scenario", "bisgaard-two-atoms", "--dir", str(tmp_path))
+
+    def fail(*args, **kwargs):
+        raise error
+    monkeypatch.setattr(semigroups, "recover_atoms", fail)
+    assert run(capsys, "semigroup", "--pipeline", "bisgaard",
+               "--sequence", str(tmp_path / "bisgaard_two_atoms.json"))[0] == code
 
 
 def test_laurent_relations_cli_deterministic(tmp_path, capsys):
@@ -382,7 +421,7 @@ def test_extend_reports_are_byte_stable(tmp_path, capsys):
 
 def test_importing_the_package_leaves_numpy_unloaded():
     # numpy is imported inside the float paths, so exact commands never pay for
-    # it; likewise the fibre process pool is imported only when one is started
+    # it; no command starts a process pool
     env = dict(os.environ, PYTHONPATH=str(Path(momentext.__file__).parents[1]))
     heavy = ("numpy", "multiprocessing", "concurrent.futures.process")
     for module in ("momentext", "momentext.cli"):
@@ -482,3 +521,119 @@ def test_a_missing_field_is_named(tmp_path, capsys):
                        "--samples", str(path))
     assert code == 2
     assert err.splitlines() == ["error: polynomial term has no 'coeff' field"]
+
+
+# -- fuzzed command lines ------------------------------------------------------------
+
+# The fuzz runs each command on documents with fields dropped or retyped and
+# on flag values out of range; every run has to end in an exit code.
+
+# JSON values a mutated field may take: wrong types, NaN and infinities, zero
+# denominators, and small integers (wrong dimensions, exponents, keys)
+JUNK = st.one_of(st.none(), st.booleans(), st.integers(-2, 4),
+                 st.sampled_from([float("nan"), float("inf"), -1.5, "1/0", "0/0", "-3/2",
+                                  "x", "1e400", [], {}, [[0]], {"exp": [0]}]))
+
+
+def flag(valid, bad):
+    """A flag value, in range three times in four, else negative, zero, NaN or no number."""
+    return st.integers(0, 3).flatmap(lambda k: st.sampled_from(valid if k else bad))
+
+
+INTS = flag(["0", "1", "2", "3"], ["-5", "-1", "x"])
+TOLS = flag(["0", "1e-9", "1e-6"], ["-1", "nan", "inf", "x"])
+
+
+def json_paths(data, prefix=()):
+    yield prefix
+    if isinstance(data, dict):
+        items = data.items()
+    elif isinstance(data, list):
+        items = enumerate(data)
+    else:
+        return
+    for key, value in items:
+        yield from json_paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated(draw, data):
+    """``data`` with up to three fields dropped or replaced by junk; half the
+    files stay well-formed, so that the commands get past loading."""
+    data = copy.deepcopy(data)
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3]))):
+        path = draw(st.sampled_from(list(json_paths(data))))
+        junk = copy.deepcopy(draw(JUNK))  # JUNK's lists and dicts are shared
+        if not path:
+            return junk
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        if draw(st.booleans()):
+            del node[path[-1]]
+        else:
+            node[path[-1]] = junk
+    return data
+
+
+COMMANDS = {
+    "psd-check": lambda f, d: ["psd-check", f("functional"), "--tol", d(TOLS),
+                               *(["-M", d(INTS), "-D", d(INTS)] if d(st.booleans()) else [])],
+    "hankel": lambda f, d: ["psd-check", "--univariate", f("moments"), "--tol", d(TOLS)],
+    "extend": lambda f, d: ["extend", f("measure"), "-M", d(INTS), "-D", d(INTS),
+                            "--mode", d(st.sampled_from(["aplus", "laurent"]))],
+    "feasibility": lambda f, d: ["feasibility", f("functional"), "-M", d(INTS), "-D", d(INTS),
+                                 "--max-iters", d(INTS), "--tol", d(TOLS)],
+    "recover-atoms": lambda f, d: ["recover-atoms", f("functional"), "--degree", d(INTS),
+                                   "--rank-tol", d(TOLS), "--residual-tol", d(TOLS)],
+    "fibres": lambda f, d: ["fibres", "--preorder", f("preorder"), "--fibre-spec",
+                            f("fibre_spec"), "--samples", f("samples"), "--jobs", d(INTS)],
+    "nplus": lambda f, d: ["semigroup", "--pipeline", "nplus-extension", "--measure",
+                           f("measure"), "--box", d(INTS)],
+    "bisgaard": lambda f, d: ["semigroup", "--pipeline", "bisgaard", "--sequence",
+                              f("sequence"), *(["--no-recovery"] if d(st.booleans()) else [])],
+    "gen-examples": lambda f, d: ["gen-examples", "--scenario",
+                                  d(st.sampled_from(sorted(SCENARIOS) + ["nope"])),
+                                  "--dir", f("dir")],
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A work directory and one well-formed document of each kind the commands read."""
+    work = tmp_path_factory.mktemp("fuzz")
+    measure = DiscreteMeasure(2, atoms=((Fraction(1), (Fraction(1), Fraction(0))),
+                                        (Fraction(2), (Fraction(1, 3), Fraction(-1)))))
+    atoms = [(Fraction(2), GaussianRational.one()), (Fraction(1), GaussianRational.of(0, -2))]
+    docs = {"functional": serialize.functional_to_dict(polynomial_moments(measure, 2)),
+            "measure": serialize.measure_to_dict(measure),
+            "moments": {"moments": ["1", "0", "1", "0", "3"]},
+            "sequence": serialize.sequence_to_dict(
+                sequence_from_measure(atoms, box_window(2, SgDomain.Z2)))}
+    for kind, path in SCENARIOS["strip"](work).items():
+        docs[kind] = json.loads(Path(path).read_text())
+    return work, docs
+
+
+@settings(max_examples=120, deadline=None)
+@given(command=st.sampled_from(sorted(COMMANDS)), data=st.data())
+def test_fuzzed_command_lines_exit_with_a_code(fuzz_inputs, command, data):
+    # malformed files and flags must come back as exit codes 0-3 (argparse's
+    # usage exit is 2), never as an exception out of main
+    work, docs = fuzz_inputs
+
+    def write(kind):
+        if kind == "dir":
+            return str(work / "examples")
+        path = work / f"{kind}.json"
+        path.write_text(json.dumps(data.draw(mutated(docs[kind]), label=kind)))
+        return str(path)
+    argv = COMMANDS[command](write, data.draw)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as stop:
+            code = stop.code
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import concurrent.futures
 from fractions import Fraction
 
 import pytest
@@ -115,72 +114,19 @@ def test_partition_sees_overlapping_fibres():
     assert sorted(report.buckets[(Fraction(3, 16),)]) == [0, 1]
 
 
-def test_partition_parallel_matches_serial():
-    strip = strip_preorder()
-    xs = [Fraction(i, 3) for i in range(4)]
-    ys = [Fraction(j) for j in range(-1, 2)]
-    samples = grid(xs, ys)
-    serial = fibre_partition_check(strip, [Poly.variable(2, 0)], samples)
-    parallel = fibre_partition_check(strip, [Poly.variable(2, 0)], samples, jobs=2)
-    assert serial.buckets == parallel.buckets
-    assert serial.outside == parallel.outside
-    assert serial.disjoint == parallel.disjoint
-    assert serial.value_ranges == parallel.value_ranges
-
-
-class SerialExecutor:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
-
-    sizes: list = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, worker, tasks, chunksize=1):
-        return map(worker, tasks)
-
-
-def test_jobs_cap_the_pool_at_tasks_and_cpus(monkeypatch):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialExecutor)
-    monkeypatch.setattr(SerialExecutor, "sizes", [])
-    monkeypatch.setattr(fibres.os, "cpu_count", lambda: 3)
-    strip = strip_preorder()
-    samples = grid([Fraction(i, 3) for i in range(4)], [Fraction(0), Fraction(1)])
-    serial = fibre_partition_check(strip, [Poly.variable(2, 0)], samples)
-    # 8 bucketing tasks and 4 * 3 audit tasks, each pool capped by the 3 CPUs
-    huge = fibre_partition_check(strip, [Poly.variable(2, 0)], samples, jobs=10 ** 9)
-    assert SerialExecutor.sizes == [3, 3]
-    assert huge == serial
-    SerialExecutor.sizes.clear()
-    assert fibre_partition_check(strip, [Poly.variable(2, 0)], samples, jobs=2) == serial
-    assert SerialExecutor.sizes == [2, 2]
-
-    SerialExecutor.sizes.clear()
-    assert fibres._run_tasks(abs, [-1, 2], 10 ** 9) == [1, 2]
-    assert SerialExecutor.sizes == [2]  # no more workers than tasks
-    monkeypatch.setattr(fibres.os, "cpu_count", lambda: None)
-    SerialExecutor.sizes.clear()
-    assert fibres._run_tasks(abs, [-1, 2, -3], 10 ** 9) == [1, 2, 3]
-    assert SerialExecutor.sizes == []  # unknown CPU count: serial, no pool
-
-
 def test_partition_audit_catches_a_misfiled_sample(monkeypatch):
     strip = strip_preorder()
     xs = [Fraction(i, 4) for i in range(5)]
     samples = grid(xs, [Fraction(j) for j in range(-1, 2)])
     misfiled = (Fraction(1, 4), Fraction(0))
-    bucketing = fibres._value_of_member
+    bucketing = fibres._fibre_value
 
-    def neighbour_column(task):
-        value = bucketing(task)
-        return (Fraction(1, 2),) if tuple(task[2]) == misfiled else value
-    monkeypatch.setattr(fibres, "_value_of_member", neighbour_column)
+    def neighbour_column(generators, bounded, point):
+        # the cleared point a/q, read back as Fractions
+        coords = tuple(Fraction(a[1], point.q_powers[1]) for a in point.powers)
+        value = bucketing(generators, bounded, point)
+        return (Fraction(1, 2),) if coords == misfiled else value
+    monkeypatch.setattr(fibres, "_fibre_value", neighbour_column)
     report = fibre_partition_check(strip, [Poly.variable(2, 0)], samples)
     assert samples.index(misfiled) in report.buckets[(Fraction(1, 2),)]
     assert not report.disjoint
@@ -244,9 +190,7 @@ def test_parallel_partition_matches_fraction_oracle(case):
     samples = grid(steps, steps) + [(Fraction(3, 5), Fraction(4, 5)), (0, Fraction(-1))]
     expected = _fraction_partition_oracle(preorder, bounded, samples)
     assert expected.outside and len(expected.buckets) > 1
-    for jobs in (1, 2):
-        assert_same_report(fibre_partition_check(preorder, bounded, samples, jobs=jobs),
-                           expected)
+    assert_same_report(fibre_partition_check(preorder, bounded, samples), expected)
 
 
 def test_partition_with_constant_and_zero_polynomials():

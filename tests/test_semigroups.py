@@ -479,17 +479,16 @@ def oracle_closure_keys(window):
 
 
 def oracle_inversion_automorphism(a):
-    """Image of each numerator monomial, normalized and added one at a time."""
-    total = AElement(Poly.zero(a.nvars), 0, Mode.LAURENT)
+    """Images x^gamma / ||x||^(2t), t = |gamma| - m, of the numerator monomials,
+    summed over the common pole max(0, max t) as polynomials and normalized
+    once; no AElement arithmetic, so no ``a_add`` or ``a_mul`` shortcut."""
+    targets = {gamma: sum(gamma) - a.pole_order for gamma in a.numerator.terms}
+    pole = max([0, *targets.values()])
+    numerator = Poly.zero(a.nvars)
     for gamma, coeff in a.numerator.terms.items():
-        target = sum(gamma) - a.pole_order
-        mono = Poly.monomial(a.nvars, gamma, coeff)
-        if target >= 0:
-            term = a_normalize(mono, target, Mode.LAURENT)
-        else:
-            term = a_normalize(mono * norm_squared(a.nvars) ** (-target), 0, Mode.LAURENT)
-        total = total + term
-    return total
+        numerator = numerator + (Poly.monomial(a.nvars, gamma, coeff)
+                                 * norm_squared(a.nvars) ** (pole - targets[gamma]))
+    return a_normalize(numerator, pole, Mode.LAURENT)
 
 
 # Memoized on their (hashable) inputs: many oracle runs share a matrix or a

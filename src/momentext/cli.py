@@ -11,6 +11,7 @@ the stdout payload and the summary moves to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -70,6 +71,25 @@ def _emit(report: dict, summary: list[str], out: str | None) -> None:
 # -- psd-check ----------------------------------------------------------------
 
 
+def _refuse_unstored_window(L: LinearFunctional, pole: int, degree: int) -> None:
+    """Refuse, for d >= 2, a window whose Gram matrix reads past every stored key.
+
+    With d >= 2 no monomial is divisible by ||x||^2, so the Gram entry of
+    x1^degree / ||x||^(2 pole) squared is the unreduced key (2 degree e1,
+    2 pole); past the stored maxima neither it nor a lift of it is stored,
+    and the Gram matrix could only end in DomainOverflowError after
+    building the whole window.  In one variable product keys reduce.
+    """
+    if L.nvars < 2:
+        return
+    top_pole = max((m for _, m in L.values), default=-1)
+    top_degree = max((sum(gamma) for gamma, _ in L.values), default=-1)
+    if 2 * pole > top_pole or 2 * degree > top_degree:
+        raise ValueError(f"window (pole {pole}, degree {degree}) reads keys up to pole "
+                         f"{2 * pole} and degree {2 * degree}, but the stored keys stop "
+                         f"at pole {top_pole} and degree {top_degree}")
+
+
 def cmd_psd_check(args) -> int:
     if args.univariate:
         moments = serialize.moments_from_dict(serialize.load_json(args.input))
@@ -87,6 +107,7 @@ def cmd_psd_check(args) -> int:
         raise ValueError("cannot run the exact check on float-valued input")
     pole = args.pole_order if args.pole_order is not None else L.pole_max // 2
     degree = args.degree if args.degree is not None else max(L.degree_max // 2, 2 * pole)
+    _refuse_unstored_window(L, pole, degree)
     basis = truncated_basis(pole, degree, L.nvars, L.mode)
     G = gram_matrix(L, basis)
     if scalar == "exact":
@@ -395,9 +416,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser for every ``main`` call, built on the first, not at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except IndeterminateRankError as err:

@@ -10,8 +10,9 @@ ties them together.  ``apply`` evaluates an element against the stored
 keys.  When the element's own pole order is not stored, it lifts the key
 by ||x||^(2t) for t = 1, 2, ... and takes the first lift whose keys are
 all stored.  ``check_reduction_relations`` audits consistency with the
-t = 1 lift.  Both read ||x||^(2t) from ``polyalg.norm_squared_power``, in
-its fixed term order, so float sums are reproducible.
+t = 1 lift, in integers on an exact functional.  ``apply`` and the float
+audit read ||x||^(2t) from ``polyalg.norm_squared_power``, in its fixed
+term order, so float sums are reproducible.
 
 Measures here are finite atomic ones: weighted nonzero points, optional
 mass at the origin, and optional weighted unit directions (limits into the
@@ -58,7 +59,8 @@ class InconsistentFunctionalError(ValueError):
 class LinearFunctional:
     """Explicit values of a linear functional on monomial fraction keys.
 
-    The public constructor checks every key and coerces every value.
+    The public constructor checks every key, coerces every value and
+    refuses a negative declared ``pole_max`` or ``degree_max``, in one pass.
     ``LinearFunctional._trusted`` takes an exact table the caller has just
     built, with tuple keys that fit ``nvars`` and ``mode``, Fraction values,
     and ``pole_max``/``degree_max`` already covering the keys.
@@ -74,6 +76,9 @@ class LinearFunctional:
     def __post_init__(self) -> None:
         if self.scalar_kind not in (SCALAR_EXACT, SCALAR_FLOAT):
             raise ValueError(f"unknown scalar kind {self.scalar_kind!r}")
+        exact = self.scalar_kind == SCALAR_EXACT
+        aplus = self.mode is Mode.APLUS
+        pole_max, degree_max = self.pole_max, self.degree_max
         clean: dict[Key, Fraction | float] = {}
         for (gamma, m), value in self.values.items():
             gamma = tuple(gamma)
@@ -81,18 +86,25 @@ class LinearFunctional:
                 raise DimensionMismatchError(f"key exponent {gamma} has wrong length")
             if m < 0:
                 raise ValueError("pole order in key must be >= 0")
-            if any(e < 0 for e in gamma):
+            if min(gamma, default=0) < 0:
                 raise ValueError(f"key exponent {gamma} has a negative entry")
-            if self.mode is Mode.APLUS and sum(gamma) < 2 * m:
+            degree = sum(gamma)
+            if aplus and degree < 2 * m:
                 raise ValueError(f"key {(gamma, m)} lies outside the bounded-generator algebra")
-            if self.scalar_kind == SCALAR_EXACT:
-                value = as_fraction(value)
+            if exact:
+                clean[(gamma, m)] = as_fraction(value)
             else:
-                value = float(value)
-            clean[(gamma, m)] = value
+                clean[(gamma, m)] = float(value)
+            if m > pole_max:
+                pole_max = m
+            if degree > degree_max:
+                degree_max = degree
+        if self.pole_max < 0:
+            raise ValueError(f"declared pole_max {self.pole_max} is negative")
+        if self.degree_max < 0:
+            raise ValueError(f"declared degree_max {self.degree_max} is negative")
         self.values = clean
-        self.pole_max = max([m for (_, m) in clean] + [self.pole_max])
-        self.degree_max = max([sum(g) for (g, _) in clean] + [self.degree_max])
+        self.pole_max, self.degree_max = pole_max, degree_max
 
     @classmethod
     def _trusted(cls, nvars: int, mode: Mode, values: dict[Key, Fraction],
@@ -175,19 +187,45 @@ class LinearFunctional:
     def check_reduction_relations(self, tol: float = 0.0) -> list[Key]:
         """Keys whose stored value disagrees with the lift one pole order up.
 
-        Only fully stored lifts are compared.  An exact functional compares
-        exactly and ignores ``tol``; a float one compares within ``tol``.
+        The lift of (gamma, m) is the sum of the d values at (gamma + 2 e_k,
+        m + 1); only fully stored lifts are compared, and keys come back in
+        stored order.  An exact functional ignores ``tol`` and compares in
+        integers: a running num/den over the lifted values, tested as
+        num * value.denominator == value.numerator * den, with no Fraction
+        built and no gcd taken.  A float one compares ``_lifted_sum``
+        within ``tol``.
         """
-        tol = 0 if self.scalar_kind == SCALAR_EXACT else tol
+        if self.scalar_kind != SCALAR_EXACT:
+            bad = []
+            for (gamma, m), value in self.values.items():
+                total = self._lifted_sum(gamma, m, 1)
+                if total is not None and abs(total - value) > tol:
+                    bad.append((gamma, m))
+            return bad
+        values = self.values
+        coordinates = range(self.nvars)
         bad = []
-        for (gamma, m), value in self.values.items():
-            total = self._lifted_sum(gamma, m, 1)
-            if total is not None and abs(total - value) > tol:
-                bad.append((gamma, m))
+        for key, value in values.items():
+            gamma, m = key
+            num, den = 0, 1
+            for k in coordinates:
+                lifted = values.get((gamma[:k] + (gamma[k] + 2,) + gamma[k + 1:], m + 1))
+                if lifted is None:
+                    break
+                q = lifted.denominator
+                num, den = num * q + lifted.numerator * den, den * q
+            else:
+                if num * value.denominator != value.numerator * den:
+                    bad.append(key)
         return bad
 
     def validate(self, tol: float = 0.0) -> None:
-        """Raise InconsistentFunctionalError on relation violations or L(1) < 0."""
+        """Raise InconsistentFunctionalError on relation violations or L(1) < 0.
+
+        The relations are those of ``check_reduction_relations``: compared
+        by cross-multiplied integers on an exact functional, within ``tol``
+        on a float one.  The first five violating keys, sorted, are named.
+        """
         tol = 0 if self.scalar_kind == SCALAR_EXACT else tol
         bad = self.check_reduction_relations(tol)
         if bad:

@@ -167,20 +167,54 @@ def functional_to_dict(L: LinearFunctional) -> dict:
             "pole_max": L.pole_max, "degree_max": L.degree_max, "entries": entries}
 
 
+def _entry(item, kind: str) -> tuple:
+    """(key, value) of one functional entry, every field checked in turn."""
+    item = _object(item, "entry")
+    value = scalar_from_json(item["value"])
+    if kind == SCALAR_FLOAT:
+        value = _finite(value)
+    elif isinstance(value, float):
+        raise ValueError("exact functional file contains a float value")
+    return (_exponent(item["exp"]), _integer(item["pole_order"], "pole_order")), value
+
+
+def _canonical_entry(item) -> tuple | None:
+    """(key, value) of an exact entry in canonical form, else None.
+
+    Canonical: a "p" or "p/q" value in ASCII digits (p optionally "-", q
+    nonzero), a list of int exponents and an int pole order; its value is
+    Fraction(int(p), int(q)).  Every other entry goes to ``_entry``, so the
+    accepted strings and the error messages are unchanged.
+    """
+    if type(item) is not dict:
+        return None
+    text, exp, m = item.get("value"), item.get("exp"), item.get("pole_order")
+    if type(text) is not str or type(exp) is not list or type(m) is not int \
+            or not text.isascii():
+        return None
+    p, slash, q = text.partition("/")
+    if not (p[1:] if p[:1] == "-" else p).isdigit() or (slash and not q.isdigit()):
+        return None
+    for e in exp:
+        if type(e) is not int:
+            return None
+    try:  # int() refuses more digits than sys.get_int_max_str_digits()
+        den = int(q) if slash else 1
+        return ((tuple(exp), m), Fraction(int(p), den)) if den else None
+    except ValueError:
+        return None
+
+
 def functional_from_dict(data: dict) -> LinearFunctional:
     data = _object(data, "functional")
     kind = data["scalar_kind"]
     if kind not in (SCALAR_EXACT, SCALAR_FLOAT):
         raise ValueError(f"unknown scalar kind {kind!r}")
     values = {}
+    exact = kind == SCALAR_EXACT
     for item in _array(data["entries"], "entries"):
-        item = _object(item, "entry")
-        value = scalar_from_json(item["value"])
-        if kind == SCALAR_FLOAT:
-            value = _finite(value)
-        elif isinstance(value, float):
-            raise ValueError("exact functional file contains a float value")
-        values[(_exponent(item["exp"]), _integer(item["pole_order"], "pole_order"))] = value
+        key, value = (exact and _canonical_entry(item)) or _entry(item, kind)
+        values[key] = value
     return LinearFunctional(_integer(data["nvars"], "nvars"), Mode(data["mode"]), kind,
                             values,
                             pole_max=_integer(data.get("pole_max", 0), "pole_max"),

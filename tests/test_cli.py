@@ -17,8 +17,10 @@ from hypothesis import strategies as st
 
 import momentext
 from momentext import semigroups, serialize
-from momentext.cli import main
-from momentext.functionals.core import DiscreteMeasure, polynomial_moments
+from momentext.cli import build_parser, main
+from momentext.extalg import Mode, truncated_basis
+from momentext.functionals.core import (DiscreteMeasure, LinearFunctional, SCALAR_EXACT,
+                                        moments_of_measure, polynomial_moments)
 from momentext.functionals.recovery import IndeterminateRankError, RecoveryFailedError
 from momentext.scalars import GaussianRational
 from momentext.scenarios import SCENARIOS
@@ -417,6 +419,92 @@ def test_extend_reports_are_byte_stable(tmp_path, capsys):
                              (F(4), (F(0), F(1)))])
     assert report_digest(capsys, tmp_path, "extend", laurent, "-M", "1", "-D", "3",
                          "--mode", "laurent")[:2] == (0, EXTEND_D2_LAURENT_REPORT)
+
+
+# SHA-256 of psd-check outputs on a d=3 functional over the (pole 2, degree 5)
+# window, captured before the integer relation check and the one-pass loader:
+# the PSD and NotPSD report bytes, and the stderr text (exit 2) of a
+# functional whose value at one key breaks four reduction relations.
+PSD_CHECK_D3_PSD_REPORT = "1696d9c120603a4e29e7eef42cdd2284f57e7e0e70b573bbc9c3ced5d3048304"
+PSD_CHECK_D3_NOTPSD_REPORT = "5ab774202365d4144830ef1173e20883089c12a4672eb9daa708263ca89dfeb7"
+PSD_CHECK_D3_RELATION_ERROR = "1b77e542d35d640dd5a9c7239af82396aa0d1ffd78b24d8b6613dfb82d4a32f5"
+
+
+def d3_wide_functionals() -> tuple[LinearFunctional, LinearFunctional, LinearFunctional]:
+    """A measure's moments on the (2, 5) window, the same minus a far atom's
+    moments (NotPSD: the far point is outside the 4-atom support), and the
+    moments with the value at (x1 x2 x3)^2 / ||x||^2 off by 1/7."""
+    F = Fraction
+    mu = DiscreteMeasure(3, atoms=(
+        (F(1, 2), (F(1), F(-2, 3), F(1, 3))),
+        (F(2), (F(-1), F(0), F(2))),
+        (F(3, 4), (F(1, 2), F(1), F(-1))),
+        (F(1), (F(2), F(1, 3), F(1, 2)))), origin_mass=F(1, 4))
+    basis = truncated_basis(2, 5, 3, Mode.APLUS)
+    L = moments_of_measure(mu, basis)
+    far = moments_of_measure(DiscreteMeasure(3, atoms=((F(1, 100), (F(5), F(-7), F(3))),)),
+                             basis)
+    signed = {k: v - far.values[k] for k, v in L.values.items()}
+    broken = dict(L.values)
+    broken[((2, 2, 2), 1)] += F(1, 7)
+    return L, *(LinearFunctional(3, Mode.APLUS, SCALAR_EXACT, values, L.pole_max,
+                                 L.degree_max) for values in (signed, broken))
+
+
+def test_psd_check_reports_are_byte_stable(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # reports name the input path
+    expected = [(0, PSD_CHECK_D3_PSD_REPORT), (1, PSD_CHECK_D3_NOTPSD_REPORT)]
+    L, signed, broken = d3_wide_functionals()
+    for name, functional, (code, digest) in zip(("L.json", "signed.json"), (L, signed),
+                                                expected):
+        serialize.dump_json(serialize.functional_to_dict(functional), name)
+        assert report_digest(capsys, tmp_path, "psd-check", name)[:2] == (code, digest)
+    serialize.dump_json(serialize.functional_to_dict(broken), "broken.json")
+    code, digest, err = report_digest(capsys, tmp_path, "psd-check", "broken.json")
+    assert (code, digest) == (2, None)
+    assert err.startswith("error: reduction relation violated at keys [((0, 2, 2), 0), ")
+    assert hashlib.sha256(err.encode()).hexdigest() == PSD_CHECK_D3_RELATION_ERROR
+
+
+def test_psd_check_refuses_a_window_beyond_the_stored_keys(tmp_path, capsys):
+    L, _, _ = d3_wide_functionals()
+    data = serialize.functional_to_dict(L)
+    path = tmp_path / "inflated.json"
+    # keys stop at degree 10, so the default window (pole 2, degree 12) of
+    # degree_max 24 reads past them; a window sized from degree_max 200
+    # would have 176851 basis elements
+    serialize.dump_json({**data, "degree_max": 24}, path)
+    code, out, err = run(capsys, "psd-check", str(path))
+    assert code == 2 and out == ""
+    assert err == ("error: window (pole 2, degree 12) reads keys up to pole 4 and "
+                   "degree 24, but the stored keys stop at pole 4 and degree 10\n")
+    for flags in (["-M", "3", "-D", "6"], ["-M", "0", "-D", "6"]):
+        code, out, err = run(capsys, "psd-check", str(path), *flags)
+        assert code == 2 and "reads keys up to" in err
+    code, out, _ = run(capsys, "psd-check", str(path), "-M", "1", "-D", "5")
+    assert code == 0 and json.loads(out)["basis_size"] == 52
+    serialize.dump_json({**data, "degree_max": -7}, path)
+    code, out, err = run(capsys, "psd-check", str(path))
+    assert (code, out) == (2, "") and "declared degree_max -7 is negative" in err
+    # one variable: keys x^(2k) / |x|^(2m) reduce, so the window is the
+    # Gram matrix's to judge
+    line = LinearFunctional(1, Mode.LAURENT, SCALAR_EXACT,
+                            {((k,), 0): Fraction(1, k + 1) for k in range(5)})
+    serialize.dump_json({**serialize.functional_to_dict(line), "pole_max": 2}, path)
+    code, _, err = run(capsys, "psd-check", str(path), "--scalar", "exact")
+    assert code == 2 and "functional has no value" in err
+
+
+def test_the_parser_is_built_once(monkeypatch, capsys, tmp_path):
+    from momentext import cli
+    cli._parser.cache_clear()
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    hankel = tmp_path / "hankel.json"
+    serialize.dump_json({"moments": ["2", "-1", "5"]}, hankel)
+    for _ in range(3):
+        assert run(capsys, "psd-check", str(hankel), "--univariate")[0] == 0
+    assert len(built) == 1
 
 
 def test_importing_the_package_leaves_numpy_unloaded():

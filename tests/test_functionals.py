@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import add
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from momentext.functionals.core import (DiscreteMeasure, DomainOverflowError,
                                         gram_matrix, moments_of_measure,
                                         polynomial_moments)
 from momentext.polyalg import (Poly, exponents_of_degree, exponents_up_to_degree,
-                               norm_squared)
+                               norm_squared, norm_squared_power)
 
 
 def two_atom_measure() -> DiscreteMeasure:
@@ -507,3 +508,48 @@ def test_measure_functionals_match_validated_construction(dim, laurent, pole, de
         assert got == want
         assert (got.pole_max, got.degree_max) == (want.pole_max, want.degree_max)
         assert list(got.values.items()) == list(want.values.items())
+
+
+def oracle_reduction_failures(L: LinearFunctional) -> list:
+    """The Fraction sums the exact relation check used to compare, key by key."""
+    bad = []
+    for (gamma, m), value in L.values.items():
+        total = Fraction(0)
+        for exp, coeff in norm_squared_power(L.nvars, 1).terms.items():
+            lifted = (tuple(map(add, gamma, exp)), m + 1)
+            if lifted not in L.values:
+                break
+            total += coeff * L.values[lifted]
+        else:
+            if total != value:
+                bad.append((gamma, m))
+    return bad
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 4), laurent=st.booleans(), pole=st.integers(0, 2),
+       degree=st.integers(0, 4), seed=st.integers(0, 10 ** 6), data=st.data())
+def test_integer_relation_check_matches_fraction_oracle(dim, laurent, pole, degree, seed,
+                                                        data):
+    mode = Mode.LAURENT if laurent else Mode.APLUS
+    if mode is Mode.APLUS:
+        degree = max(degree, 2 * pole)
+    if dim == 4:
+        pole, degree = min(pole, 1), min(degree, 3)
+    mu = scenarios.random_measure(random.Random(seed), dim, allow_origin=not laurent,
+                                  allow_sphere=not laurent)
+    L = moments_of_measure(mu, truncated_basis(pole, degree, dim, mode))
+    assert L.check_reduction_relations() == oracle_reduction_failures(L) == []
+    keys = list(L.values)
+    key = keys[data.draw(st.integers(0, len(keys) - 1), label="bumped key")]
+    q = data.draw(st.integers(1, 10 ** 9), label="q")
+    bumped = LinearFunctional(dim, mode, SCALAR_EXACT,
+                              {**L.values, key: L.values[key] + Fraction(1, q)},
+                              L.pole_max, L.degree_max)
+    bad = bumped.check_reduction_relations()
+    assert bad == oracle_reduction_failures(bumped)
+    # the bumped key breaks its own relation whenever its lift is stored
+    lifts = [(gamma, key[1] + 1) for gamma in
+             (tuple(map(add, key[0], e)) for e in norm_squared_power(dim, 1).terms)]
+    if all(lift in L.values for lift in lifts):
+        assert key in bad

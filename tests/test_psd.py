@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -511,3 +512,26 @@ def test_rows_with_a_zero_pivot_column_are_left_alone(monkeypatch):
     assert len(calls) == blocks
     # L's zeros are one shared constant, not a fresh Fraction per entry
     assert all(x is psd._ZERO for row in verdict.unit_lower for x in row if x == 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(G=symmetric_matrices(), shift=st.fractions(min_value=-3, max_value=3,
+                                                  max_denominator=8))
+def test_exact_verdicts_agree_with_eigvalsh_away_from_zero(G, shift):
+    """Where the float spectrum decides clearly, the exact verdict agrees.
+
+    The diagonal shift moves the rank-deficient Grams off the boundary in
+    both directions; a smallest eigenvalue within 1e-6 of the spectral
+    scale is the boundary's to decide and is skipped.
+    """
+    G = [[as_fraction(x) + (shift if i == j else 0) for j, x in enumerate(row)]
+         for i, row in enumerate(G)]
+    if not G:
+        return
+    eigenvalues = np.linalg.eigvalsh(np.array([[float(x) for x in row] for row in G]))
+    smallest, scale = eigenvalues[0], max(abs(eigenvalues[0]), abs(eigenvalues[-1]))
+    if abs(smallest) <= 1e-6 * scale:
+        return
+    verdict = psd_check_exact(G)
+    assert verdict.is_psd == (smallest > 0)
+    assert verdict.verify(G)

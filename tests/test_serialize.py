@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from momentext import serialize
 from momentext.extalg import Mode, a_normalize
 from momentext.fibres import FibreSpec, Preorder
 from momentext.functionals.core import (DiscreteMeasure, LinearFunctional,
                                         SCALAR_EXACT, SCALAR_FLOAT,
                                         extend_from_measure)
-from momentext.polyalg import Poly
-from momentext.scalars import GaussianRational
+from momentext.polyalg import DimensionMismatchError, Poly
+from momentext.scalars import GaussianRational, as_fraction
 from momentext.semigroups import (HermitianSequence, SgDomain, box_window,
                                   sequence_from_measure)
 from momentext.serialize import (aelement_from_dict, aelement_to_dict,
@@ -293,3 +294,152 @@ def test_round_trip_reaches_equal_object_and_bytes(name, tmp_path):
     def check(value):
         assert_round_trip(value, to_dict, from_dict, tmp_path / "value.json")
     check()
+
+
+# -- the one-pass functional loader against the field-by-field one -------------
+
+
+def oracle_functional_from_dict(data) -> tuple[dict, int, int]:
+    """(values, pole_max, degree_max) as the loader read them before its fast path.
+
+    Each entry went through ``serialize``'s checked field readers, and the
+    keys then through the checks ``LinearFunctional``'s constructor made.
+    """
+    data = serialize._object(data, "functional")
+    kind = data["scalar_kind"]
+    if kind not in (SCALAR_EXACT, SCALAR_FLOAT):
+        raise ValueError(f"unknown scalar kind {kind!r}")
+    values = {}
+    for item in serialize._array(data["entries"], "entries"):
+        item = serialize._object(item, "entry")
+        value = scalar_from_json(item["value"])
+        if kind == SCALAR_FLOAT:
+            value = serialize._finite(value)
+        elif isinstance(value, float):
+            raise ValueError("exact functional file contains a float value")
+        values[(serialize._exponent(item["exp"]),
+                serialize._integer(item["pole_order"], "pole_order"))] = value
+    nvars = serialize._integer(data["nvars"], "nvars")
+    mode = Mode(data["mode"])
+    pole_max = serialize._integer(data.get("pole_max", 0), "pole_max")
+    degree_max = serialize._integer(data.get("degree_max", 0), "degree_max")
+    clean = {}
+    for (gamma, m), value in values.items():
+        gamma = tuple(gamma)
+        if len(gamma) != nvars:
+            raise DimensionMismatchError(f"key exponent {gamma} has wrong length")
+        if m < 0:
+            raise ValueError("pole order in key must be >= 0")
+        if any(e < 0 for e in gamma):
+            raise ValueError(f"key exponent {gamma} has a negative entry")
+        if mode is Mode.APLUS and sum(gamma) < 2 * m:
+            raise ValueError(f"key {(gamma, m)} lies outside the bounded-generator algebra")
+        clean[(gamma, m)] = as_fraction(value) if kind == SCALAR_EXACT else float(value)
+    return (clean, max([m for (_, m) in clean] + [pole_max]),
+            max([sum(g) for (g, _) in clean] + [degree_max]))
+
+
+BIG = "9" * 200 + "1" * 200
+VALUE_TEXTS = [
+    "3", "-3", "0", "-0", "2/4", "-6/8", "007/010", "12/1", "+3", " 3/4 ", "3/4 ", "3 /4",
+    "1_000", "1/1_0", "1.5", "-.5", "1e3", "1E-3", "--3", "-", "", "/", "3/", "/4", "3/0",
+    "3/00", "-0/5", "3//4", "3/-4", "٣", "٣/٤", "３/４", "²", "3\n", "0x10", "nan", "inf",
+    BIG, "-" + BIG, BIG + "/" + BIG[::-1], "1/" + BIG, "7" * 5000, "1/" + "3" * 5000,
+]
+
+
+def _drop(item: dict, field: str) -> dict:
+    return {k: v for k, v in item.items() if k != field}
+
+
+@st.composite
+def functional_documents(draw):
+    """Functional files, mostly well formed, some with one or more faults."""
+    d = draw(st.integers(1, 4))
+    faulty = draw(st.booleans())  # well-formed documents are half the draws
+    mode = draw(st.sampled_from([m.value for m in Mode] + ["Hyperbolic"] * faulty))
+    kind = draw(st.sampled_from([SCALAR_EXACT] * 4 + [SCALAR_FLOAT]))
+    odd_values = st.one_of(st.sampled_from(VALUE_TEXTS),
+                           st.sampled_from([5, -2, 0.5, True, None, [1], {"p": 1}]))
+    faults = [None] * 12 + faulty * ["exp", "pole_order", "value", "object", "length",
+                                     "negative", "pole", "exp type", "pole type"]
+    entries = []
+    for _ in range(draw(st.integers(0, 8))):
+        exp = draw(st.lists(st.integers(0, 4), min_size=d, max_size=d))
+        odd = faulty and draw(st.integers(0, 3)) == 0
+        item = {"exp": exp, "pole_order": draw(st.integers(0, sum(exp) // 2)),
+                "value": draw(odd_values if odd else RATIONALS.map(scalar_to_json))}
+        fault = draw(st.sampled_from(faults))
+        if fault in ("exp", "pole_order", "value"):
+            item = _drop(item, fault)
+        elif fault == "object":
+            item = [exp]
+        elif fault == "length":
+            item["exp"] = exp + [0]
+        elif fault == "negative":
+            item["exp"] = [-1] + exp[1:]
+        elif fault == "pole":
+            item["pole_order"] = draw(st.sampled_from([-1, sum(exp) // 2 + 1]))
+        elif fault == "exp type":
+            item["exp"] = draw(st.sampled_from([[1.0] * d, [True] * d, "1", ["1"] * d]))
+        elif fault == "pole type":
+            item["pole_order"] = draw(st.sampled_from(["1", 1.0, False, None]))
+        entries.append(item)
+    data = {"nvars": d, "mode": mode, "scalar_kind": kind, "entries": entries,
+            "pole_max": draw(st.integers(-1, 4)), "degree_max": draw(st.integers(-1, 9))}
+    fields = ["nvars", "mode", "scalar_kind", "entries", "pole_max", "degree_max"]
+    for field in draw(st.lists(st.sampled_from(fields), max_size=faulty)):
+        if draw(st.booleans()):
+            del data[field]
+        else:
+            data[field] = draw(st.sampled_from(["2", 2.5, None, [], -1]))
+    return data
+
+
+def outcome(load, data) -> tuple:
+    """("ok", result) or ("error", type, text): the error text is part of the contract."""
+    try:
+        return "ok", load(data)
+    except Exception as err:
+        return "error", type(err), str(err)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=functional_documents())
+def test_one_pass_loader_matches_field_by_field_loader(data):
+    want = outcome(oracle_functional_from_dict, data)
+    got = outcome(functional_from_dict, data)
+    if want[0] == "error":
+        assert got == want
+        return
+    declared = [data.get(field, 0) for field in ("pole_max", "degree_max")]
+    if min(declared) < 0:  # accepted before, refused now
+        assert got[:2] == ("error", ValueError) and "is negative" in got[2]
+        return
+    values, pole_max, degree_max = want[1]
+    L = got[1]
+    assert list(L.values.items()) == list(values.items())
+    assert [type(v) for v in L.values.values()] == [type(v) for v in values.values()]
+    assert (L.pole_max, L.degree_max) == (pole_max, degree_max)
+
+
+@pytest.mark.parametrize("text", VALUE_TEXTS)
+def test_each_value_text_loads_as_before(text):
+    data = {"nvars": 1, "mode": "Aplus", "scalar_kind": SCALAR_EXACT,
+            "entries": [{"exp": [2], "pole_order": 1, "value": text}]}
+    want = outcome(oracle_functional_from_dict, data)
+    got = outcome(functional_from_dict, data)
+    if want[0] == "ok":
+        assert got[0] == "ok" and list(got[1].values.items()) == list(want[1][0].items())
+    else:
+        assert got == want
+
+
+def test_negative_declared_bounds_are_refused():
+    data = {"nvars": 2, "mode": "Aplus", "scalar_kind": SCALAR_EXACT,
+            "entries": [{"exp": [0, 0], "pole_order": 0, "value": "1"}]}
+    for field in ("pole_max", "degree_max"):
+        with pytest.raises(ValueError, match=f"declared {field} -7 is negative"):
+            functional_from_dict({**data, field: -7})
+    with pytest.raises(ValueError, match="negative"):
+        LinearFunctional(2, Mode.APLUS, SCALAR_EXACT, {}, pole_max=-1)

@@ -6,6 +6,9 @@ Reports are JSON with sorted keys; a fixed command line (including --seed)
 produces byte-identical report bytes.  With --out the report goes to a
 file and a short human summary to stdout; without it the report itself is
 the stdout payload and the summary moves to stderr.
+
+Each subcommand imports the modules it runs when it runs, so a process
+loads only its own subcommand's layers.
 """
 
 from __future__ import annotations
@@ -15,26 +18,13 @@ import functools
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import serialize
-from .extalg import Mode, truncated_basis
-from .fibres import (FibreSpec, fibre_generators, fibre_ideal_generators,
-                     fibre_partition_check)
-from .functionals.core import (DiscreteMeasure, DomainOverflowError,
-                               InconsistentFunctionalError, LinearFunctional,
-                               SCALAR_EXACT, gram_matrix, moments_of_measure)
-from .functionals.feasibility import extension_feasibility
-from .functionals.psd import (FloatPsdVerdict, PsdVerdict, hamburger_check,
-                              psd_check_exact, psd_check_float)
-from .functionals.recovery import (IndeterminateRankError,
-                                   RecoveryFailedError,
-                                   polynomial_moment_residual, recover_atoms)
-from .scalars import GaussianRational
-from .scenarios import SCENARIOS
-from .semigroups import (SgDomain, bisgaard_check, box_window,
-                         laurent_relations_check, nplus_extension_check,
-                         sequence_from_measure)
-from .serialize import scalar_to_json
+from .functionals.errors import IndeterminateRankError, RecoveryFailedError
+
+if TYPE_CHECKING:
+    from .functionals.core import DiscreteMeasure, LinearFunctional
+    from .functionals.psd import FloatPsdVerdict, PsdVerdict
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -43,6 +33,9 @@ EXIT_UNRESOLVED = 3
 
 
 def _verdict_dict(verdict: PsdVerdict | FloatPsdVerdict) -> dict:
+    from .functionals.psd import FloatPsdVerdict
+    from .serialize import scalar_to_json
+
     if isinstance(verdict, FloatPsdVerdict):
         return {"outcome": verdict.outcome, "kind": "float",
                 "min_eigenvalue": verdict.min_eigenvalue, "tol": verdict.tol}
@@ -71,6 +64,13 @@ def _emit(report: dict, summary: list[str], out: str | None) -> None:
 # -- psd-check ----------------------------------------------------------------
 
 
+def _stored_top(L: LinearFunctional) -> tuple[int, int]:
+    """The largest pole order and the largest degree among the stored keys
+    (-1 for none), which the declared ``pole_max``/``degree_max`` may exceed."""
+    return (max((m for _, m in L.values), default=-1),
+            max((sum(gamma) for gamma, _ in L.values), default=-1))
+
+
 def _refuse_unstored_window(L: LinearFunctional, pole: int, degree: int) -> None:
     """Refuse, for d >= 2, a window whose Gram matrix reads past every stored key.
 
@@ -82,8 +82,7 @@ def _refuse_unstored_window(L: LinearFunctional, pole: int, degree: int) -> None
     """
     if L.nvars < 2:
         return
-    top_pole = max((m for _, m in L.values), default=-1)
-    top_degree = max((sum(gamma) for gamma, _ in L.values), default=-1)
+    top_pole, top_degree = _stored_top(L)
     if 2 * pole > top_pole or 2 * degree > top_degree:
         raise ValueError(f"window (pole {pole}, degree {degree}) reads keys up to pole "
                          f"{2 * pole} and degree {2 * degree}, but the stored keys stop "
@@ -91,6 +90,11 @@ def _refuse_unstored_window(L: LinearFunctional, pole: int, degree: int) -> None
 
 
 def cmd_psd_check(args) -> int:
+    from . import serialize
+    from .extalg import truncated_basis
+    from .functionals.core import SCALAR_EXACT, gram_matrix
+    from .functionals.psd import hamburger_check, psd_check_exact, psd_check_float
+
     if args.univariate:
         moments = serialize.moments_from_dict(serialize.load_json(args.input))
         verdict = hamburger_check(moments)
@@ -127,6 +131,10 @@ def cmd_psd_check(args) -> int:
 
 
 def cmd_extend(args) -> int:
+    from . import serialize
+    from .extalg import Mode, truncated_basis
+    from .functionals.core import moments_of_measure
+
     measure = serialize.measure_from_dict(serialize.load_json(args.measure))
     mode = Mode.APLUS if args.mode == "aplus" else Mode.LAURENT
     basis = truncated_basis(args.pole_order, args.degree, measure.dim, mode)
@@ -141,6 +149,9 @@ def cmd_extend(args) -> int:
 
 
 def cmd_feasibility(args) -> int:
+    from . import serialize
+    from .functionals.feasibility import extension_feasibility
+
     L = serialize.functional_from_dict(serialize.load_json(args.input))
     result = extension_feasibility(L, args.pole_order, args.degree,
                                    max_iters=args.max_iters, tol=args.tol)
@@ -166,6 +177,10 @@ def cmd_feasibility(args) -> int:
 
 
 def cmd_fibres(args) -> int:
+    from . import serialize
+    from .fibres import fibre_generators, fibre_ideal_generators, fibre_partition_check
+    from .serialize import scalar_to_json
+
     preorder = serialize.preorder_from_dict(serialize.load_json(args.preorder))
     spec = serialize.fibre_spec_from_dict(serialize.load_json(args.fibre_spec))
     samples = serialize.samples_from_dict(serialize.load_json(args.samples))
@@ -198,6 +213,8 @@ def cmd_fibres(args) -> int:
 
 
 def _measure_to_atoms(measure: DiscreteMeasure):
+    from .scalars import GaussianRational
+
     if measure.dim != 2 or measure.sphere_atoms:
         raise ValueError("semigroup pipelines need a plain dim-2 measure")
     if not measure.is_exact():
@@ -209,6 +226,11 @@ def _measure_to_atoms(measure: DiscreteMeasure):
 
 
 def cmd_semigroup(args) -> int:
+    from . import serialize
+    from .semigroups import (SgDomain, bisgaard_check, box_window,
+                             laurent_relations_check, nplus_extension_check,
+                             sequence_from_measure)
+
     if args.pipeline == "laurent-relations":
         result = laurent_relations_check(seed=args.seed)
         report = {"command": "semigroup", "pipeline": args.pipeline,
@@ -271,8 +293,16 @@ def cmd_semigroup(args) -> int:
 
 
 def cmd_recover_atoms(args) -> int:
+    from . import serialize
+    from .functionals.recovery import polynomial_moment_residual, recover_atoms
+
     L = serialize.functional_from_dict(serialize.load_json(args.input))
-    degree = args.degree if args.degree is not None else max(L.degree_max // 2, 1)
+    top_degree = _stored_top(L)[1]
+    degree = args.degree if args.degree is not None else max(top_degree // 2, 1)
+    if 2 * degree > top_degree:
+        # the moment matrix reads L(x^gamma) for |gamma| <= 2 degree
+        raise ValueError(f"degree {degree} reads moments up to degree {2 * degree}, "
+                         f"but the stored keys stop at degree {top_degree}")
     try:
         measure = recover_atoms(L, L.nvars, degree, rank_tol=args.rank_tol,
                                 seed=args.seed, residual_tol=args.residual_tol)
@@ -306,6 +336,8 @@ def cmd_recover_atoms(args) -> int:
 
 
 def cmd_gen_examples(args) -> int:
+    from .scenarios import SCENARIOS
+
     writer = SCENARIOS.get(args.scenario)
     if writer is None:
         raise ValueError(f"unknown scenario {args.scenario!r}; "
@@ -432,13 +464,8 @@ def main(argv=None) -> int:
     except RecoveryFailedError as err:
         print(f"recovery failed: {err}", file=sys.stderr)
         return EXIT_NEGATIVE
-    except InconsistentFunctionalError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except DomainOverflowError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as err:
+    # OverflowError: an exact value past float range reaching a float path
+    except (ValueError, KeyError, OverflowError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
 

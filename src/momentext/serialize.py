@@ -14,14 +14,17 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .extalg import AElement, Mode, a_normalize
-from .fibres import FibreSpec, Preorder
 from .functionals.core import (DiscreteMeasure, LinearFunctional,
                                SCALAR_EXACT, SCALAR_FLOAT)
 from .polyalg import Poly, grlex_key
 from .scalars import GaussianRational, as_fraction, format_fraction
-from .semigroups import HermitianSequence, SgDomain
+
+if TYPE_CHECKING:  # the fibre and semigroup layers load where their files are read
+    from .fibres import FibreSpec, Preorder
+    from .semigroups import HermitianSequence
 
 
 def scalar_to_json(value):
@@ -236,6 +239,8 @@ def preorder_to_dict(preorder: Preorder) -> dict:
 
 
 def preorder_from_dict(data: dict) -> Preorder:
+    from .fibres import Preorder
+
     data = _object(data, "preorder")
     return Preorder(_integer(data["dim"], "dim"),
                     tuple(poly_from_dict(g) for g in _array(data["generators"], "generators")))
@@ -247,6 +252,8 @@ def fibre_spec_to_dict(spec: FibreSpec) -> dict:
 
 
 def fibre_spec_from_dict(data: dict) -> FibreSpec:
+    from .fibres import FibreSpec
+
     data = _object(data, "fibre spec")
     return FibreSpec(tuple(poly_from_dict(h) for h in _array(data["bounded"], "bounded")),
                      tuple(_rational(v) for v in _array(data["value"], "value")))
@@ -278,6 +285,8 @@ def sequence_to_dict(seq: HermitianSequence) -> dict:
 
 
 def sequence_from_dict(data: dict) -> HermitianSequence:
+    from .semigroups import HermitianSequence, SgDomain
+
     data = _object(data, "sequence")
     domain = SgDomain(data["domain"])
     entries = {}

@@ -3,11 +3,14 @@ from __future__ import annotations
 import contextlib
 import copy
 import hashlib
+import importlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -507,18 +510,79 @@ def test_the_parser_is_built_once(monkeypatch, capsys, tmp_path):
     assert len(built) == 1
 
 
+def loaded_modules(code: str) -> list[str]:
+    """The modules a fresh interpreter holds after running ``code``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(momentext.__file__).parents[1]))
+    probe = subprocess.run([sys.executable, "-c", f"{code}\nimport sys\n"
+                            "print('\\n'.join(sorted(sys.modules)))"],
+                           capture_output=True, text=True, env=env, timeout=60)
+    assert probe.returncode == 0, probe.stderr
+    return probe.stdout.split()
+
+
 def test_importing_the_package_leaves_numpy_unloaded():
     # numpy is imported inside the float paths, so exact commands never pay for
-    # it; no command starts a process pool
-    env = dict(os.environ, PYTHONPATH=str(Path(momentext.__file__).parents[1]))
-    heavy = ("numpy", "multiprocessing", "concurrent.futures.process")
-    for module in ("momentext", "momentext.cli"):
-        probe = subprocess.run([sys.executable, "-c",
-                                f"import sys, {module}; "
-                                f"print([m for m in {heavy!r} if m in sys.modules])"],
-                               capture_output=True, text=True, env=env, timeout=60)
-        assert probe.returncode == 0, probe.stderr
-        assert probe.stdout.strip() == "[]", module
+    # it; no command starts a process pool; and the package and the CLI load
+    # only themselves, the rest comes with the subcommand that runs it
+    heavy = {"numpy", "multiprocessing", "concurrent.futures.process"}
+    for module, own in [("momentext", {"momentext"}),
+                        ("momentext.cli", {"momentext", "momentext.cli",
+                                           "momentext.functionals",
+                                           "momentext.functionals.errors"})]:
+        loaded = loaded_modules(f"import {module}")
+        assert not heavy & set(loaded), module
+        assert {m for m in loaded if m.split(".")[0] == "momentext"} == own
+
+
+def test_exact_subcommands_load_only_their_layers(tmp_path):
+    measure = write_measure(tmp_path / "measure.json",
+                            [(Fraction(1), (Fraction(1), Fraction(2)))], Fraction(1, 3))
+    functional = tmp_path / "L.json"
+    loaded = loaded_modules(
+        "from momentext.cli import main\n"
+        f"assert main(['extend', {measure!r}, '-M', '1', '-D', '2', "
+        f"'--out', {str(functional)!r}]) == 0\n"
+        f"assert main(['psd-check', {str(functional)!r}, "
+        f"'--out', {str(tmp_path / 'report.json')!r}]) == 0")
+    assert "momentext.functionals.psd" in loaded
+    assert not {"numpy", "momentext.semigroups", "momentext.fibres",
+                "momentext.functionals.feasibility", "momentext.functionals.recovery",
+                "momentext.scenarios"} & set(loaded)
+
+
+@pytest.mark.parametrize("package", ["momentext", "momentext.functionals"])
+def test_lazy_exports_are_the_defining_modules_objects(package):
+    pkg = importlib.import_module(package)
+    assert len(set(pkg.__all__)) == len(pkg.__all__)
+    for name in pkg.__all__:
+        module = importlib.import_module(f"{package}.{pkg._EXPORTS[name]}")
+        value = getattr(pkg, name)
+        assert value is vars(module)[name], name
+        if isinstance(value, (type, types.FunctionType)):
+            assert value.__module__ == module.__name__, name
+    star: dict = {}
+    exec(f"from {package} import *", star)
+    assert all(star[name] is getattr(pkg, name) for name in pkg.__all__)
+    assert set(pkg.__all__) <= set(dir(pkg))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        pkg.no_such_name  # noqa: B018
+    assert not hasattr(pkg, "_trusted")
+
+
+def test_recovery_errors_keep_their_identity_and_exit_codes(tmp_path, capsys, monkeypatch):
+    from momentext.functionals import errors, feasibility, recovery
+    assert (recovery.IndeterminateRankError, recovery.RecoveryFailedError) == \
+        (errors.IndeterminateRankError, errors.RecoveryFailedError)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(float_functional(1.0)))
+    for error, code, text in [
+            (IndeterminateRankError("rank undecided", [1e-4], (1e-5, 1e-3)), 3,
+             "indeterminate: rank undecided\n"),
+            (RecoveryFailedError("atoms miss", 1.0), 1, "recovery failed: atoms miss\n")]:
+        def fail(*args, **kwargs):
+            raise error
+        monkeypatch.setattr(feasibility, "extension_feasibility", fail)
+        assert run(capsys, "feasibility", str(path), "-M", "0", "-D", "2") == (code, "", text)
 
 
 def float_functional(value, degree=2):
@@ -609,6 +673,81 @@ def test_a_missing_field_is_named(tmp_path, capsys):
                        "--samples", str(path))
     assert code == 2
     assert err.splitlines() == ["error: polynomial term has no 'coeff' field"]
+
+
+def wide_document(tmp_path, drop=(), **fields) -> str:
+    """The d=3 (2, 5)-window moments as a file, minus the keys in ``drop``
+    and with the top-level ``fields`` replaced."""
+    data = serialize.functional_to_dict(d3_wide_functionals()[0])
+    data["entries"] = [e for e in data["entries"] if (e["exp"], e["pole_order"]) not in drop]
+    path = tmp_path / "wide.json"
+    serialize.dump_json({**data, **fields}, path)
+    return str(path)
+
+
+def run_limited(argv) -> subprocess.CompletedProcess:
+    """``python -m momentext argv`` in 1.5 GB of address space and 10 s."""
+    limit = 1536 * 2 ** 20
+    env = dict(os.environ, PYTHONPATH=str(Path(momentext.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-m", "momentext", *argv],
+                          capture_output=True, text=True, env=env, timeout=10,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                                (limit, limit)))
+
+
+NEGATIVE_EXPONENT = {"nvars": 2, "mode": "Aplus", "scalar_kind": "exact_rational",
+                     "entries": [{"exp": [1, 0], "pole_order": 0, "value": "0"},
+                                 {"exp": [-1, 1], "pole_order": 0, "value": "5"}]}
+
+
+# Each of these once hung, ran out of memory or gave a bare KeyError text.
+@pytest.mark.parametrize("document,command,message", [
+    pytest.param(lambda tmp: wide_document(tmp, drop=[([10, 0, 0], 4)], pole_max=10 ** 6),
+                 ["psd-check", "{input}", "-M", "2", "-D", "5"],
+                 "error: 'functional has no value for x^(10, 0, 0) / ||x||^8'",
+                 id="declared-pole-past-the-stored-keys"),
+    pytest.param(lambda tmp: wide_document(tmp, degree_max=200),
+                 ["recover-atoms", "{input}", "--degree", "100"],
+                 "error: degree 100 reads moments up to degree 200, "
+                 "but the stored keys stop at degree 10",
+                 id="recovery-degree-past-the-stored-keys"),
+    pytest.param(lambda tmp: wide_document(tmp, degree_max=200),
+                 ["psd-check", "{input}"],
+                 "error: window (pole 2, degree 100) reads keys up to pole 4 and degree 200, "
+                 "but the stored keys stop at pole 4 and degree 10",
+                 id="declared-degree-past-the-stored-keys"),
+    pytest.param(lambda tmp: {k: v for k, v in float_functional(1.0).items()
+                              if k != "scalar_kind"},
+                 ["psd-check", "{input}"], "error: functional has no 'scalar_kind' field",
+                 id="no-scalar-kind"),
+    pytest.param(lambda tmp: NEGATIVE_EXPONENT, ["psd-check", "{input}", "-D", "1"],
+                 "error: key exponent (-1, 1) has a negative entry", id="negative-exponent"),
+    pytest.param(lambda tmp: {**float_functional(1.0), "scalar_kind": "exact_rational",
+                              "entries": [{"exp": [k], "pole_order": 0, "value": v}
+                                          for k, v in enumerate(["1e400", "0", "1"])]},
+                 ["recover-atoms", "{input}", "--degree", "1"],
+                 "error: integer division result too large for a float",
+                 id="exact-value-past-float-range"),
+])
+def test_known_malformed_inputs_exit_2_with_one_error_line(tmp_path, document, command,
+                                                           message):
+    path = document(tmp_path)
+    if isinstance(path, dict):
+        serialize.dump_json(path, tmp_path / "input.json")
+        path = str(tmp_path / "input.json")
+    proc = run_limited([arg.format(input=path) for arg in command])
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr.splitlines() == [message]
+
+
+def test_recovery_degree_defaults_to_the_stored_keys(tmp_path):
+    # a declared degree_max of 200 once sized a degree-100 moment window
+    proc = run_limited(["recover-atoms", wide_document(tmp_path, degree_max=200)])
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+    report = json.loads(proc.stdout)
+    assert (report["status"], report["config"]["degree"]) == ("recovered", 5)
+    assert len(report["measure"]["atoms"]) == 4
 
 
 # -- fuzzed command lines ------------------------------------------------------------

@@ -507,6 +507,8 @@ def test_measure_functionals_match_validated_construction(dim, laurent, pole, de
     for got, want in cases:
         assert got == want
         assert (got.pole_max, got.degree_max) == (want.pole_max, want.degree_max)
+        # lifts stop at the largest stored pole, which _trusted takes to be pole_max
+        assert got._top_pole == want._top_pole == max(m for _, m in want.values)
         assert list(got.values.items()) == list(want.values.items())
 
 

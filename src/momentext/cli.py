@@ -33,17 +33,20 @@ EXIT_UNRESOLVED = 3
 
 
 def _verdict_dict(verdict: PsdVerdict | FloatPsdVerdict) -> dict:
-    from .functionals.psd import FloatPsdVerdict
+    from .functionals.psd import _ONE, _ZERO, FloatPsdVerdict
     from .serialize import scalar_to_json
 
     if isinstance(verdict, FloatPsdVerdict):
         return {"outcome": verdict.outcome, "kind": "float",
                 "min_eigenvalue": verdict.min_eigenvalue, "tol": verdict.tol}
     if verdict.is_psd:
+        # most of L is the shared _ZERO and _ONE: format those two once
+        zero, one = scalar_to_json(_ZERO), scalar_to_json(_ONE)
         return {"outcome": "PSD", "kind": "exact",
                 "permutation": verdict.permutation,
                 "diagonal": [scalar_to_json(d) for d in verdict.diagonal],
-                "unit_lower": [[scalar_to_json(x) for x in row] for row in verdict.unit_lower]}
+                "unit_lower": [[zero if x is _ZERO else one if x is _ONE else scalar_to_json(x)
+                                for x in row] for row in verdict.unit_lower]}
     return {"outcome": "NotPSD", "kind": "exact",
             "witness": [scalar_to_json(w) for w in verdict.witness],
             "witness_value": scalar_to_json(verdict.witness_value)}

@@ -1,15 +1,17 @@
 """Positive-semidefiniteness checks with reproducible certificates.
 
 The exact route factors a symmetric rational matrix as P*G*P^T = L*D*L^T
-with symmetric largest-diagonal pivoting.  The elimination runs on integer
-rows: row i of each Schur complement is held as integers over one positive
-denominator d[i], a pivot step updates it with one integer
-cross-multiplication per entry and divides out the row's gcd, and
-Fractions are built only for the certificate's L and D.  A PSD verdict
-carries (permutation, unit lower factor, nonnegative diagonal); a NotPSD
-verdict carries a rational vector v with v^T*G*v < 0.  Either certificate
-is checked back against G by ``PsdVerdict.verify``, which replays it on
-integer rows as well.
+with symmetric largest-diagonal pivoting.  The elimination holds each
+Schur complement as one symmetric integer matrix N over one common
+denominator delta > 0 and touches only its upper triangle: a pivot step
+sets N[i][j] to pivot*N[i][j] - N[k][i]*N[k][j] and delta to delta*pivot,
+then divides all of them by their gcd, so every Schur complement is in
+lowest terms.  Fractions are built only for the certificate's L and D.  A
+PSD verdict carries (permutation, unit lower factor, nonnegative
+diagonal); a NotPSD verdict carries a rational vector v with v^T*G*v < 0,
+lifted from the Schur complement by integer back-substitution.  Either
+certificate is checked back against G by ``PsdVerdict.verify``, which
+replays it on the same kernel.
 
 The float route is a plain eigenvalue bound and certifies nothing; it backs
 the approximate feasibility search where exactness is out of reach.
@@ -45,7 +47,7 @@ class PsdVerdict:
 
     def verify(self, matrix) -> bool:
         """Replay the certificate against the original matrix."""
-        G, dG = _int_rows(matrix)
+        G, delta = _int_rows(matrix)
         n = len(G)
         if self.is_psd:
             perm, L, D = self.permutation, self.unit_lower, self.diagonal
@@ -57,25 +59,24 @@ class PsdVerdict:
                 if not _rational(L[i]) or L[i][i] != 1 \
                         or any(L[i][j] != 0 for j in range(i + 1, n)):
                     return False
-            # Replay the elimination in the certificate's order on integer
-            # rows of P*G*P^T.  Before step k, rows < k of what is left are
-            # zero and row k must read D[k] times column k of L; step k then
-            # subtracts D[k] * l_k * l_k^T.  Zero pivots add nothing.
+            # Replay the elimination in the certificate's order on P*G*P^T.
+            # Before step k, row k of what is left must read D[k] times
+            # column k of L; step k then subtracts D[k] * l_k * l_k^T.  Zero
+            # pivots add nothing.
             R = [[G[p][q] for q in perm] for p in perm]
-            dR = [dG[p] for p in perm]
             for k in range(n):
-                row, num, den = R[k], D[k].numerator * dR[k], D[k].denominator
+                row, num, den = R[k], D[k].numerator * delta, D[k].denominator
                 for j in range(k, n):
                     entry = L[j][k]
                     if row[j] * den * entry.denominator != num * entry.numerator:
                         return False
                 if num:
-                    _eliminate(R, dR, k)
+                    delta = _schur_step(R, delta, k)
             return True
         v = self.witness
         if v is None or len(v) != n or not _rational(v):
             return False
-        value = _quadratic_form(G, dG, v)
+        value = _quadratic_form(G, delta, *clear_denominators(v))
         return value == self.witness_value and value < 0
 
 
@@ -83,27 +84,25 @@ def _rational(values) -> bool:
     return all(isinstance(x, (int, Fraction)) for x in values)
 
 
-def _int_rows(matrix) -> tuple[list[list[int]], list[int]]:
-    """A square symmetric rational matrix as integer rows: G[i][j] = N[i][j] / d[i].
+def _int_rows(matrix) -> tuple[list[list[int]], int]:
+    """A square symmetric rational matrix as integers N over one denominator.
 
-    Entries are coerced with ``as_fraction`` (floats refused); d[i] > 0 is
-    the lcm of row i's denominators.
+    Entries are coerced with ``as_fraction`` (floats refused); the
+    denominator delta > 0 is the lcm of all of them, so G = N / delta with
+    N in lowest terms.
     """
     rows = [[as_fraction(entry) for entry in row] for row in matrix]
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
-    N, d = [], []
-    for row in rows:
-        ints, den = clear_denominators(row)
-        N.append(ints)
-        d.append(den)
+    delta = lcm(*[x.denominator for row in rows for x in row])
+    N = [[x.numerator * (delta // x.denominator) for x in row] for row in rows]
     for i in range(n):
-        N_i, d_i = N[i], d[i]
+        N_i = N[i]
         for j in range(i + 1, n):
-            if N_i[j] * d[j] != N[j][i] * d_i:
+            if N_i[j] != N[j][i]:
                 raise ValueError(f"matrix not symmetric at ({i},{j})")
-    return N, d
+    return N, delta
 
 
 def psd_check_exact(matrix) -> PsdVerdict:
@@ -114,106 +113,117 @@ def psd_check_exact(matrix) -> PsdVerdict:
     """
     G, dG = _int_rows(matrix)
     n = len(G)
-    N, d = [row[:] for row in G], dG[:]  # G stays for the witness value
+    N, delta = [row[:] for row in G], dG  # G / dG stays for the witness value
     perm = list(range(n))
     L = [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
     D = [_ZERO] * n
     for k in range(n):
-        # First argmax of the Schur diagonal N[i][i] / d[i], with every d[i] > 0.
+        # First argmax of the Schur diagonal, all of it over delta > 0.
         p = k
         for i in range(k + 1, n):
-            if N[i][i] * d[p] > N[p][p] * d[i]:
+            if N[i][i] > N[p][p]:
                 p = i
         if N[p][p] <= 0:
-            # No positive diagonal left in the Schur complement.  Every d[i]
-            # is positive, so the integers carry the entries' signs.
+            # No positive diagonal left; delta > 0, so the integers carry the signs.
             for j in range(k, n):
                 if N[j][j] < 0:
-                    return _not_psd(G, dG, L, perm, k, {j: _ONE})
+                    return _not_psd(G, dG, L, perm, k, {j: 1})
             for i in range(k, n):
                 for j in range(i + 1, n):
                     if N[i][j] != 0:
-                        sign = _ONE if N[i][j] > 0 else -_ONE
-                        return _not_psd(G, dG, L, perm, k, {i: _ONE, j: -sign})
+                        return _not_psd(G, dG, L, perm, k,
+                                        {i: 1, j: -1 if N[i][j] > 0 else 1})
             break  # Schur complement is identically zero: remaining D entries stay 0.
-        _swap(N, d, L, perm, k, p)
-        pivot, d_k = N[k][k], d[k]
-        D[k] = Fraction(pivot, d_k)
+        _exchange(N, L, perm, k, p)
+        top, pivot = N[k], N[k][k]
+        D[k] = Fraction(pivot, delta)
         for i in range(k + 1, n):
-            if N[i][k]:
-                L[i][k] = Fraction(N[i][k] * d_k, d[i] * pivot)
-        _eliminate(N, d, k)
+            if top[i]:
+                L[i][k] = Fraction(top[i], pivot)
+        delta = _schur_step(N, delta, k)
     return PsdVerdict(True, permutation=perm, unit_lower=L, diagonal=D)
 
 
-def _eliminate(N: list[list[int]], d: list[int], k: int) -> None:
-    """One Schur step on integer rows (row i holds N[i][j] / d[i]), in place.
+def _schur_step(N: list[list[int]], delta: int, k: int) -> int:
+    """One pivot step on the upper triangle of N / delta, in place; returns the new delta.
 
-    Every row i > k with N[i][k] != 0 loses N[i][k] / N[k][k] times row k
-    on the columns after k; the two denominators d[k] cancel, so column j
-    becomes pivot*N[i][j] - N[i][k]*N[k][j] over d[i]*pivot, and the row's
-    gcd with that denominator is divided out.  Rows with a zero in column k
-    are left as they are, as are the dead columns <= k.
+    Each entry k < i <= j becomes pivot*N[i][j] - N[k][i]*N[k][j] over
+    delta*pivot; a row whose pivot-column entry N[k][i] is zero is only
+    scaled by the pivot.  All of them and the new denominator are then
+    divided by their gcd.  Rows <= k and the lower triangle are left as
+    they are.
     """
-    pivot, tail = N[k][k], N[k][k + 1:]
-    for i in range(k + 1, len(N)):
-        row = N[i]
-        a = row[k]
-        if a == 0:
-            continue
-        live = [pivot * x - a * y for x, y in zip(row[k + 1:], tail)]
-        den = d[i] * pivot
-        g = gcd(den, *live)
-        if g != 1:
-            live = [x // g for x in live]
-            den //= g
-        row[k + 1:] = live
-        d[i] = den
+    top, rows = N[k], range(k + 1, len(N))
+    pivot = top[k]
+    delta *= pivot
+    for i in rows:
+        row, a = N[i], top[i]
+        if a:
+            row[i:] = [pivot * x - a * y for x, y in zip(row[i:], top[i:])]
+        else:
+            row[i:] = [pivot * x for x in row[i:]]
+    # The gcd with the new diagonal and first live row has been that of every
+    # entry on the benchmark's matrices; one divmod per entry confirms or shrinks it.
+    g = gcd(delta, *[N[i][i] for i in rows], *N[k + 1][k + 2:]) if rows else delta
+    for i in rows:
+        if g == 1:
+            break
+        part = [divmod(x, g) for x in N[i][i:]]
+        h = gcd(g, *[r for _, r in part if r])
+        if h != g:  # rows before i hold x // g exactly, and x // h = (x // g) * (g // h)
+            for j in range(k + 1, i):
+                N[j][j:] = [q * (g // h) for q in N[j][j:]]
+            part, g = [divmod(x, h) for x in N[i][i:]], h
+        N[i][i:] = [q for q, _ in part]
+    return delta // g
 
 
-def _swap(N, d, L, perm, k, p) -> None:
+def _exchange(N, L, perm, k, p) -> None:
+    """Symmetric exchange of indices k < p on the upper triangle of N."""
     if k == p:
         return
     perm[k], perm[p] = perm[p], perm[k]
-    N[k], N[p] = N[p], N[k]
-    d[k], d[p] = d[p], d[k]
-    for row in N[k:]:  # rows before k are finished pivot rows
-        row[k], row[p] = row[p], row[k]
-    for j in range(k):
-        L[k][j], L[p][j] = L[p][j], L[k][j]
+    N_k, N_p = N[k], N[p]
+    N_k[k], N_p[p] = N_p[p], N_k[k]
+    N_k[p + 1:], N_p[p + 1:] = N_p[p + 1:], N_k[p + 1:]
+    for j in range(k + 1, p):
+        N_j = N[j]
+        N_k[j], N_j[p] = N_j[p], N_k[j]
+    L[k][:k], L[p][:k] = L[p][:k], L[k][:k]
 
 
-def _quadratic_form(G: list[list[int]], dG: list[int], v) -> Fraction:
-    """v^T * G * v for G in integer rows, with one Fraction at the end."""
-    a, q = clear_denominators(v)
+def _quadratic_form(G: list[list[int]], delta: int, a: list[int], q: int) -> Fraction:
+    """v^T * (G / delta) * v for v = a / q, with one Fraction at the end."""
     support = [i for i in range(len(a)) if a[i]]
-    m = lcm(*[dG[i] for i in support])
-    total = 0
-    for i in support:
-        G_row = G[i]
-        total += a[i] * (m // dG[i]) * sum(G_row[j] * a[j] for j in support)
-    return Fraction(total, m * q * q)
+    total = sum(a[i] * sum(G[i][j] * a[j] for j in support) for i in support)
+    return Fraction(total, delta * q * q)
 
 
-def _not_psd(G, dG, L, perm, k, schur_coeffs: dict[int, Fraction]) -> PsdVerdict:
+def _not_psd(G, delta, L, perm, k, schur_coeffs: dict[int, int]) -> PsdVerdict:
     """Lift a witness for the Schur complement back to original coordinates.
 
     With M = P*G*P^T split after k processed pivots, a vector u on the
-    trailing block extends to w = (-L11^{-T} L21^T u, u), and w^T M w equals
-    u^T S u.  Back substitution against the stored unit multipliers does it.
+    trailing block extends to w with w_i = -sum_{j>i} L[j][i]*w_j for i < k,
+    and w^T M w equals u^T S u.  The back substitution runs on integers w/q
+    kept in lowest terms: if step i needs the common denominator m of its
+    multipliers, the entries so far are scaled by m over gcd(m, new entry).
     """
     n = len(perm)
-    t = [sum(L[j][i] * c for j, c in schur_coeffs.items()) for i in range(k)]
-    top = [_ZERO] * k
+    w, q = [schur_coeffs.get(j, 0) for j in range(n)], 1
     for i in range(k - 1, -1, -1):
-        top[i] = -t[i] - sum(L[j][i] * top[j] for j in range(i + 1, k))
-    w = top + [_ZERO] * (n - k)
-    for j, c in schur_coeffs.items():
-        w[j] = c
-    witness = [_ZERO] * n
+        terms = [(L[j][i], w[j]) for j in range(i + 1, n) if w[j] and L[j][i]]
+        m = lcm(*[x.denominator for x, _ in terms])
+        s = -sum(x.numerator * (m // x.denominator) * c for x, c in terms)
+        g = gcd(m, s)
+        if m != g:
+            w = [c * (m // g) for c in w]
+            q *= m // g
+        w[i] = s // g
+    a = [0] * n
     for pos, orig in enumerate(perm):
-        witness[orig] = w[pos]
-    return PsdVerdict(False, witness=witness, witness_value=_quadratic_form(G, dG, witness))
+        a[orig] = w[pos]
+    witness = [Fraction(x, q) if x else _ZERO for x in a]
+    return PsdVerdict(False, witness=witness, witness_value=_quadratic_form(G, delta, a, q))
 
 
 @dataclass

@@ -474,44 +474,185 @@ def test_tied_diagonal_takes_the_first_largest():
     assert psd_check_exact(G).permutation == [1, 2, 0, 3]
 
 
-def test_schur_rows_stay_in_lowest_terms(monkeypatch):
-    eliminate = psd._eliminate
+def test_schur_complement_stays_in_lowest_terms(monkeypatch):
+    step = psd._schur_step
     steps = []
 
-    def checked(N, d, k):
-        eliminate(N, d, k)
+    def checked(N, delta, k):
+        delta = step(N, delta, k)
         steps.append(k)
-        for i in range(k + 1, len(N)):
-            assert d[i] > 0 and math.gcd(d[i], *N[i][k + 1:]) == 1
+        n = len(N)
+        assert delta > 0
+        assert math.gcd(delta, *[N[i][j] for i in range(k + 1, n) for j in range(i, n)]) == 1
+        return delta
 
-    monkeypatch.setattr(psd, "_eliminate", checked)
+    monkeypatch.setattr(psd, "_schur_step", checked)
     rng = random.Random(11)
     for _ in range(20):
         n = rng.randint(2, 7)
         G = gram_of(rational_matrix(rng, n, rng.randint(1, n)))
-        assert psd_check_exact(G) == _fraction_ldlt_oracle(G)
+        verdict = psd_check_exact(G)
+        assert verdict == _fraction_ldlt_oracle(G)
+        assert verdict.verify(G)  # the replay runs the same step
     assert steps
 
 
-def test_rows_with_a_zero_pivot_column_are_left_alone(monkeypatch):
+def test_schur_step_shrinks_a_gcd_the_first_row_overstates():
+    # over delta = 3 the new diagonal and the first live row are multiples of
+    # 3 and N[2][3] is not, so the gcd read off them must shrink on row 2
+    N = [[1, 0, 0, 0], [0, 3, 3, 6], [0, 3, 3, 1], [0, 6, 1, 6]]
+    assert psd._schur_step(N, 3, 0) == 3
+    assert [row[i:] for i, row in enumerate(N)][1:] == [[3, 3, 6], [3, 1], [6]]
+    rng = random.Random(12)
+    for _ in range(300):
+        n, delta = rng.randint(2, 6), rng.choice((4, 6, 12, 30, 36))
+        f = rng.choice([d for d in range(2, delta + 1) if delta % d == 0])
+        N = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                x = rng.randint(-6, 6)
+                N[i][j] = N[j][i] = x * f if i == j or i == 1 else x
+        N[0][0] = rng.randint(1, 9)
+        if rng.random() < 0.5:
+            N[0][1:] = [0] * (n - 1)
+        A = [[Fraction(x, delta) for x in row] for row in N]
+        new_delta = psd._schur_step(N, delta, 0)
+        live = [N[i][j] for i in range(1, n) for j in range(i, n)]
+        assert new_delta > 0 and math.gcd(new_delta, *live) == 1
+        assert all(Fraction(N[i][j], new_delta) == A[i][j] - A[0][i] * A[0][j] / A[0][0]
+                   for i in range(1, n) for j in range(i, n))
+
+
+class _Counted(int):
+    """A pivot-row entry that counts its products with other pivot-row entries."""
+
+    products = 0
+
+    def __mul__(self, other):
+        if type(other) is _Counted:
+            _Counted.products += 1
+        return int(self) * int(other)
+
+
+def test_rows_with_a_zero_pivot_column_skip_the_cross_multiplication(monkeypatch):
     # block diagonal: each 2x2 block updates its partner row once, nothing else
     blocks = 4
     G = [[Fraction(0)] * (2 * blocks) for _ in range(2 * blocks)]
     for b in range(blocks):
         G[2 * b][2 * b] = G[2 * b + 1][2 * b + 1] = Fraction(b + 2)
         G[2 * b][2 * b + 1] = G[2 * b + 1][2 * b] = Fraction(1, b + 1)
-    calls = []
+    step = psd._schur_step
+    crossed, expected = [], []
 
-    def counting_gcd(*args):
-        calls.append(args)
-        return math.gcd(*args)
+    def counting(N, delta, k):
+        # N[k][i] * N[k][j] is the only product of two pivot-row entries
+        top, n = N[k], len(N)
+        rows = [i for i in range(k + 1, n) if top[i]]
+        crossed.extend(rows)
+        expected.append(sum(n - i for i in rows))
+        N[k] = [_Counted(x) for x in top]
+        try:
+            return step(N, delta, k)
+        finally:
+            N[k] = top
 
-    monkeypatch.setattr(psd, "gcd", counting_gcd)
+    monkeypatch.setattr(psd, "_schur_step", counting)
+    monkeypatch.setattr(_Counted, "products", 0)
     verdict = psd_check_exact(G)
     assert verdict == _fraction_ldlt_oracle(G)
-    assert len(calls) == blocks
+    assert len(crossed) == blocks
+    assert _Counted.products == sum(expected) > 0
     # L's zeros are one shared constant, not a fresh Fraction per entry
     assert all(x is psd._ZERO for row in verdict.unit_lower for x in row if x == 0)
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+@st.composite
+def common_denominator_matrices(draw):
+    """Symmetric matrices whose one common denominator is as large as it gets
+    against the row denominators: pairwise-coprime row denominators (integer
+    off-diagonal entries, the diagonal over distinct primes), block-diagonal
+    matrices with a distinct prime denominator per block, and either of them
+    with zero rows and columns."""
+    n = draw(st.integers(1, 10))
+    kind = draw(st.sampled_from(["coprime rows", "prime blocks"]))
+    rng = draw(st.randoms(use_true_random=False))
+    primes = rng.sample(PRIMES, n)
+    G = [[Fraction(0)] * n for _ in range(n)]
+    if kind == "coprime rows":
+        for i in range(n):
+            for j in range(i):
+                G[i][j] = G[j][i] = Fraction(rng.randint(-3, 3))
+            # a large enough diagonal makes the matrix PSD, a small one need not
+            p = primes[i]
+            G[i][i] = Fraction(rng.randint(-2, 6 * n) * p + rng.randint(1, p - 1), p)
+    else:
+        start = 0
+        while start < n:
+            size = rng.randint(1, min(4, n - start))
+            q = primes[start]
+            width = rng.randint(1, size)
+            B = [[Fraction(rng.randint(-4, 4), q) for _ in range(width)] for _ in range(size)]
+            block = gram_of(B)
+            if rng.random() < 0.3:
+                i = rng.randrange(size)
+                block[i][i] -= Fraction(rng.randint(1, 4), q)
+            for i in range(size):
+                for j in range(size):
+                    G[start + i][start + j] = block[i][j]
+            start += size
+    for i in range(n):
+        if draw(st.integers(0, 4)) == 0:
+            for j in range(n):
+                G[i][j] = G[j][i] = Fraction(0)
+    order = draw(st.permutations(range(n)))
+    return [[_encode(rng, G[p][q]) for q in order] for p in order]
+
+
+@settings(max_examples=200, deadline=None)
+@given(G=common_denominator_matrices(), data=st.data())
+def test_common_denominator_worst_cases_match_the_fraction_oracles(G, data):
+    verdict = psd_check_exact(G)
+    assert verdict == _fraction_ldlt_oracle(G)
+    assert _terms_are_fractions(verdict)
+    assert verdict.verify(G) and _fraction_replay_oracle(verdict, G)
+    n = len(G)
+    bad = copy.deepcopy(verdict)
+    bump = data.draw(SMALL.filter(bool))
+    i = data.draw(st.integers(0, n - 1))
+    if verdict.is_psd:
+        j = data.draw(st.integers(0, i))
+        if data.draw(st.booleans()):
+            bad.diagonal[j] += bump
+        else:
+            bad.unit_lower[i][j] += bump
+    else:
+        bad.witness[i] += bump
+    assert bad.verify(G) == _fraction_replay_oracle(bad, G)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 9), rng=st.randoms(use_true_random=False))
+def test_integer_witness_lift_matches_the_fraction_lift(n, rng):
+    """The integer back-substitution of ``_not_psd`` against the Fraction one,
+    on unit lower factors whose columns have unrelated denominators."""
+    k = rng.randint(0, n - 1)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    L = [[Fraction(1) if i == j else Fraction(rng.randint(-5, 5), rng.randint(1, 30))
+          if j < min(i, k) else Fraction(0) for j in range(n)] for i in range(n)]
+    i = rng.randint(k, n - 1)
+    coeffs = {i: 1}
+    if i + 1 < n and rng.random() < 0.5:
+        coeffs[rng.randint(i + 1, n - 1)] = rng.choice((1, -1))
+    A = rational_matrix(rng, n, n)
+    G = [[A[r][c] + A[c][r] for c in range(n)] for r in range(n)]
+    N, delta = psd._int_rows(G)
+    verdict = psd._not_psd(N, delta, L, perm, k, coeffs)
+    assert verdict == _oracle_not_psd(G, L, perm, k, coeffs)
+    assert _terms_are_fractions(verdict)
 
 
 @settings(max_examples=300, deadline=None)

@@ -24,7 +24,6 @@ from .functionals.errors import IndeterminateRankError, RecoveryFailedError
 
 if TYPE_CHECKING:
     from .functionals.core import DiscreteMeasure, LinearFunctional
-    from .functionals.psd import FloatPsdVerdict, PsdVerdict
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -32,46 +31,18 @@ EXIT_INPUT = 2
 EXIT_UNRESOLVED = 3
 
 
-def _verdict_dict(verdict: PsdVerdict | FloatPsdVerdict) -> dict:
-    from .functionals.psd import _ONE, _ZERO, FloatPsdVerdict
-    from .serialize import scalar_to_json
-
-    if isinstance(verdict, FloatPsdVerdict):
-        return {"outcome": verdict.outcome, "kind": "float",
-                "min_eigenvalue": verdict.min_eigenvalue, "tol": verdict.tol}
-    if verdict.is_psd:
-        # most of L is the shared _ZERO and _ONE: format those two once
-        zero, one = scalar_to_json(_ZERO), scalar_to_json(_ONE)
-        return {"outcome": "PSD", "kind": "exact",
-                "permutation": verdict.permutation,
-                "diagonal": [scalar_to_json(d) for d in verdict.diagonal],
-                "unit_lower": [[zero if x is _ZERO else one if x is _ONE else scalar_to_json(x)
-                                for x in row] for row in verdict.unit_lower]}
-    return {"outcome": "NotPSD", "kind": "exact",
-            "witness": [scalar_to_json(w) for w in verdict.witness],
-            "witness_value": scalar_to_json(verdict.witness_value)}
-
-
 def _emit(report: dict, summary: list[str], out: str | None) -> None:
-    payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    from .serialize import dump_json, json_text
+
     if out:
-        Path(out).write_text(payload, encoding="utf-8")
-        for line in summary:
-            print(line)
+        dump_json(report, out)
     else:
-        sys.stdout.write(payload)
-        for line in summary:
-            print(line, file=sys.stderr)
+        sys.stdout.write(json_text(report))
+    for line in summary:
+        print(line, file=sys.stdout if out else sys.stderr)
 
 
 # -- psd-check ----------------------------------------------------------------
-
-
-def _stored_top(L: LinearFunctional) -> tuple[int, int]:
-    """The largest pole order and the largest degree among the stored keys
-    (-1 for none), which the declared ``pole_max``/``degree_max`` may exceed."""
-    return (max((m for _, m in L.values), default=-1),
-            max((sum(gamma) for gamma, _ in L.values), default=-1))
 
 
 def _refuse_unstored_window(L: LinearFunctional, pole: int, degree: int) -> None:
@@ -85,11 +56,10 @@ def _refuse_unstored_window(L: LinearFunctional, pole: int, degree: int) -> None
     """
     if L.nvars < 2:
         return
-    top_pole, top_degree = _stored_top(L)
-    if 2 * pole > top_pole or 2 * degree > top_degree:
+    if 2 * pole > L.top_pole or 2 * degree > L.top_degree:
         raise ValueError(f"window (pole {pole}, degree {degree}) reads keys up to pole "
                          f"{2 * pole} and degree {2 * degree}, but the stored keys stop "
-                         f"at pole {top_pole} and degree {top_degree}")
+                         f"at pole {L.top_pole} and degree {L.top_degree}")
 
 
 def cmd_psd_check(args) -> int:
@@ -102,7 +72,7 @@ def cmd_psd_check(args) -> int:
         moments = serialize.moments_from_dict(serialize.load_json(args.input))
         verdict = hamburger_check(moments)
         report = {"command": "psd-check", "univariate": True,
-                  "input": args.input, "verdict": _verdict_dict(verdict)}
+                  "input": args.input, "verdict": serialize.verdict_to_dict(verdict)}
         _emit(report, [f"hankel verdict: {verdict.outcome}"], args.out)
         return EXIT_OK if verdict.is_psd else EXIT_NEGATIVE
 
@@ -124,7 +94,7 @@ def cmd_psd_check(args) -> int:
     report = {"command": "psd-check", "univariate": False, "input": args.input,
               "config": {"pole_order": pole, "degree": degree, "scalar": scalar,
                          "tol": args.tol},
-              "basis_size": len(basis), "verdict": _verdict_dict(verdict)}
+              "basis_size": len(basis), "verdict": serialize.verdict_to_dict(verdict)}
     _emit(report, [f"gram matrix on {len(basis)} basis elements: {verdict.outcome}"],
           args.out)
     return EXIT_OK if verdict.is_psd else EXIT_NEGATIVE
@@ -165,7 +135,7 @@ def cmd_feasibility(args) -> int:
               "iterations": result.iterations}
     if result.feasible:
         report["fixed_key_residual"] = result.fixed_key_residual
-        report["certificate"] = _verdict_dict(result.certificate)
+        report["certificate"] = serialize.verdict_to_dict(result.certificate)
         report["functional"] = serialize.functional_to_dict(result.functional)
         _emit(report, [f"feasible after {result.iterations} iterations "
                        f"(gap {result.gap:.3e})"], args.out)
@@ -257,7 +227,7 @@ def cmd_semigroup(args) -> int:
         report = {"command": "semigroup", "pipeline": args.pipeline,
                   "restriction_ok": result.restriction_ok,
                   "restriction_mismatches": [list(k) for k in result.restriction_mismatches],
-                  "psd": _verdict_dict(result.psd),
+                  "psd": serialize.verdict_to_dict(result.psd),
                   "cross_path_ok": result.cross_path_ok,
                   "cross_path_mismatches": [list(k) for k in result.cross_path_mismatches],
                   "passed": result.passed}
@@ -275,7 +245,7 @@ def cmd_semigroup(args) -> int:
                   "hermitian_ok": result.hermitian_ok,
                   "hermitian_violations": [list(k) for k in result.hermitian_violations],
                   "matrix_box": result.matrix_box,
-                  "psd": _verdict_dict(result.psd) if result.psd else None,
+                  "psd": serialize.verdict_to_dict(result.psd) if result.psd else None,
                   "recovered_atoms": [[w, z.real, z.imag]
                                       for w, z in (result.recovered_atoms or [])],
                   "recovery_residual": result.recovery_residual,
@@ -300,12 +270,11 @@ def cmd_recover_atoms(args) -> int:
     from .functionals.recovery import polynomial_moment_residual, recover_atoms
 
     L = serialize.functional_from_dict(serialize.load_json(args.input))
-    top_degree = _stored_top(L)[1]
-    degree = args.degree if args.degree is not None else max(top_degree // 2, 1)
-    if 2 * degree > top_degree:
+    degree = args.degree if args.degree is not None else max(L.top_degree // 2, 1)
+    if 2 * degree > L.top_degree:
         # the moment matrix reads L(x^gamma) for |gamma| <= 2 degree
         raise ValueError(f"degree {degree} reads moments up to degree {2 * degree}, "
-                         f"but the stored keys stop at degree {top_degree}")
+                         f"but the stored keys stop at degree {L.top_degree}")
     try:
         measure = recover_atoms(L, L.nvars, degree, rank_tol=args.rank_tol,
                                 seed=args.seed, residual_tol=args.residual_tol)

@@ -48,9 +48,8 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polyalg import (DimensionMismatchError, Exponent, Poly,
-                      divide_by_norm_squared, divide_out_norm_squared,
-                      exponents_of_degree, grlex_key, norm_squared_power)
+from .polyalg import (DimensionMismatchError, Poly, divide_by_norm_squared,
+                      divide_out_norm_squared, exponents_of_degree, norm_squared_power)
 from .scalars import as_fraction, power_by_squaring
 
 
@@ -344,6 +343,6 @@ def truncated_basis(pole_order: int, degree: int, d: int, mode: Mode = Mode.APLU
     low = 2 * pole_order if mode is Mode.APLUS else 0
     if mode is Mode.APLUS and degree < 2 * pole_order:
         raise ValueError(f"degree {degree} < 2*pole_order {2 * pole_order}: empty window")
+    # degree by degree, each in canonical order: already sorted by grlex_key
     exps = [e for t in range(low, degree + 1) for e in exponents_of_degree(d, t)]
-    exps.sort(key=grlex_key)
     return [a_normalize(Poly.monomial(d, e), pole_order, mode) for e in exps]

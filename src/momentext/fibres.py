@@ -36,7 +36,7 @@ from fractions import Fraction
 from .functionals.core import LinearFunctional, MomentWindow, SCALAR_EXACT
 from .functionals.psd import PsdVerdict, psd_check_exact
 from .polyalg import (ClearedPoint, ClearedPoly, DimensionMismatchError,
-                      Exponent, Poly, exponents_up_to_degree)
+                      Exponent, Poly, check_point_dimension, exponents_up_to_degree)
 from .scalars import as_fraction
 
 
@@ -163,9 +163,7 @@ def fibre_partition_check(preorder: Preorder, bounded: list[Poly],
             raise DimensionMismatchError("bounded polynomial dimension mismatch")
     points = [[as_fraction(c) for c in p] for p in samples]
     for pt in points:
-        if len(pt) != preorder.dim:
-            raise DimensionMismatchError(f"point of dimension {len(pt)} fed to "
-                                         f"polynomial in {preorder.dim} variables")
+        check_point_dimension(pt, preorder.dim)
     degree = max(0, *(p.max_degree() for p in preorder.generators + tuple(bounded)))
     cleared = [ClearedPoint(pt, degree) for pt in points]
     generators = [ClearedPoly(g) for g in preorder.generators]

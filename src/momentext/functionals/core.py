@@ -63,10 +63,10 @@ class LinearFunctional:
     refuses a negative declared ``pole_max`` or ``degree_max``, in one pass.
     ``LinearFunctional._trusted`` takes an exact table the caller has just
     built, with tuple keys that fit ``nvars`` and ``mode``, Fraction values,
-    ``degree_max`` covering the keys and ``pole_max`` their largest pole.
-    Either way the largest stored pole is kept as ``_top_pole``: a key
-    lifted past it is never stored, so ``_key_value`` stops its lifts there
-    whatever pole order a file declares.
+    and ``pole_max`` and ``degree_max`` the largest stored pole and degree.
+    Either way the largest stored pole and degree (-1 for none), which the
+    declared maxima may exceed, are kept as ``top_pole`` and ``top_degree``:
+    ``_key_value`` stops its lifts at ``top_pole``, as no key past it is stored.
     """
 
     nvars: int
@@ -81,7 +81,7 @@ class LinearFunctional:
             raise ValueError(f"unknown scalar kind {self.scalar_kind!r}")
         exact = self.scalar_kind == SCALAR_EXACT
         aplus = self.mode is Mode.APLUS
-        top_pole, degree_max = -1, self.degree_max
+        top_pole = top_degree = -1
         clean: dict[Key, Fraction | float] = {}
         for (gamma, m), value in self.values.items():
             gamma = tuple(gamma)
@@ -100,15 +100,16 @@ class LinearFunctional:
                 clean[(gamma, m)] = float(value)
             if m > top_pole:
                 top_pole = m
-            if degree > degree_max:
-                degree_max = degree
+            if degree > top_degree:
+                top_degree = degree
         if self.pole_max < 0:
             raise ValueError(f"declared pole_max {self.pole_max} is negative")
         if self.degree_max < 0:
             raise ValueError(f"declared degree_max {self.degree_max} is negative")
         self.values = clean
-        self.pole_max, self.degree_max = max(self.pole_max, top_pole), degree_max
-        self._top_pole = top_pole
+        self.pole_max = max(self.pole_max, top_pole)
+        self.degree_max = max(self.degree_max, top_degree)
+        self.top_pole, self.top_degree = top_pole, top_degree
 
     @classmethod
     def _trusted(cls, nvars: int, mode: Mode, values: dict[Key, Fraction],
@@ -116,7 +117,8 @@ class LinearFunctional:
         """An exact functional on a canonical key table; nothing is checked."""
         f = object.__new__(cls)
         f.__dict__.update(nvars=nvars, mode=mode, scalar_kind=SCALAR_EXACT, values=values,
-                          pole_max=pole_max, degree_max=degree_max, _top_pole=pole_max)
+                          pole_max=pole_max, degree_max=degree_max,
+                          top_pole=pole_max, top_degree=degree_max)
         return f
 
     def zero_scalar(self):
@@ -133,7 +135,7 @@ class LinearFunctional:
         key = (gamma, m)
         if key in self.values:
             return self.values[key]
-        for lift in range(1, self._top_pole - m + 1):
+        for lift in range(1, self.top_pole - m + 1):
             total = self._lifted_sum(gamma, m, lift)
             if total is not None:
                 return total

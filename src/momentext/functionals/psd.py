@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from ..scalars import as_fraction, clear_denominators
 
@@ -87,16 +87,16 @@ def _rational(values) -> bool:
 def _int_rows(matrix) -> tuple[list[list[int]], int]:
     """A square symmetric rational matrix as integers N over one denominator.
 
-    Entries are coerced with ``as_fraction`` (floats refused); the
-    denominator delta > 0 is the lcm of all of them, so G = N / delta with
-    N in lowest terms.
+    Entries are coerced with ``as_fraction`` (floats refused) and cleared
+    by ``clear_denominators``: delta > 0 is the least common multiple of
+    their denominators, so G = N / delta with N in lowest terms.
     """
     rows = [[as_fraction(entry) for entry in row] for row in matrix]
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
-    delta = lcm(*[x.denominator for row in rows for x in row])
-    N = [[x.numerator * (delta // x.denominator) for x in row] for row in rows]
+    flat, delta = clear_denominators([x for row in rows for x in row])
+    N = [flat[i * n:(i + 1) * n] for i in range(n)]
     for i in range(n):
         N_i = N[i]
         for j in range(i + 1, n):
@@ -211,9 +211,9 @@ def _not_psd(G, delta, L, perm, k, schur_coeffs: dict[int, int]) -> PsdVerdict:
     n = len(perm)
     w, q = [schur_coeffs.get(j, 0) for j in range(n)], 1
     for i in range(k - 1, -1, -1):
-        terms = [(L[j][i], w[j]) for j in range(i + 1, n) if w[j] and L[j][i]]
-        m = lcm(*[x.denominator for x, _ in terms])
-        s = -sum(x.numerator * (m // x.denominator) * c for x, c in terms)
+        support = [j for j in range(i + 1, n) if w[j] and L[j][i]]
+        multipliers, m = clear_denominators([L[j][i] for j in support])
+        s = -sum(x * w[j] for x, j in zip(multipliers, support))
         g = gcd(m, s)
         if m != g:
             w = [c * (m // g) for c in w]

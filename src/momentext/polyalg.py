@@ -36,6 +36,12 @@ def _check_same_nvars(p: "Poly", q: "Poly") -> None:
             f"polynomials over {p.nvars} and {q.nvars} variables cannot be combined")
 
 
+def check_point_dimension(point: list, nvars: int) -> None:
+    if len(point) != nvars:
+        raise DimensionMismatchError(
+            f"point of dimension {len(point)} fed to polynomial in {nvars} variables")
+
+
 def grlex_key(exp: Exponent) -> tuple:
     """Sort key for the canonical listing: degree ascending, then grlex descending."""
     return (sum(exp), tuple(-e for e in exp))
@@ -149,19 +155,11 @@ class Poly:
     # -- evaluation --------------------------------------------------------
 
     def eval(self, point) -> Fraction:
-        """Exact evaluation at a rational point of matching dimension."""
+        """Exact evaluation at a rational point of matching dimension, in integers."""
         pt = [as_fraction(c) for c in point]
-        if len(pt) != self.nvars:
-            raise DimensionMismatchError(
-                f"point of dimension {len(pt)} fed to polynomial in {self.nvars} variables")
-        total = Fraction(0)
-        for exp, coeff in self.terms.items():
-            value = coeff
-            for base, power in zip(pt, exp):
-                if power:
-                    value *= base ** power
-            total += value
-        return total
+        check_point_dimension(pt, self.nvars)
+        form = ClearedPoly(self)
+        return form.value_at(ClearedPoint(pt, form.degree))
 
     __call__ = eval
 
@@ -262,8 +260,8 @@ class ClearedPoly:
     At a point a/q (a ``ClearedPoint``) the value is S / (den * q^degree)
     with the integer S = sum_e c_e * a^e * q^(degree - |e|), so its sign and
     its zeros are those of S, and only the value itself needs a Fraction.
-    ``Poly.eval`` is the reference; this form pays for clearing once per
-    polynomial and once per point instead of on every evaluation.
+    ``Poly.eval`` clears for one evaluation; callers with many keep the
+    cleared forms and clear once per polynomial and once per point.
     """
 
     __slots__ = ("terms", "den", "degree")

@@ -32,8 +32,9 @@ def as_fraction(value: int | Fraction | str) -> Fraction:
 
 
 def clear_denominators(values) -> tuple[list[int], int]:
-    """Rationals as integers over one positive denominator, their lcm."""
-    den = lcm(*[x.denominator for x in values])
+    """Rationals as integers over one positive denominator, their lcm, which is
+    taken over the distinct denominators only."""
+    den = lcm(*{x.denominator for x in values})
     return [x.numerator * (den // x.denominator) for x in values], den
 
 
@@ -90,10 +91,6 @@ class GaussianRational:
     @staticmethod
     def one() -> "GaussianRational":
         return GaussianRational(Fraction(1), Fraction(0))
-
-    @staticmethod
-    def i() -> "GaussianRational":
-        return GaussianRational(Fraction(0), Fraction(1))
 
     # -- predicates --------------------------------------------------------
 

@@ -396,9 +396,12 @@ class BisgaardReport:
                 and self.recovery_error is None)
 
 
+BISGAARD_RANK_TOL = 1e-8
+BISGAARD_RESIDUAL_TOL = 1e-8
+
+
 def bisgaard_check(s: HermitianSequence, try_recovery: bool = True,
-                   matrix_box: int | None = None, seed: int = 0,
-                   rank_tol: float = 1e-8, residual_tol: float = 1e-8) -> BisgaardReport:
+                   matrix_box: int | None = None, seed: int = 0) -> BisgaardReport:
     """Audit a Z2 sequence: Hermitian symmetry, exact PSD, optional recovery.
 
     A sequence that fails the Hermitian symmetry is rejected before any
@@ -437,14 +440,13 @@ def bisgaard_check(s: HermitianSequence, try_recovery: bool = True,
         return report
     poly_moments = _polynomial_moments_from_sequence(s, 2 * degree)
     try:
-        measure = recover_atoms(poly_moments, 2, degree,
-                                rank_tol=rank_tol, seed=seed,
-                                residual_tol=residual_tol)
+        measure = recover_atoms(poly_moments, 2, degree, rank_tol=BISGAARD_RANK_TOL,
+                                seed=seed, residual_tol=BISGAARD_RESIDUAL_TOL)
     except (IndeterminateRankError, RecoveryFailedError) as err:
         report.recovery_error = str(err)
         report.recovery_unresolved = isinstance(err, IndeterminateRankError)
         return report
-    if measure.origin_mass > residual_tol:
+    if measure.origin_mass > BISGAARD_RESIDUAL_TOL:
         report.recovery_error = ("recovered mass at the origin is incompatible "
                                  "with negative powers")
         return report
@@ -453,7 +455,8 @@ def bisgaard_check(s: HermitianSequence, try_recovery: bool = True,
     report.recovered_atoms = atoms
     report.recovered_origin = float(measure.origin_mass)
     report.recovery_residual = residual
-    if residual > residual_tol * max(1.0, max(abs(complex(v)) for v in s.entries.values())):
+    scale = max(1.0, max(abs(complex(v)) for v in s.entries.values()))
+    if residual > BISGAARD_RESIDUAL_TOL * scale:
         report.recovery_error = f"recovered atoms miss the window by {residual:.3e}"
     return report
 

@@ -1,19 +1,22 @@
-"""JSON file forms for the toolkit's data types.
+"""JSON forms for the toolkit's data types, CLI reports and PSD certificates.
 
 Rationals travel as "p/q" strings so files stay exact; floats (from the
 approximate paths) are written as JSON numbers and read back as finite
 floats.  Sequence and univariate moment files hold rationals only.
-Dump functions emit deterministically ordered structures, so identical
-inputs serialize byte-identically.  Load functions check the shape of what
-they read and raise ValueError on anything malformed (a list where an
-object belongs, a string where a list belongs, a non-integer exponent), so
-bad input is reported as an input error instead of turning into data.
+Dump functions (``verdict_to_dict`` for certificates) emit deterministically
+ordered structures, and every file and report is written as ``json_text``,
+so identical inputs serialize byte-identically.  Load functions check the
+shape of what they read and raise ValueError on anything malformed (a list
+where an object belongs, a string where a list belongs, a non-integer
+exponent), so bad input is reported as an input error instead of turning
+into data.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .extalg import AElement, Mode, a_normalize
@@ -22,8 +25,9 @@ from .functionals.core import (DiscreteMeasure, LinearFunctional,
 from .polyalg import Poly, grlex_key
 from .scalars import GaussianRational, as_fraction, format_fraction
 
-if TYPE_CHECKING:  # the fibre and semigroup layers load where their files are read
+if TYPE_CHECKING:  # the fibre, semigroup and PSD layers load where they are used
     from .fibres import FibreSpec, Preorder
+    from .functionals.psd import FloatPsdVerdict, PsdVerdict
     from .semigroups import HermitianSequence
 
 
@@ -297,13 +301,39 @@ def sequence_from_dict(data: dict) -> HermitianSequence:
     return HermitianSequence(domain, entries)
 
 
+# -- PSD verdicts ------------------------------------------------------------
+
+
+def verdict_to_dict(verdict: PsdVerdict | FloatPsdVerdict) -> dict:
+    """The report form of a verdict: an exact certificate or a float bound."""
+    from .functionals.psd import _ONE, _ZERO, FloatPsdVerdict
+
+    if isinstance(verdict, FloatPsdVerdict):
+        return {"outcome": verdict.outcome, "kind": "float",
+                "min_eigenvalue": verdict.min_eigenvalue, "tol": verdict.tol}
+    if verdict.is_psd:
+        # most of L is the shared _ZERO and _ONE: format those two once
+        zero, one = scalar_to_json(_ZERO), scalar_to_json(_ONE)
+        return {"outcome": "PSD", "kind": "exact",
+                "permutation": verdict.permutation,
+                "diagonal": [scalar_to_json(d) for d in verdict.diagonal],
+                "unit_lower": [[zero if x is _ZERO else one if x is _ONE else scalar_to_json(x)
+                                for x in row] for row in verdict.unit_lower]}
+    return {"outcome": "NotPSD", "kind": "exact",
+            "witness": [scalar_to_json(w) for w in verdict.witness],
+            "witness_value": scalar_to_json(verdict.witness_value)}
+
+
 # -- files -------------------------------------------------------------------
 
 
+def json_text(data: dict) -> str:
+    """The text of a file or report: sorted keys, indent 2, a final newline."""
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
 def dump_json(data: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    Path(path).write_text(json_text(data), encoding="utf-8")
 
 
 def load_json(path) -> dict:

@@ -550,6 +550,29 @@ def test_exact_subcommands_load_only_their_layers(tmp_path):
                 "momentext.scenarios"} & set(loaded)
 
 
+def test_extend_and_recovery_leave_the_psd_layer_unloaded(tmp_path):
+    # the certificate schema sits in serialize, which imports the psd layer
+    # only when a verdict is written
+    measure = write_measure(tmp_path / "measure.json",
+                            [(Fraction(1), (Fraction(1), Fraction(2))),
+                             (Fraction(1, 2), (Fraction(-1), Fraction(1, 3)))])
+    functional = str(tmp_path / "L.json")
+    loaded = loaded_modules(
+        "from momentext.cli import main\n"
+        f"assert main(['extend', {measure!r}, '-M', '0', '-D', '2', "
+        f"'--out', {functional!r}]) == 0\n"
+        f"assert main(['recover-atoms', {functional!r}, "
+        f"'--out', {str(tmp_path / 'report.json')!r}]) == 0")
+    assert "momentext.functionals.recovery" in loaded
+    assert "momentext.functionals.psd" not in loaded
+
+
+def test_cli_leaves_report_text_and_certificate_schema_to_serialize():
+    source = Path(momentext.cli.__file__).read_text(encoding="utf-8")
+    assert "_ZERO" not in source and "_ONE" not in source
+    assert "json.dump" not in source
+
+
 @pytest.mark.parametrize("package", ["momentext", "momentext.functionals"])
 def test_lazy_exports_are_the_defining_modules_objects(package):
     pkg = importlib.import_module(package)

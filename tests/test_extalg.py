@@ -11,7 +11,8 @@ from momentext.extalg import (AElement, Character, Mode, NotInAlgebraError,
                               a_add, a_mul, a_normalize, char_eval, embed_poly,
                               generator_f, norm_inverse_generator,
                               origin_character, truncated_basis)
-from momentext.polyalg import Poly, norm_squared, norm_squared_power
+from momentext.polyalg import (Poly, exponents_up_to_degree, grlex_key, norm_squared,
+                               norm_squared_power)
 
 
 def rational_direction(rng: random.Random, dim: int) -> tuple[Fraction, ...]:
@@ -170,6 +171,18 @@ def test_truncated_basis_sizes_and_reducedness():
     # every listed element must already be in reduced form
     for a in truncated_basis(2, 5, 3):
         assert AElement(a.numerator, a.pole_order, a.mode) == a
+
+
+def test_truncated_basis_lists_monomials_in_grlex_order():
+    # each degree in turn, in its canonical order, is the grlex_key order
+    for d, top in [(1, 8), (2, 8), (3, 8), (4, 6)]:
+        for laurent in (False, True):
+            mode = Mode.LAURENT if laurent else Mode.APLUS
+            for pole in range(top // 2 + 1):
+                exps = sorted((e for e in exponents_up_to_degree(d, top)
+                               if laurent or sum(e) >= 2 * pole), key=grlex_key)
+                assert truncated_basis(pole, top, d, mode) == \
+                    [a_normalize(Poly.monomial(d, e), pole, mode) for e in exps]
 
 
 def test_truncated_basis_univariate_collapse():

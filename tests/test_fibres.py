@@ -13,6 +13,7 @@ from momentext.fibres import (FibreSpec, PartitionReport, Preorder, fibre_genera
                               sphere_fibre_reduction, t_positivity_check)
 from momentext.functionals.core import DiscreteMeasure, polynomial_moments
 from momentext.polyalg import DimensionMismatchError, Poly
+from test_polyalg import fraction_eval
 
 
 def strip_preorder() -> Preorder:
@@ -134,17 +135,17 @@ def test_partition_audit_catches_a_misfiled_sample(monkeypatch):
 
 
 def _fraction_partition_oracle(preorder, bounded, samples) -> PartitionReport:
-    """The partition check evaluated with ``Poly.eval`` in Fractions throughout."""
+    """The partition check evaluated by the Fraction power loop throughout."""
     points = [[Fraction(c) for c in p] for p in samples]
     buckets, outside = {}, []
     for idx, pt in enumerate(points):
-        if all(g.eval(pt) >= 0 for g in preorder.generators):
-            buckets.setdefault(tuple(h.eval(pt) for h in bounded), []).append(idx)
+        if all(fraction_eval(g, pt) >= 0 for g in preorder.generators):
+            buckets.setdefault(tuple(fraction_eval(h, pt) for h in bounded), []).append(idx)
         else:
             outside.append(idx)
     ideals = {value: fibre_ideal_generators(FibreSpec(tuple(bounded), value))
               for value in buckets}
-    overlap = any(all(g.eval(points[i]) == 0 for g in ideals[other])
+    overlap = any(all(fraction_eval(g, points[i]) == 0 for g in ideals[other])
                   for value, members in buckets.items()
                   for other in ideals if other != value for i in members)
     ranges = [(min(c), max(c)) for c in zip(*buckets)] if buckets else None
@@ -204,9 +205,13 @@ def test_partition_with_constant_and_zero_polynomials():
 
 
 def test_partition_refuses_points_of_the_wrong_dimension():
-    with pytest.raises(DimensionMismatchError, match="point of dimension 3"):
-        fibre_partition_check(strip_preorder(), [Poly.variable(2, 0)],
-                              [(0, 0), (0, 0, 0)])
+    # the partition check and Poly.eval share one point check and its text
+    x1 = Poly.variable(2, 0)
+    for call in (lambda: x1.eval((0, 0, 0)),
+                 lambda: fibre_partition_check(strip_preorder(), [x1], [(0, 0), (0, 0, 0)])):
+        with pytest.raises(DimensionMismatchError) as err:
+            call()
+        assert str(err.value) == "point of dimension 3 fed to polynomial in 2 variables"
 
 
 def test_t_positivity_passes_on_strip_measure():

@@ -173,6 +173,19 @@ def test_negative_key_exponents_rejected():
         LinearFunctional(1, Mode.LAURENT, SCALAR_FLOAT, {((-2,), 1): 1.0})
 
 
+def test_stored_extents_ignore_the_declared_maxima():
+    values = {((0, 0), 0): Fraction(1), ((2, 1), 1): Fraction(1, 2),
+              ((0, 4), 0): Fraction(3)}
+    L = LinearFunctional(2, Mode.APLUS, SCALAR_EXACT, values, pole_max=7, degree_max=200)
+    assert (L.pole_max, L.degree_max) == (7, 200)
+    assert (L.top_pole, L.top_degree) == (1, 4)
+    # declared maxima below the stored keys are raised to them
+    L = LinearFunctional(2, Mode.APLUS, SCALAR_EXACT, values)
+    assert (L.pole_max, L.degree_max, L.top_pole, L.top_degree) == (1, 4, 1, 4)
+    empty = LinearFunctional(1, Mode.LAURENT, SCALAR_FLOAT, {}, degree_max=3)
+    assert (empty.pole_max, empty.degree_max, empty.top_pole, empty.top_degree) == (0, 3, -1, -1)
+
+
 # float.hex of the Gram entries below, captured before ||x||^(2t) had one
 # source: a lift must keep summing its terms in the same order.
 FLOAT_LIFT_GRAM_HEX = [
@@ -507,8 +520,10 @@ def test_measure_functionals_match_validated_construction(dim, laurent, pole, de
     for got, want in cases:
         assert got == want
         assert (got.pole_max, got.degree_max) == (want.pole_max, want.degree_max)
-        # lifts stop at the largest stored pole, which _trusted takes to be pole_max
-        assert got._top_pole == want._top_pole == max(m for _, m in want.values)
+        # lifts stop at the largest stored pole, and windows are refused past the
+        # largest stored degree; _trusted takes them to be pole_max and degree_max
+        assert got.top_pole == want.top_pole == max(m for _, m in want.values)
+        assert got.top_degree == want.top_degree == max(sum(g) for g, _ in want.values)
         assert list(got.values.items()) == list(want.values.items())
 
 

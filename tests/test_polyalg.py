@@ -34,6 +34,19 @@ def random_point(rng: random.Random, nvars: int) -> list[Fraction]:
     return [Fraction(rng.randint(-7, 7), rng.randint(1, 4)) for _ in range(nvars)]
 
 
+def fraction_eval(p: Poly, point) -> Fraction:
+    """p at a rational point by a Fraction power loop: the oracle of the
+    integer evaluation behind ``Poly.eval`` and ``ClearedPoly``."""
+    total = Fraction(0)
+    for exp, coeff in p.terms.items():
+        value = coeff
+        for base, power in zip(point, exp):
+            if power:
+                value *= Fraction(base) ** power
+        total += value
+    return total
+
+
 def test_monomial_listing_order():
     # canonical listing: by total degree, then first coordinate heaviest
     assert exponents_up_to_degree(2, 2) == [
@@ -383,7 +396,8 @@ def polys_at_points(draw):
 @given(case=polys_at_points(), extra=st.integers(0, 2))
 def test_integer_evaluation_matches_fraction_eval(case, extra):
     p, point = case
-    expected = p.eval(point)
+    expected = fraction_eval(p, point)
+    assert type(p.eval(point)) is Fraction and p.eval(point) == expected
     # the point's power tables may reach past the polynomial's degree
     cleared = ClearedPoint(point, max(p.max_degree(), 0) + extra)
     form = ClearedPoly(p)

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from momentext.scalars import GaussianRational, as_fraction, format_fraction
+from momentext.scalars import (GaussianRational, as_fraction, clear_denominators,
+                               format_fraction)
 
 
 def test_as_fraction_accepts_exact_inputs():
@@ -32,6 +36,36 @@ def test_as_fraction_returns_a_fraction_itself_and_copies_subclasses():
     with pytest.raises(TypeError):
         as_fraction(True)
     assert format_fraction(q) == "3/4" and format_fraction(Tagged(6, 3)) == "2"
+
+
+def clear_denominators_oracle(values):
+    """The lcm of all denominators, and each value times it, in Fractions."""
+    den = lcm(*[Fraction(x).denominator for x in values])
+    return [int(Fraction(x) * den) for x in values], den
+
+
+# few distinct denominators, so most lists repeat some; ints have denominator 1
+RATIONALS = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6),
+    st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.sampled_from([1, 2, 3, 4, 6, 35])),
+    st.fractions(min_value=-100, max_value=100, max_denominator=10 ** 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.one_of(st.lists(RATIONALS, max_size=30),
+                        st.lists(st.integers(-50, 50), max_size=5)))
+def test_clear_denominators_matches_fraction_oracle(values):
+    numerators, den = clear_denominators(values)
+    assert (numerators, den) == clear_denominators_oracle(values)
+    assert den > 0 and all(type(a) is int for a in numerators)
+    assert [Fraction(a, den) for a in numerators] == values
+
+
+def test_clear_denominators_edge_cases():
+    assert clear_denominators([]) == ([], 1)
+    assert clear_denominators([3, -4, 0]) == ([3, -4, 0], 1)
+    assert clear_denominators([Fraction(-1, 6), Fraction(5, 6), Fraction(1, 4), 2]) == \
+        ([-2, 10, 3, 24], 12)
 
 
 def test_format_fraction():

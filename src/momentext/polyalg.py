@@ -73,9 +73,10 @@ class Poly:
 
     The public constructor is the input boundary: it checks every exponent
     vector, coerces coefficients to Fraction and drops zeros.  Arithmetic
-    results come from ``Poly._trusted``, which assumes valid tuple exponents
-    and Fraction coefficients and only drops zeros.  Both keep the given
-    term order.  Treat the stored dict as immutable.
+    results come from ``Poly._trusted``, which stores the caller's dict as
+    given: valid tuple exponents and nonzero Fraction coefficients, each
+    arithmetic operation dropping the zeros it can make.  Both keep the
+    given term order.  Treat the stored dict as immutable.
     """
 
     nvars: int
@@ -99,9 +100,9 @@ class Poly:
 
     @classmethod
     def _trusted(cls, nvars: int, terms: dict[Exponent, Fraction]) -> "Poly":
-        """Canonical terms the caller has just built, minus the zeros; no checks."""
+        """Canonical terms the caller has just built, stored as given; no checks."""
         p = object.__new__(cls)
-        p.__dict__.update(nvars=nvars, terms={e: c for e, c in terms.items() if c})
+        p.__dict__.update(nvars=nvars, terms=terms)
         return p
 
     # -- constructors ------------------------------------------------------
@@ -172,7 +173,12 @@ class Poly:
         _check_same_nvars(self, other)
         terms = dict(self.terms)
         for exp, coeff in other.terms.items():
-            terms[exp] = terms[exp] + coeff if exp in terms else coeff
+            if exp not in terms:
+                terms[exp] = coeff
+            elif total := terms[exp] + coeff:
+                terms[exp] = total
+            else:
+                del terms[exp]
         return Poly._trusted(self.nvars, terms)
 
     __radd__ = __add__
@@ -195,6 +201,8 @@ class Poly:
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             scalar = Fraction(other)
+            if not scalar:
+                return Poly._trusted(self.nvars, {})
             return Poly._trusted(self.nvars, {e: c * scalar for e, c in self.terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
@@ -204,7 +212,7 @@ class Poly:
             for e2, c2 in other.terms.items():
                 exp = tuple(map(add, e1, e2))
                 terms[exp] = terms[exp] + c1 * c2 if exp in terms else c1 * c2
-        return Poly._trusted(self.nvars, terms)
+        return Poly._trusted(self.nvars, {e: c for e, c in terms.items() if c})
 
     __rmul__ = __mul__
 

@@ -5,7 +5,15 @@ approximate paths) are written as JSON numbers and read back as finite
 floats.  Sequence and univariate moment files hold rationals only.
 Dump functions (``verdict_to_dict`` for certificates) emit deterministically
 ordered structures, and every file and report is written as ``json_text``,
-so identical inputs serialize byte-identically.  Load functions check the
+so identical inputs serialize byte-identically.
+
+``json_text(x)`` is ``json.dumps(x, indent=2, sort_keys=True) + "\n"`` for
+every value, and raises json's exception type for anything json refuses.
+It does not call ``json.dumps``: on Python 3.10 and 3.11 json's C encoder
+runs only without ``indent``, so indented text comes from a generator-based
+pure-Python encoder.  ``json_text`` appends to one list and joins it once,
+writes a list of same-typed leaves as one join and a list of dicts on one
+set of str keys with the keys sorted and quoted once.  Load functions check the
 shape of what they read and raise ValueError on anything malformed (a list
 where an object belongs, a string where a list belongs, a non-integer
 exponent), so bad input is reported as an input error instead of turning
@@ -16,13 +24,15 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from operator import neg
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .extalg import AElement, Mode, a_normalize
 from .functionals.core import (DiscreteMeasure, LinearFunctional,
                                SCALAR_EXACT, SCALAR_FLOAT)
-from .polyalg import Poly, grlex_key
+from .polyalg import Poly
 from .scalars import GaussianRational, as_fraction, format_fraction
 
 if TYPE_CHECKING:  # the fibre, semigroup and PSD layers load where they are used
@@ -166,8 +176,10 @@ def measure_from_dict(data: dict) -> DiscreteMeasure:
 
 def functional_to_dict(L: LinearFunctional) -> dict:
     entries = []
-    for (gamma, m), value in sorted(L.values.items(),
-                                    key=lambda kv: (kv[0][1], grlex_key(kv[0][0]))):
+    # by pole order, then grlex_key(gamma), written out: this sort is half
+    # the function's time on a wide functional
+    for (gamma, m), value in sorted(L.values.items(), key=lambda kv: (
+            kv[0][1], sum(kv[0][0]), tuple(map(neg, kv[0][0])))):
         entries.append({"exp": list(gamma), "pole_order": m,
                         "value": scalar_to_json(value)})
     return {"nvars": L.nvars, "mode": L.mode.value, "scalar_kind": L.scalar_kind,
@@ -327,9 +339,123 @@ def verdict_to_dict(verdict: PsdVerdict | FloatPsdVerdict) -> dict:
 # -- files -------------------------------------------------------------------
 
 
-def json_text(data: dict) -> str:
-    """The text of a file or report: sorted keys, indent 2, a final newline."""
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+_INFINITY = float("inf")
+
+
+def _float_text(value: float) -> str:
+    """json's text for a float: NaN and the infinities by name, else repr."""
+    if value != value:
+        return "NaN"
+    if value == _INFINITY:
+        return "Infinity"
+    if value == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+# json's text for each leaf type, looked up by exact type; subclasses
+# (numpy.float64, IntEnum, str subclasses) take json's isinstance order
+_LEAF_TEXT = {str: encode_basestring_ascii, int: int.__repr__, float: _float_text,
+              bool: {True: "true", False: "false"}.__getitem__,
+              type(None): lambda _: "null"}
+
+
+def _leaf_text(value) -> str | None:
+    text = _LEAF_TEXT.get(type(value))
+    if text is not None:
+        return text(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    return None
+
+
+def _key_text(key) -> str:
+    """A dict key converted and quoted as json does it."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    text = _leaf_text(key)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, "
+                        f"not {key.__class__.__name__}")
+    return '"' + text + '"'
+
+
+def _write(head: str, value, pad: str, out: list, active: set) -> None:
+    """Append ``head`` and the text of ``value`` to ``out``; ``pad`` is a
+    newline and its indent, ``active`` the ids of the containers being written."""
+    text = _LEAF_TEXT.get(type(value))
+    if text is not None:
+        out.append(head + text(value))
+        return
+    is_list = isinstance(value, (list, tuple))
+    if not is_list and not isinstance(value, dict):
+        text = _leaf_text(value)
+        if text is None:
+            raise TypeError(f"Object of type {value.__class__.__name__} "
+                            f"is not JSON serializable")
+        out.append(head + text)
+        return
+    if not value:
+        out.append(head + ("[]" if is_list else "{}"))
+        return
+    if id(value) in active:
+        raise ValueError("Circular reference detected")
+    active.add(id(value))
+    inner = pad + "  "
+    head, sep = head + ("[" if is_list else "{") + inner, "," + inner
+    if is_list:
+        first = value[0]
+        kind = type(first)
+        text = _LEAF_TEXT.get(kind)
+        if text is not None and all(type(item) is kind for item in value):
+            out.append(head + sep.join(map(text, value)))
+        elif kind is dict and first and all(type(key) is str for key in first) \
+                and all(type(item) is dict and item.keys() == first.keys() for item in value):
+            _write_records(head, sep, value, inner, out, active)
+        else:
+            for item in value:
+                _write(head, item, inner, out, active)
+                head = sep
+        out.append(pad + "]")
+    else:
+        for key, item in sorted(value.items()):
+            _write(head + (encode_basestring_ascii(key) if type(key) is str
+                           else _key_text(key)) + ": ", item, inner, out, active)
+            head = sep
+        out.append(pad + "}")
+    active.discard(id(value))
+
+
+def _write_records(head: str, sep: str, records: list, pad: str, out: list,
+                   active: set) -> None:
+    """List items that are dicts on one set of str keys (functional entries,
+    polynomial terms, atoms): the keys are sorted and quoted once for all."""
+    inner = pad + "  "
+    fields = [(key, ("," if i else "{") + inner + encode_basestring_ascii(key) + ": ")
+              for i, key in enumerate(sorted(records[0]))]
+    close = pad + "}"
+    for record in records:
+        if id(record) in active:
+            raise ValueError("Circular reference detected")
+        active.add(id(record))
+        out.append(head)
+        for key, field in fields:
+            _write(field, record[key], inner, out, active)
+        out.append(close)
+        active.discard(id(record))
+        head = sep
+
+
+def json_text(data) -> str:
+    """``json.dumps(data, indent=2, sort_keys=True)`` plus a final newline."""
+    out: list[str] = []
+    _write("", data, "\n", out, set())
+    out.append("\n")
+    return "".join(out)
 
 
 def dump_json(data: dict, path) -> None:

@@ -335,6 +335,71 @@ def test_trusted_arithmetic_matches_validated_construction(pair, scalar, t, extr
             assert_same_element(a * scalar, AElement(a.numerator * scalar, a.pole_order, mode))
 
 
+def filtered(terms: dict) -> dict:
+    return {e: c for e, c in terms.items() if c}
+
+
+def summed_terms(p: Poly, q: Poly) -> dict:
+    terms = dict(p.terms)
+    for exp, coeff in q.terms.items():
+        terms[exp] = terms.get(exp, Fraction(0)) + coeff
+    return filtered(terms)
+
+
+def product_terms(p: Poly, q: Poly) -> dict:
+    terms: dict = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            exp = tuple(a + b for a, b in zip(e1, e2))
+            terms[exp] = terms.get(exp, Fraction(0)) + c1 * c2
+    return filtered(terms)
+
+
+def power_terms(p: Poly, k: int) -> dict:
+    """Square-and-multiply over ``product_terms``, the order ``**`` multiplies in."""
+    result, base = Poly.constant(p.nvars, 1), p
+    while k:
+        if k & 1:
+            result = Poly(p.nvars, product_terms(result, base))
+        k >>= 1
+        if k:
+            base = Poly(p.nvars, product_terms(base, base))
+    return dict(result.terms)
+
+
+@st.composite
+def cancelling_pairs(draw) -> tuple[Poly, Poly]:
+    """(p, q) where q repeats some of p's terms negated and some with a
+    flipped sign, so sums cancel keys and products cancel cross terms."""
+    d = draw(st.integers(1, 3))
+    p = draw(polys(d, max_degree=2))
+    q = dict(draw(polys(d, max_degree=2)).terms)
+    for exp, coeff in p.terms.items():
+        q[exp] = draw(st.sampled_from([-coeff, coeff, q.get(exp, coeff)]))
+    return p, Poly(d, q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=cancelling_pairs(), scalar=st.one_of(st.just(0), COEFFICIENTS),
+       k=st.integers(0, 4), t=st.integers(0, 2))
+def test_arithmetic_stores_no_zero_and_matches_filtered_terms(pair, scalar, k, t):
+    p, q = pair
+    d = p.nvars
+    negated = {e: -c for e, c in q.terms.items()}
+    lift = norm_squared_power(d, t)
+    cases = [(p + q, summed_terms(p, q)), (p - q, summed_terms(p, Poly(d, negated))),
+             (p + -p, {}), (-q, negated), (p * q, product_terms(p, q)),
+             (p * lift, product_terms(p, lift)),
+             (p * scalar, filtered({e: c * scalar for e, c in p.terms.items()})),
+             (p ** k, power_terms(p, k))]
+    if t:  # a multiple of ||x||^2, so both divisions return a quotient
+        cases.append((divide_by_norm_squared(p * lift),
+                      divide_by_norm_squared_by_rescan(p * lift).terms))
+    for got, want in cases:
+        assert all(c != 0 and type(c) is Fraction for c in got.terms.values())
+        assert list(got.terms.items()) == list(want.items())
+
+
 def test_public_constructors_keep_their_checks():
     with pytest.raises(ValueError):
         Poly(2, {(1, -1): 1})

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import enum
+import json
 from fractions import Fraction
 
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +22,7 @@ from momentext.semigroups import (HermitianSequence, SgDomain, box_window,
 from momentext.serialize import (aelement_from_dict, aelement_to_dict,
                                  dump_json, fibre_spec_from_dict,
                                  fibre_spec_to_dict, functional_from_dict,
-                                 functional_to_dict, load_json,
+                                 functional_to_dict, json_text, load_json,
                                  measure_from_dict, measure_to_dict,
                                  poly_from_dict, poly_to_dict,
                                  preorder_from_dict, preorder_to_dict,
@@ -443,3 +446,132 @@ def test_negative_declared_bounds_are_refused():
             functional_from_dict({**data, field: -7})
     with pytest.raises(ValueError, match="negative"):
         LinearFunctional(2, Mode.APLUS, SCALAR_EXACT, {}, pole_max=-1)
+
+
+# -- the report writer against json.dumps -------------------------------------
+
+
+def dumps_text(value) -> str:
+    """The writer's oracle: the stdlib's own indent-2, sorted-key text."""
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def written(write, value) -> tuple:
+    """("ok", text) or ("error", exception type)."""
+    try:
+        return "ok", write(value)
+    except Exception as err:
+        return "error", type(err)
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = -(2 ** 70)
+
+
+class Text(str):
+    pass
+
+
+JSON_TEXTS = st.text(st.one_of(st.characters(),
+                          st.sampled_from("\x00\x07\x1f\x7f\"\\/\u2028\U0001f600")),
+                max_size=6)
+JSON_INTS = st.one_of(st.integers(-10, 10), st.integers(),
+                 st.sampled_from([2 ** 63, -(2 ** 64) - 1, 10 ** 40, -(10 ** 300)]))
+JSON_FLOATS = st.one_of(st.floats(), st.sampled_from(
+    [-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+     float("nan"), float("inf"), -float("inf")]))
+JSON_LEAVES = st.one_of(st.none(), st.booleans(), JSON_INTS, JSON_FLOATS, JSON_TEXTS,
+                   JSON_FLOATS.map(numpy.float64), st.sampled_from(list(Level)),
+                   JSON_TEXTS.map(Text))
+# one kind of key per dict: str, numbers and bools (which sort together), or None
+KEY_KINDS = st.sampled_from([JSON_TEXTS, st.one_of(JSON_INTS, JSON_FLOATS, st.booleans()), st.none()])
+
+
+@st.composite
+def keyed(draw, values):
+    return draw(st.dictionaries(draw(KEY_KINDS), values, max_size=4))
+
+
+@st.composite
+def records(draw, values):
+    """A list of dicts on one key set, sometimes with an odd one out."""
+    keys = draw(st.lists(JSON_TEXTS, max_size=4, unique=True))
+    rows = draw(st.lists(st.fixed_dictionaries({key: values for key in keys}),
+                         min_size=1, max_size=4))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), draw(keyed(values)))
+    return rows
+
+
+JSON_VALUES = st.recursive(JSON_LEAVES, lambda children: st.one_of(
+    st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
+    st.lists(JSON_LEAVES, max_size=5), keyed(children), records(children),
+    keyed(children).map(lambda d: serialize._object(d, "record"))), max_leaves=24)
+
+
+@settings(max_examples=600, deadline=None)
+@given(value=JSON_VALUES)
+def test_json_text_matches_json_dumps(value):
+    assert written(json_text, value) == written(dumps_text, value)
+
+
+REFUSED_LEAVES = st.sampled_from([Fraction(1, 2), numpy.int64(1), frozenset(), b"x"])
+MIXED_KEYS = st.one_of(JSON_TEXTS, JSON_INTS, st.none(), st.just((1,)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=st.recursive(
+    st.one_of(JSON_LEAVES, REFUSED_LEAVES), lambda children: st.one_of(
+        st.lists(children, max_size=4), st.dictionaries(MIXED_KEYS, children, max_size=3),
+        records(children)), max_leaves=12))
+def test_json_text_refuses_as_json_dumps_does_at_any_depth(value):
+    assert written(json_text, value) == written(dumps_text, value)
+
+
+def _circular_list():
+    items: list = [1]
+    items.append(items)
+    return items
+
+
+def _circular_record():
+    rows = [{"a": 1, "b": 2}, {"a": 3, "b": 4}]
+    rows[1]["b"] = rows
+    return {"rows": rows}
+
+
+def _self_listing_record():
+    record: dict = {"a": 1}
+    record["a"] = [record]
+    return record
+
+
+REFUSED = {
+    "fraction": Fraction(1, 2), "set": {1, 2}, "numpy-int64": numpy.int64(3),
+    "numpy-bool": numpy.bool_(True), "object": object(), "complex": 1j,
+    "fraction-in-leaf-list": [1, 2, Fraction(1, 3)],
+    "numpy-int64-in-list": {"a": [numpy.int64(1)]},
+    "str-and-int-keys": {"a": 1, 2: 3}, "none-and-int-keys": {None: 1, 0: 2},
+    "tuple-key": {(1, 2): 3}, "fraction-key": {Fraction(1, 2): 1},
+    "set-in-record": [{"a": 1}, {"a": {1, 2}}], "int-past-str-digits": 10 ** 5000,
+    "circular-list": _circular_list(), "circular-record": _circular_record(),
+    "self-listing-record": _self_listing_record(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED))
+def test_json_text_refuses_what_json_dumps_refuses(name):
+    value = REFUSED[name]
+    got, want = written(json_text, value), written(dumps_text, value)
+    assert want[0] == "error"
+    assert got == want
+
+
+def test_json_text_writes_reports_as_json_dumps_does():
+    mu = DiscreteMeasure(2, atoms=((Fraction(1), (Fraction(1), Fraction(2))),
+                                   (Fraction(1, 3), (Fraction(-1, 2), Fraction(0)))))
+    for data in (functional_to_dict(extend_from_measure(mu, 2, 4)), measure_to_dict(mu),
+                 {"values": [numpy.float64(0.1), numpy.float64(float("nan"))], "n": 1},
+                 [], {}, [[]], "t\u00e9xt", 3, None):
+        assert json_text(data) == dumps_text(data)

@@ -220,9 +220,10 @@ def cmd_semigroup(args) -> int:
             raise ValueError("--measure is required for the nplus-extension pipeline")
         measure = serialize.measure_from_dict(serialize.load_json(args.measure))
         atoms = _measure_to_atoms(measure)
-        s = sequence_from_measure(atoms, box_window(args.box, SgDomain.N02))
         if args.sequence:
             s = serialize.sequence_from_dict(serialize.load_json(args.sequence))
+        else:
+            s = sequence_from_measure(atoms, box_window(args.box, SgDomain.N02))
         result = nplus_extension_check(s, atoms, box_window(args.box, SgDomain.NPLUS))
         report = {"command": "semigroup", "pipeline": args.pipeline,
                   "restriction_ok": result.restriction_ok,

@@ -50,7 +50,7 @@ from fractions import Fraction
 
 from .polyalg import (DimensionMismatchError, Poly, divide_by_norm_squared,
                       divide_out_norm_squared, exponents_of_degree, norm_squared_power)
-from .scalars import as_fraction, power_by_squaring
+from .scalars import as_fraction, is_exact_scalar, power_by_squaring
 
 
 class Mode(enum.Enum):
@@ -126,13 +126,13 @@ class AElement:
         return AElement._trusted(-self.numerator, self.pole_order, self.mode)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            if other == 0:
-                return AElement(Poly.zero(self.nvars), 0, self.mode)
-            return AElement._trusted(self.numerator * other, self.pole_order, self.mode)
-        if not isinstance(other, AElement):
+        if isinstance(other, AElement):
+            return a_mul(self, other)
+        if not is_exact_scalar(other):
             return NotImplemented
-        return a_mul(self, other)
+        if other == 0:
+            return AElement(Poly.zero(self.nvars), 0, self.mode)
+        return AElement._trusted(self.numerator * other, self.pole_order, self.mode)
 
     __rmul__ = __mul__
 
@@ -162,7 +162,7 @@ def _coerce_element(value, like: AElement) -> AElement | None:
         return value
     if isinstance(value, Poly):
         return embed_poly(value, like.mode)
-    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+    if is_exact_scalar(value):
         return embed_poly(Poly.constant(like.nvars, value), like.mode)
     return None
 
@@ -179,12 +179,7 @@ def a_normalize(numerator: Poly, pole_order: int, mode: Mode = Mode.APLUS) -> AE
         raise ValueError("pole_order must be >= 0")
     if mode is Mode.APLUS:
         _check_degree_condition(numerator, pole_order)
-    while pole_order > 0:
-        quotient = divide_by_norm_squared(numerator)
-        if quotient is None:
-            break
-        numerator = quotient
-        pole_order -= 1
+    numerator, pole_order = divide_out_norm_squared(numerator, pole_order)
     if numerator.is_zero():
         pole_order = 0
     return AElement._trusted(numerator, pole_order, mode)

@@ -34,7 +34,7 @@ from operator import add, getitem, mul
 from ..extalg import AElement, Mode, truncated_basis
 from ..polyalg import (DimensionMismatchError, Exponent, Poly,
                        exponents_of_degree, grlex_key, norm_squared_power)
-from ..scalars import as_fraction, clear_denominators
+from ..scalars import as_fraction, clear_denominators, is_exact_scalar
 
 Key = tuple[Exponent, int]
 
@@ -294,7 +294,7 @@ class DiscreteMeasure:
         for weight, point in self.atoms + self.sphere_atoms:
             scalars.append(weight)
             scalars.extend(point)
-        return all(isinstance(s, (int, Fraction)) for s in scalars)
+        return all(map(is_exact_scalar, scalars))
 
     def total_mass(self):
         return (sum(w for w, _ in self.atoms) + self.origin_mass

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from ..scalars import as_fraction, clear_denominators
+from ..scalars import as_fraction, clear_denominators, is_exact_scalar
 
 # L's zeros and ones, shared rather than built n^2 times.
 _ZERO = Fraction(0)
@@ -51,12 +51,13 @@ class PsdVerdict:
         n = len(G)
         if self.is_psd:
             perm, L, D = self.permutation, self.unit_lower, self.diagonal
-            if perm is None or L is None or D is None or sorted(perm) != list(range(n)):
+            if perm is None or L is None or D is None or len(D) != n or len(L) != n \
+                    or any(type(p) is not int for p in perm) or sorted(perm) != list(range(n)):
                 return False
-            if not _rational(D) or any(d < 0 for d in D):
+            if not all(map(is_exact_scalar, D)) or any(d < 0 for d in D):
                 return False
             for i in range(n):
-                if not _rational(L[i]) or L[i][i] != 1 \
+                if len(L[i]) != n or not all(map(is_exact_scalar, L[i])) or L[i][i] != 1 \
                         or any(L[i][j] != 0 for j in range(i + 1, n)):
                     return False
             # Replay the elimination in the certificate's order on P*G*P^T.
@@ -74,14 +75,10 @@ class PsdVerdict:
                     delta = _schur_step(R, delta, k)
             return True
         v = self.witness
-        if v is None or len(v) != n or not _rational(v):
+        if v is None or len(v) != n or not all(map(is_exact_scalar, v)):
             return False
         value = _quadratic_form(G, delta, *clear_denominators(v))
         return value == self.witness_value and value < 0
-
-
-def _rational(values) -> bool:
-    return all(isinstance(x, (int, Fraction)) for x in values)
 
 
 def _int_rows(matrix) -> tuple[list[list[int]], int]:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from operator import add, neg
 
 from .scalars import (as_fraction, clear_denominators, format_fraction,
-                      power_by_squaring)
+                      is_exact_scalar, power_by_squaring)
 
 Exponent = tuple[int, ...]
 
@@ -199,13 +199,13 @@ class Poly:
         return Poly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+        if not isinstance(other, Poly):
+            if not is_exact_scalar(other):
+                return NotImplemented
             scalar = Fraction(other)
             if not scalar:
                 return Poly._trusted(self.nvars, {})
             return Poly._trusted(self.nvars, {e: c * scalar for e, c in self.terms.items()})
-        if not isinstance(other, Poly):
-            return NotImplemented
         _check_same_nvars(self, other)
         terms: dict[Exponent, Fraction] = {}
         for e1, c1 in self.terms.items():
@@ -300,7 +300,7 @@ class ClearedPoly:
 def _coerce_poly(value, nvars: int) -> Poly | None:
     if isinstance(value, Poly):
         return value
-    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+    if is_exact_scalar(value):
         return Poly.constant(nvars, value)
     return None
 

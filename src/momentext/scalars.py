@@ -31,6 +31,11 @@ def as_fraction(value: int | Fraction | str) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
+def is_exact_scalar(value) -> bool:
+    """True for an int or a Fraction; a bool is not an exact scalar."""
+    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+
+
 def clear_denominators(values) -> tuple[list[int], int]:
     """Rationals as integers over one positive denominator, their lcm, which is
     taken over the distinct denominators only."""
@@ -102,7 +107,7 @@ class GaussianRational:
     def _coerce(self, other) -> "GaussianRational | None":
         if isinstance(other, GaussianRational):
             return other
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+        if is_exact_scalar(other):
             return GaussianRational(Fraction(other), Fraction(0))
         return None
 

@@ -7,15 +7,14 @@ Dump functions (``verdict_to_dict`` for certificates) emit deterministically
 ordered structures, and every file and report is written as ``json_text``,
 so identical inputs serialize byte-identically.
 
-``json_text(x)`` is ``json.dumps(x, indent=2, sort_keys=True) + "\n"`` for
-every value, and raises json's exception type for anything json refuses.
-It does not call ``json.dumps``: on Python 3.10 and 3.11 json's C encoder
-runs only without ``indent``, so indented text comes from a generator-based
-pure-Python encoder.  ``json_text`` appends to one list and joins it once,
-writes a list of same-typed leaves as one join and a list of dicts on one
-set of str keys with the keys sorted and quoted once.  Load functions check the
-shape of what they read and raise ValueError on anything malformed (a list
-where an object belongs, a string where a list belongs, a non-integer
+``json_text(x)`` is ``json.dumps(x, indent=2, sort_keys=True) + "\n"``.
+Plain values, which are all the reports hold (dicts with str keys, lists,
+tuples, and values of type str, int, float, bool or None), are written
+directly: on Python 3.10 and 3.11 json's C encoder runs only without
+``indent``.  Everything else, a cycle included, goes to ``json.dumps``.  Load
+functions read every exact rational with one parser, ``_rational``, check
+the shape of what they read and raise ValueError on anything malformed (a
+list where an object belongs, a string where a list belongs, a non-integer
 exponent), so bad input is reported as an input error instead of turning
 into data.
 """
@@ -98,6 +97,21 @@ def _exponent(value) -> tuple[int, ...]:
 
 
 def _rational(value) -> Fraction:
+    """The exact rational of a JSON int or string, the one parser of them all.
+
+    A "p" or "p/q" string in ASCII digits (p optionally "-", q nonzero) is
+    Fraction(int(p), int(q)); every other value goes through ``as_fraction``,
+    which decides what else is accepted and words the errors.
+    """
+    if type(value) is str and value.isascii():
+        p, slash, q = value.partition("/")
+        if (p[1:] if p[:1] == "-" else p).isdigit() and (q.isdigit() or not slash):
+            try:  # int() refuses more digits than sys.get_int_max_str_digits()
+                den = int(q) if slash else 1
+                if den:
+                    return Fraction(int(p), den)
+            except ValueError:
+                pass
     if not isinstance(value, (int, str)) or isinstance(value, bool):
         raise ValueError(f"{value!r} is not an exact rational")
     try:
@@ -198,30 +212,21 @@ def _entry(item, kind: str) -> tuple:
 
 
 def _canonical_entry(item) -> tuple | None:
-    """(key, value) of an exact entry in canonical form, else None.
+    """(key, value) of an exact entry of canonical shape, else None.
 
-    Canonical: a "p" or "p/q" value in ASCII digits (p optionally "-", q
-    nonzero), a list of int exponents and an int pole order; its value is
-    Fraction(int(p), int(q)).  Every other entry goes to ``_entry``, so the
-    accepted strings and the error messages are unchanged.
+    Canonical: a string value, a list of int exponents and an int pole
+    order.  Only the value can then fail, with ``_entry``'s error; every
+    other entry goes to ``_entry``.
     """
     if type(item) is not dict:
         return None
     text, exp, m = item.get("value"), item.get("exp"), item.get("pole_order")
-    if type(text) is not str or type(exp) is not list or type(m) is not int \
-            or not text.isascii():
-        return None
-    p, slash, q = text.partition("/")
-    if not (p[1:] if p[:1] == "-" else p).isdigit() or (slash and not q.isdigit()):
+    if type(text) is not str or type(exp) is not list or type(m) is not int:
         return None
     for e in exp:
         if type(e) is not int:
             return None
-    try:  # int() refuses more digits than sys.get_int_max_str_digits()
-        den = int(q) if slash else 1
-        return ((tuple(exp), m), Fraction(int(p), den)) if den else None
-    except ValueError:
-        return None
+    return (tuple(exp), m), _rational(text)
 
 
 def functional_from_dict(data: dict) -> LinearFunctional:
@@ -353,58 +358,25 @@ def _float_text(value: float) -> str:
     return float.__repr__(value)
 
 
-# json's text for each leaf type, looked up by exact type; subclasses
-# (numpy.float64, IntEnum, str subclasses) take json's isinstance order
+# json's text for each plain leaf type, looked up by exact type
 _LEAF_TEXT = {str: encode_basestring_ascii, int: int.__repr__, float: _float_text,
               bool: {True: "true", False: "false"}.__getitem__,
               type(None): lambda _: "null"}
 
 
-def _leaf_text(value) -> str | None:
-    text = _LEAF_TEXT.get(type(value))
-    if text is not None:
-        return text(value)
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_text(value)
-    return None
-
-
-def _key_text(key) -> str:
-    """A dict key converted and quoted as json does it."""
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    text = _leaf_text(key)
-    if text is None:
-        raise TypeError(f"keys must be str, int, float, bool or None, "
-                        f"not {key.__class__.__name__}")
-    return '"' + text + '"'
-
-
-def _write(head: str, value, pad: str, out: list, active: set) -> None:
+def _write(head: str, value, pad: str, out: list) -> None:
     """Append ``head`` and the text of ``value`` to ``out``; ``pad`` is a
-    newline and its indent, ``active`` the ids of the containers being written."""
+    newline and its indent.  A value that is not plain raises TypeError."""
     text = _LEAF_TEXT.get(type(value))
     if text is not None:
         out.append(head + text(value))
         return
     is_list = isinstance(value, (list, tuple))
     if not is_list and not isinstance(value, dict):
-        text = _leaf_text(value)
-        if text is None:
-            raise TypeError(f"Object of type {value.__class__.__name__} "
-                            f"is not JSON serializable")
-        out.append(head + text)
-        return
+        raise TypeError(f"{type(value).__name__} is not a plain JSON value")
     if not value:
         out.append(head + ("[]" if is_list else "{}"))
         return
-    if id(value) in active:
-        raise ValueError("Circular reference detected")
-    active.add(id(value))
     inner = pad + "  "
     head, sep = head + ("[" if is_list else "{") + inner, "," + inner
     if is_list:
@@ -415,23 +387,21 @@ def _write(head: str, value, pad: str, out: list, active: set) -> None:
             out.append(head + sep.join(map(text, value)))
         elif kind is dict and first and all(type(key) is str for key in first) \
                 and all(type(item) is dict and item.keys() == first.keys() for item in value):
-            _write_records(head, sep, value, inner, out, active)
+            _write_records(head, sep, value, inner, out)
         else:
             for item in value:
-                _write(head, item, inner, out, active)
+                _write(head, item, inner, out)
                 head = sep
         out.append(pad + "]")
     else:
         for key, item in sorted(value.items()):
-            _write(head + (encode_basestring_ascii(key) if type(key) is str
-                           else _key_text(key)) + ": ", item, inner, out, active)
+            # encode_basestring_ascii raises TypeError on a non-str key
+            _write(head + encode_basestring_ascii(key) + ": ", item, inner, out)
             head = sep
         out.append(pad + "}")
-    active.discard(id(value))
 
 
-def _write_records(head: str, sep: str, records: list, pad: str, out: list,
-                   active: set) -> None:
+def _write_records(head: str, sep: str, records: list, pad: str, out: list) -> None:
     """List items that are dicts on one set of str keys (functional entries,
     polynomial terms, atoms): the keys are sorted and quoted once for all."""
     inner = pad + "  "
@@ -439,21 +409,20 @@ def _write_records(head: str, sep: str, records: list, pad: str, out: list,
               for i, key in enumerate(sorted(records[0]))]
     close = pad + "}"
     for record in records:
-        if id(record) in active:
-            raise ValueError("Circular reference detected")
-        active.add(id(record))
         out.append(head)
         for key, field in fields:
-            _write(field, record[key], inner, out, active)
+            _write(field, record[key], inner, out)
         out.append(close)
-        active.discard(id(record))
         head = sep
 
 
 def json_text(data) -> str:
     """``json.dumps(data, indent=2, sort_keys=True)`` plus a final newline."""
     out: list[str] = []
-    _write("", data, "\n", out, set())
+    try:
+        _write("", data, "\n", out)
+    except (TypeError, RecursionError):  # not plain, or a cycle: json decides
+        return json.dumps(data, indent=2, sort_keys=True) + "\n"
     out.append("\n")
     return "".join(out)
 

@@ -573,7 +573,88 @@ def test_cli_leaves_report_text_and_certificate_schema_to_serialize():
     assert "json.dump" not in source
 
 
-@pytest.mark.parametrize("package", ["momentext", "momentext.functionals"])
+def test_cli_reports_are_plain_and_never_reach_json_dumps(tmp_path, capsys, monkeypatch):
+    """Every subcommand, exact and float, to stdout and to --out: ``json_text``
+    writes each report itself and never hands it to ``json.dumps``."""
+    dumps, fallbacks = json.dumps, []
+
+    def dumps_outside_json_text(*args, **kwargs):
+        if sys._getframe(1).f_code is serialize.json_text.__code__:
+            fallbacks.append(args[0])
+            raise AssertionError("json_text handed a report to json.dumps")
+        return dumps(*args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", dumps_outside_json_text)
+    files = {}
+    for scenario in sorted(SCENARIOS):
+        for out in ([], ["--out", str(tmp_path / f"{scenario}.json")]):
+            code, text, _ = run(capsys, "gen-examples", "--scenario", scenario,
+                                "--dir", str(tmp_path), *out)
+            assert code == 0
+            if not out:
+                files[scenario] = json.loads(text)["files"]
+    origin, strip = files["two-atoms-origin"]["measure"], files["strip"]
+    plain = write_measure(tmp_path / "plain.json", [(Fraction(1), (Fraction(1), Fraction(1))),
+                                                    (Fraction(1, 2), (Fraction(2), Fraction(-1)))])
+    moments = str(tmp_path / "moments.json")
+    serialize.dump_json({"moments": ["2", "-1", "5", "-7", "17"]}, moments)
+    atoms = [(Fraction(1), GaussianRational.of(1, 1)), (Fraction(1, 2), GaussianRational.of(2, -1))]
+    sequence = str(tmp_path / "n02.json")
+    serialize.dump_json(serialize.sequence_to_dict(
+        sequence_from_measure(atoms, box_window(2, SgDomain.N02))), sequence)
+    wide, small = str(tmp_path / "L.json"), str(tmp_path / "L01.json")
+    jobs = [
+        ("extend", origin, "-M", "1", "-D", "2"),
+        ("extend", plain, "-M", "1", "-D", "2", "--mode", "laurent"),
+        ("psd-check", wide),
+        ("psd-check", wide, "--scalar", "float"),
+        ("psd-check", moments, "--univariate"),
+        ("recover-atoms", wide),
+        ("feasibility", small, "-M", "0", "-D", "2", "--max-iters", "40"),
+        ("fibres", "--preorder", strip["preorder"], "--fibre-spec", strip["fibre_spec"],
+         "--samples", strip["samples"]),
+        ("semigroup", "--pipeline", "nplus-extension", "--measure", plain, "--box", "2"),
+        ("semigroup", "--pipeline", "nplus-extension", "--measure", plain,
+         "--sequence", sequence, "--box", "2"),
+        ("semigroup", "--pipeline", "bisgaard",
+         "--sequence", files["bisgaard-two-atoms"]["sequence"]),
+        ("semigroup", "--pipeline", "laurent-relations", "--seed", "1"),
+    ]
+    assert run(capsys, "extend", origin, "-M", "1", "-D", "2", "--out", wide)[0] == 0
+    assert run(capsys, "extend", origin, "-M", "0", "-D", "1", "--out", small)[0] == 0
+    for argv in jobs:
+        report = tmp_path / "report.json"
+        for out in ([], ["--out", str(report)]):
+            code, text, _ = run(capsys, *argv, *out)
+            assert code == 0, argv
+            written = report.read_text(encoding="utf-8") if out else text
+            assert written == dumps(json.loads(written), indent=2, sort_keys=True) + "\n"
+    assert fallbacks == []
+
+
+def test_nplus_extension_with_a_sequence_builds_no_quarter_plane_sequence(
+        tmp_path, capsys, monkeypatch):
+    measure = write_measure(tmp_path / "m.json", [(Fraction(1), (Fraction(1), Fraction(1)))])
+    atoms = [(Fraction(1), GaussianRational.of(1, 1))]
+    sequence = str(tmp_path / "n02.json")
+    serialize.dump_json(serialize.sequence_to_dict(
+        sequence_from_measure(atoms, box_window(2, SgDomain.N02))), sequence)
+    domains = []
+
+    def recording(atoms, window):
+        domains.append(window[0].domain)
+        return sequence_from_measure(atoms, window)
+
+    monkeypatch.setattr(semigroups, "sequence_from_measure", recording)
+    argv = ["semigroup", "--pipeline", "nplus-extension", "--measure", measure, "--box", "2"]
+    assert run(capsys, *argv)[0] == 0
+    assert domains == [SgDomain.N02, SgDomain.NPLUS]
+    domains.clear()
+    assert run(capsys, *argv, "--sequence", sequence)[0] == 0
+    assert domains == [SgDomain.NPLUS]
+
+
+@pytest.mark.parametrize("package",["momentext", "momentext.functionals"])
 def test_lazy_exports_are_the_defining_modules_objects(package):
     pkg = importlib.import_module(package)
     assert len(set(pkg.__all__)) == len(pkg.__all__)

@@ -213,6 +213,34 @@ def test_tampered_notpsd_witness_fails():
         assert not tampered(verdict, bump).verify(G)
 
 
+def test_misshapen_or_bool_certificates_fail_without_raising():
+    G = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(2)]]
+    verdict = psd_check_exact(G)
+    assert verdict.is_psd and verdict.verify(G)
+
+    def set_lower(i, j, value):
+        return lambda v: v.unit_lower[i].__setitem__(j, value)
+
+    for change in (lambda v: v.unit_lower.pop(),  # an L with one row
+                   lambda v: v.unit_lower[1].pop(),  # a short L row
+                   lambda v: v.diagonal.pop(),  # a D of length 1
+                   lambda v: v.diagonal.append(Fraction(5)),  # a D longer than n
+                   lambda v: v.unit_lower[0].append(Fraction(0)),  # a long L row
+                   set_lower(0, 0, True), set_lower(1, 1, True), set_lower(0, 1, False),
+                   lambda v: v.diagonal.__setitem__(0, True),
+                   lambda v: v.permutation.__setitem__(0, Fraction(v.permutation[0])),
+                   lambda v: v.permutation.__setitem__(0, "0")):
+        assert tampered(verdict, change).verify(G) is False
+
+    H = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(1)]]
+    witness = PsdVerdict(False, witness=[1, -1], witness_value=Fraction(-2))
+    assert witness.verify(H)
+    for index, flag in ((0, True), (1, True), (0, False)):
+        bad = tampered(witness, lambda v: v.witness.__setitem__(index, flag))
+        assert bad.verify(H) is False
+    assert PsdVerdict(False, witness=[True, 0], witness_value=Fraction(1)).verify(H) is False
+
+
 def test_verify_agrees_with_full_replay_oracle():
     rng = random.Random(9)
     for _ in range(40):

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from momentext.functionals.core import DiscreteMeasure
 from momentext.scalars import (GaussianRational, as_fraction, clear_denominators,
-                               format_fraction)
+                               format_fraction, is_exact_scalar)
 
 
 def test_as_fraction_accepts_exact_inputs():
@@ -23,6 +24,17 @@ def test_as_fraction_refuses_inexact_inputs():
         as_fraction(0.5)
     with pytest.raises((TypeError, ValueError)):
         as_fraction(True)
+
+
+def test_exact_scalars_are_ints_and_fractions_but_not_bools():
+    for value in (0, -3, 2 ** 70, Fraction(1, 3)):
+        assert is_exact_scalar(value)
+    for value in (True, False, 0.5, "1", None, 1j):
+        assert not is_exact_scalar(value)
+    one = Fraction(1)
+    assert DiscreteMeasure(1, atoms=((one, (Fraction(2),)),)).is_exact()
+    assert not DiscreteMeasure(1, atoms=((True, (Fraction(2),)),)).is_exact()
+    assert not DiscreteMeasure(1, atoms=((one, (True,)),)).is_exact()
 
 
 def test_as_fraction_returns_a_fraction_itself_and_copies_subclasses():

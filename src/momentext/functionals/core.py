@@ -29,11 +29,12 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, getitem, mul
+from itertools import chain
+from operator import add, getitem, mul, neg
 
 from ..extalg import AElement, Mode, truncated_basis
 from ..polyalg import (DimensionMismatchError, Exponent, Poly,
-                       exponents_of_degree, grlex_key, norm_squared_power)
+                       exponents_of_degree, norm_squared_power)
 from ..scalars import as_fraction, clear_denominators, is_exact_scalar
 
 Key = tuple[Exponent, int]
@@ -423,7 +424,10 @@ class MomentWindow:
     or localizing matrix depends only on the product key star(k_i) + k_j,
     its class, and entry (j, i) reads the star of that key.  ``star`` is the
     identity for real symmetric matrices; a Hermitian s(u_i* u_j) passes the
-    involution of its index semigroup.  The window stores the ``keys`` in
+    involution (m, n) -> (n, m) of its index semigroup.  The star must be
+    additive and involutive, star(a + b) = star(a) + star(b) and
+    star(star(a)) = a, so entry (j, i) is star(k_j) + k_i; the keys must
+    share one number of variables.  The window stores the ``keys`` in
     the given order, the distinct ``classes`` (sorted by pole order, then
     grlex), ``class_index`` and the n x n table ``class_of``; a matrix is
     built by reading one value per class.  A localizer g enters through the
@@ -437,21 +441,52 @@ class MomentWindow:
 
     def __init__(self, keys: list[Key], star=lambda key: key):
         self.keys = [(tuple(gamma), m) for gamma, m in keys]
-        reduce = self.reduce if any(len(g) == 1 for g, _ in self.keys) else None
-        n = len(self.keys)
-        table = [[None] * n for _ in range(n)]
-        for i, (gi, mi) in enumerate(map(star, self.keys)):
-            row = [(tuple(map(add, gi, gj)), mi + mj) for gj, mj in self.keys[i:]]
-            for j, key in enumerate(map(reduce, row) if reduce else row, start=i):
-                table[i][j] = key
-                table[j][i] = star(key)
+        # A key packs into one int whose digits, most significant first, are
+        # m, |gamma|, -gamma_1, ..., -gamma_d, so int order is class order
+        # (pole order, then ``grlex_key``).  Each digit has ``width`` bits
+        # and is offset by ``low``, so negative entries fit and two digits
+        # sum below 2**width: adding packed keys adds the keys, and a sum of
+        # two keys carries the offset 2 * low.
+        rows = [(m, sum(gamma), *map(neg, gamma)) for gamma, m in self.keys]
+        starred = [(m, sum(gamma), *map(neg, gamma)) for gamma, m in map(star, self.keys)]
+        size = len(rows[0]) if rows else 0
+        if any(len(row) != size for row in rows):
+            raise DimensionMismatchError("window keys live over different numbers of variables")
+        entries = [0, *chain.from_iterable(rows + starred)]
+        low = min(entries)
+        width = (2 * (max(entries) - low)).bit_length()
+        shifts, mask = [width * i for i in reversed(range(size))], (1 << width) - 1
+
+        def pack(row, offset: int) -> int:
+            total = 0
+            for v in row:
+                total = (total << width) + v - offset
+            return total
+
+        def unpack(totals: list[int]) -> list[Key]:
+            """The keys of packed sums of two keys."""
+            m = [((t >> shifts[0]) & mask) + 2 * low for t in totals]
+            gamma = [[-((t >> shift) & mask) - 2 * low for t in totals] for shift in shifts[2:]]
+            return list(zip(zip(*gamma), m))
+
+        packed = [pack(row, low) for row in rows]
+        table = [[s + k for k in packed] for s in (pack(row, low) for row in starred)]
+        sums = list(dict.fromkeys(chain.from_iterable(table)))
+        found = sums
+        if size == 3:
+            # one variable: reduce each distinct sum; a reduced entry lies
+            # between 0 and the sum's own, so it packs with the same offset
+            found = [pack((m, g, -g), 2 * low) for (g,), m in map(self.reduce, unpack(sums))]
+        order = sorted(set(found))
+        index = {s: c for c, s in enumerate(order)}
+        column = dict(zip(sums, map(index.__getitem__, found)))
+        self.class_of = [list(map(column.__getitem__, row)) for row in table]
+        self.classes = unpack(order)
+        self.class_index = dict(zip(self.classes, range(len(order))))
         # Reading classes in the order a row-major scan of the table meets
         # them makes a missing value fail at the entry an entry-by-entry
         # build would have failed at first.
-        self._scan_order = list(dict.fromkeys(key for row in table for key in row))
-        self.classes = sorted(self._scan_order, key=lambda k: (k[1], grlex_key(k[0])))
-        self.class_index = {key: c for c, key in enumerate(self.classes)}
-        self.class_of = [[self.class_index[key] for key in row] for row in table]
+        self._scan_order = [self.classes[c] for c in dict.fromkeys(map(index.__getitem__, found))]
 
     @staticmethod
     def reduce(key: Key) -> Key:

@@ -35,6 +35,7 @@ rejected before iterating.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from operator import add
 from typing import TYPE_CHECKING
 
@@ -87,13 +88,14 @@ def extension_feasibility(L: LinearFunctional, pole_order: int, degree: int,
     # gamma_i + gamma_j: the window runs on pole-free keys
     window = MomentWindow([(e, 0) for e in basis_exps])
     classes = [eps for eps, _ in window.classes]
-    class_of = np.array(window.class_of)
+    n = len(basis_exps)
+    class_of = np.fromiter(chain.from_iterable(window.class_of), np.intp, n * n).reshape(n, n)
     counts = np.bincount(class_of.ravel(), minlength=len(classes)).astype(float)
 
     mass, radius = _normalization(L, d)
     if mass == 0.0:
         functional = _functional_from_top(d, classes, np.zeros(len(classes)), M, D)
-        certificate = psd_check_float(np.zeros((len(basis_exps), len(basis_exps))), tol)
+        certificate = psd_check_float(np.zeros((n, n)), tol)
         return FeasibilityResult(True, functional, 0.0, 0,
                                  certificate, _fixed_key_residual(functional, L))
 
@@ -101,27 +103,25 @@ def extension_feasibility(L: LinearFunctional, pole_order: int, degree: int,
     # only touches classes with |eps| = |gamma| + 2(2M - m), for which the
     # variable rescaling s^(|eps| - 4M) equals the value rescaling
     # s^(|gamma| - 2m) exactly, so only b needs dividing.
-    rows: dict[tuple, tuple[np.ndarray, float, Key]] = {}
+    rows: dict[tuple, tuple[float, Key]] = {}
     for (gamma, m), value in L.values.items():
-        row = np.zeros(len(classes))
-        signature = []
-        for exp, coeff in norm_squared_power(d, 2 * M - m).terms.items():
-            eps = tuple(a + b for a, b in zip(gamma, exp))
-            row[window.class_index[(eps, 0)]] += float(coeff)
-            signature.append((eps, coeff))
-        sig = tuple(sorted(signature))
+        sig = tuple(sorted((tuple(map(add, gamma, exp)), coeff)
+                           for exp, coeff in norm_squared_power(d, 2 * M - m).terms.items()))
         fval = float(value) / (mass * radius ** (sum(gamma) - 2 * m))
         if sig in rows:
-            prev_value = rows[sig][1]
+            prev_value = rows[sig][0]
             if abs(prev_value - fval) > (0.0 if exact else 1e-9) * max(1.0, abs(fval)):
                 raise InconsistentFunctionalError(
-                    f"keys {rows[sig][2]} and {(gamma, m)} pin the same moment "
+                    f"keys {rows[sig][1]} and {(gamma, m)} pin the same moment "
                     f"to {prev_value} and {fval} (normalized units)")
             continue
-        rows[sig] = (row, fval, (gamma, m))
+        rows[sig] = (fval, (gamma, m))
 
-    A = np.vstack([r for r, _, _ in rows.values()]) if rows else np.zeros((0, len(classes)))
-    b = np.array([v for _, v, _ in rows.values()])
+    A = np.zeros((len(rows), len(classes)))
+    for r, sig in enumerate(rows):
+        for eps, coeff in sig:
+            A[r, window.class_index[(eps, 0)]] = float(coeff)
+    b = np.array([v for v, _ in rows.values()])
 
     if len(b):
         y_start, _, *_ = np.linalg.lstsq(A, b, rcond=None)

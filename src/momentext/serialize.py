@@ -32,7 +32,7 @@ from .extalg import AElement, Mode, a_normalize
 from .functionals.core import (DiscreteMeasure, LinearFunctional,
                                SCALAR_EXACT, SCALAR_FLOAT)
 from .polyalg import Poly
-from .scalars import GaussianRational, as_fraction, format_fraction
+from .scalars import GaussianRational, as_fraction, format_fraction, is_exact_scalar
 
 if TYPE_CHECKING:  # the fibre, semigroup and PSD layers load where they are used
     from .fibres import FibreSpec, Preorder
@@ -41,7 +41,7 @@ if TYPE_CHECKING:  # the fibre, semigroup and PSD layers load where they are use
 
 
 def scalar_to_json(value):
-    if isinstance(value, (int, Fraction)):
+    if type(value) is Fraction or is_exact_scalar(value):  # the common type without a call
         return format_fraction(value)
     return float(value)
 

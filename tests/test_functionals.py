@@ -19,7 +19,8 @@ from momentext.functionals.core import (DiscreteMeasure, DomainOverflowError,
                                         cs_chain_check, extend_from_measure,
                                         gram_matrix, moments_of_measure,
                                         polynomial_moments)
-from momentext.polyalg import (Poly, exponents_of_degree, exponents_up_to_degree,
+from momentext.polyalg import (DimensionMismatchError, Poly, exponents_of_degree,
+                               exponents_up_to_degree, grlex_key,
                                norm_squared, norm_squared_power)
 
 
@@ -356,6 +357,90 @@ def test_window_gram_matches_product_oracle(dim, pole, degree, mode):
     L = moments_of_measure(mu, basis)
     for functional in (L, as_float_functional(L)):
         assert same_entries(gram_matrix(functional, basis), oracle_gram(functional, basis))
+
+
+def oracle_window(keys, star=lambda key: key):
+    """MomentWindow's class table built on tuple keys: each upper entry
+    star(k_i) + k_j is a tuple (reduced in one variable) and the entry below
+    the diagonal its star.  Returns keys, classes, class_index, class_of,
+    the row-major first-occurrence scan order and the table of keys."""
+    keys = [(tuple(gamma), m) for gamma, m in keys]
+    reduce = MomentWindow.reduce if any(len(g) == 1 for g, _ in keys) else None
+    n = len(keys)
+    table = [[None] * n for _ in range(n)]
+    for i, (gi, mi) in enumerate(map(star, keys)):
+        row = [(tuple(map(add, gi, gj)), mi + mj) for gj, mj in keys[i:]]
+        for j, key in enumerate(map(reduce, row) if reduce else row, start=i):
+            table[i][j] = key
+            table[j][i] = star(key)
+    scan_order = list(dict.fromkeys(key for row in table for key in row))
+    classes = sorted(scan_order, key=lambda k: (k[1], grlex_key(k[0])))
+    class_index = {key: c for c, key in enumerate(classes)}
+    class_of = [[class_index[key] for key in row] for row in table]
+    return keys, classes, class_index, class_of, scan_order, table
+
+
+def hermitian_star(key):
+    return key[0][::-1], key[1]
+
+
+@st.composite
+def window_inputs(draw):
+    """Keys of d = 1..4 with poles, or Hermitian Z^2 indices with negative
+    entries; zero, one or many keys, some of them repeated."""
+    if draw(st.booleans()):
+        entry, pole, dim, star = st.integers(-4, 4), st.just(0), 2, hermitian_star
+    else:
+        entry, pole, dim, star = st.integers(0, 5), st.integers(0, 3), \
+            draw(st.integers(1, 4)), (lambda key: key)
+    key = st.tuples(st.tuples(*[entry] * dim), pole)
+    keys = draw(st.lists(key, max_size=9))
+    if keys:
+        keys += draw(st.lists(st.sampled_from(keys), max_size=3))
+        keys = draw(st.permutations(keys))
+    return keys, star
+
+
+@settings(max_examples=300, deadline=None)
+@given(window_inputs())
+def test_packed_window_matches_tuple_oracle(inputs):
+    keys, star = inputs
+    window = MomentWindow(keys, star)
+    assert (window.keys, window.classes, window.class_index, window.class_of,
+            window._scan_order) == oracle_window(keys, star)[:5]
+
+
+@settings(max_examples=150, deadline=None)
+@given(inputs=window_inputs(), data=st.data())
+def test_packed_window_fails_at_the_oracles_missing_class(inputs, data):
+    keys, star = inputs
+    window = MomentWindow(keys, star)
+    if not window.classes:
+        assert window.matrix(lambda key: 1 / 0) == []
+        return
+    missing = data.draw(st.sets(st.sampled_from(window.classes), min_size=1))
+
+    def read(key):
+        if key in missing:
+            raise DomainOverflowError(key)
+        return key
+
+    table = oracle_window(keys, star)[5]
+    first = next(key for row in table for key in row if key in missing)
+    with pytest.raises(DomainOverflowError) as got:
+        window.matrix(read)
+    assert got.value.key == first
+    assert window.matrix(lambda key: key) == table
+
+
+def test_window_edge_cases():
+    assert MomentWindow([((1, 2), 0)]).class_of == [[0]]
+    assert MomentWindow([((1, 2), 0)]).classes == [((2, 4), 0)]
+    empty = MomentWindow([])
+    assert (empty.keys, empty.classes, empty.class_index, empty.class_of,
+            empty.matrix(lambda key: 1 / 0)) == ([], [], {}, [], [])
+    with pytest.raises(DimensionMismatchError):
+        MomentWindow([((1, 2), 0), ((1,), 0)])
 
 
 def test_window_reduces_univariate_laurent_products():

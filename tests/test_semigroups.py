@@ -289,6 +289,22 @@ def test_laurent_relations_report():
     assert len(report.identities) == 9
 
 
+def test_laurent_relations_invert_four_times_per_pair(monkeypatch):
+    # a * b, a, b and the image of a again; the image of a is computed once
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return inversion_automorphism(a)
+
+    monkeypatch.setattr(semigroups, "inversion_automorphism", counting)
+    laurent_relations_check(seed=3, pairs=0)
+    fixed = len(calls)
+    report = laurent_relations_check(seed=3, pairs=7)
+    assert report.passed
+    assert len(calls) - 2 * fixed == 4 * 7
+
+
 def test_sequence_residual_float():
     atoms = [(Fraction(1), G(2, 1))]
     seq = sequence_from_measure(atoms, box_window(2, SgDomain.Z2))

@@ -78,6 +78,17 @@ def test_measure_roundtrip_exact_and_float():
     assert restored.atoms[0][1] == (1.0, -2.0)
 
 
+def test_bool_scalars_take_the_float_path():
+    # a bool is not an exact scalar, so it is written as a float, not "1"/"0"
+    assert scalar_to_json(True) == 1.0 and type(scalar_to_json(True)) is float
+    assert scalar_to_json(False) == 0.0 and type(scalar_to_json(False)) is float
+    mu = DiscreteMeasure(2, atoms=((True, (Fraction(1), Fraction(2))),))
+    assert not mu.is_exact()
+    data = measure_to_dict(mu)
+    assert data["atoms"][0]["weight"] == 1.0
+    assert not measure_from_dict(data).is_exact()
+
+
 def test_functional_roundtrip_and_entry_order():
     mu = DiscreteMeasure(2, atoms=((Fraction(1), (Fraction(1), Fraction(2))),))
     L = extend_from_measure(mu, 1, 2)

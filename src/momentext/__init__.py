@@ -38,8 +38,7 @@ _EXPORTS = {name: module for module, names in (
                     "box_window", "complex_atoms_to_measure", "hermitian_embedding",
                     "inversion_automorphism", "laurent_relations_check",
                     "nplus_extension_check", "sequence_from_measure", "sg_involution",
-                    "sg_moment_matrix", "sg_product", "sg_psd_check_exact",
-                    "sg_to_functions")),
+                    "sg_product", "sg_to_functions")),
 ) for name in names}
 
 __all__ = list(_EXPORTS)

@@ -23,9 +23,10 @@ polynomial moments that atom recovery reads.  GaussianRational is the only
 exact complex type.
 
 Positivity of a sequence is positivity of its Hermitian moment matrices
-s(u* v); the exact check embeds the complex matrix as the real symmetric
-block matrix [[Re, -Im], [Im, Re]] and reuses the rational LDL^T
-certificates.
+s(u* v).  The exact check reads the real symmetric block matrix
+[[Re, -Im], [Im, Re]] directly as a ``MomentWindow``: the key ((m, n, p), 0)
+encodes row u = (m, n) in block p, so each entry is one class read, and the
+rational LDL^T certificates replay against that matrix.
 """
 
 from __future__ import annotations
@@ -144,48 +145,33 @@ class HermitianSequence:
         return all((n, m) in self.entries for (m, n) in self.entries)
 
 
-def _hermitian_window(window: list[SgElement]) -> MomentWindow:
-    """Classes of s(u_i* u_j): keys ((m, n), 0) under the star (m, n) -> (n, m)."""
-    return MomentWindow([((u.m, u.n), 0) for u in window],
-                        star=lambda key: (key[0][::-1], key[1]))
+def _embedded_window(window: list[SgElement]) -> MomentWindow:
+    """Classes of the real embedding [[Re, -Im], [Im, Re]] of s(u_i* u_j).
+
+    Row and column (u, p) get the key ((m, n, p), 0), all p = 0 (the real
+    block) before all p = 1 (the imaginary one).  Under the additive,
+    involutive star ((m, n, p), 0) -> ((n, m, -p), 0), entry ((u, p), (v, q))
+    has the class ((m', n', q - p), 0) with (m', n') the index of u* v.
+    """
+    return MomentWindow([((u.m, u.n, p), 0) for p in (0, 1) for u in window],
+                        star=lambda key: ((key[0][1], key[0][0], -key[0][2]), 0))
 
 
-def sg_moment_matrix(seq: HermitianSequence, window: list[SgElement]) -> list[list]:
-    """M[i][j] = s(u_i* u_j), one read per class; a missing entry raises
-    MissingMomentError at the first index a row-major entry-by-entry build meets."""
+def _embedded_value(seq: HermitianSequence, key) -> Fraction:
+    """Re(i^d * s(m, n)) for the class ((m, n, d), 0): re, -im or im for d = 0, 1, -1."""
+    (m, n, d), _ = key
+    z = seq.value(m, n)
+    return (z.re, -z.im, z.im)[d]
+
+
+def hermitian_embedding(seq: HermitianSequence, window: list[SgElement]) -> list[list[Fraction]]:
+    """Real symmetric [[Re, -Im], [Im, Re]] of M[i][j] = s(u_i* u_j), one read
+    per class.  It is symmetric exactly when M is Hermitian; a missing entry
+    raises MissingMomentError at the first index a row-major build of M meets."""
     for u in window:
         if u.domain is not seq.domain:
             raise ValueError("window domain does not match the sequence")
-    return _hermitian_window(window).matrix(lambda key: seq.value(*key[0]))
-
-
-def hermitian_embedding(matrix) -> list[list[Fraction]]:
-    """Real symmetric [[Re, -Im], [Im, Re]] of an exact Hermitian matrix."""
-    n = len(matrix)
-    for row in matrix:
-        if len(row) != n:
-            raise ValueError("matrix must be square")
-        for entry in row:
-            if not isinstance(entry, GaussianRational):
-                raise ValueError("exact embedding needs GaussianRational entries")
-    # (i, j) fails iff (j, i) does and row-major order meets the upper one
-    # first, so the upper triangle decides and fills both blocks.
-    out = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        row, top, bottom = matrix[i], out[i], out[i + n]
-        for j in range(i, n):
-            z, w = row[j], matrix[j][i]
-            if w.re != z.re or w.im != -z.im:
-                raise ValueError(f"matrix is not Hermitian at ({i},{j})")
-            top[j] = bottom[j + n] = out[j][i] = out[j + n][i + n] = z.re
-            top[j + n] = out[j + n][i] = -z.im
-            bottom[j] = out[j][i + n] = z.im
-    return out
-
-
-def sg_psd_check_exact(matrix) -> PsdVerdict:
-    """Exact PSD verdict for a Hermitian GaussianRational matrix."""
-    return psd_check_exact(hermitian_embedding(matrix))
+    return _embedded_window(window).matrix(lambda key: _embedded_value(seq, key))
 
 
 # -- translation to the function algebras -----------------------------------
@@ -340,8 +326,8 @@ def nplus_extension_check(s: HermitianSequence, atoms,
         window = box_window(3, SgDomain.NPLUS)
     if any(u.domain is not SgDomain.NPLUS for u in window):
         raise ValueError("window domain does not match the sequence")
-    moment_window = _hermitian_window(window)
-    closure_keys = {(u.m, u.n) for u in window} | {mn for mn, _ in moment_window.classes}
+    moment_window = _embedded_window(window)
+    closure_keys = {(u.m, u.n) for u in window} | {g[:2] for g, _ in moment_window.classes}
     target_keys = sorted(closure_keys | set(s.entries.keys()))
     target = [SgElement(m, n, SgDomain.NPLUS) for (m, n) in target_keys]
     extended = sequence_from_measure(atoms, target)
@@ -350,7 +336,7 @@ def nplus_extension_check(s: HermitianSequence, atoms,
                   if extended.entries[key] != value]
     restriction_ok = not mismatches
 
-    psd = sg_psd_check_exact(moment_window.matrix(lambda key: extended.value(*key[0])))
+    psd = psd_check_exact(moment_window.matrix(lambda key: _embedded_value(extended, key)))
 
     # The translated targets read keys up to pole P and degree T; the
     # window (p, D) stores every key up to pole 2p >= P and degree 2D >= T.
@@ -425,7 +411,7 @@ def bisgaard_check(s: HermitianSequence, try_recovery: bool = True,
                   for n in range(-2 * (matrix_box + 1), 2 * (matrix_box + 1) + 1)):
             matrix_box += 1
     window = box_window(matrix_box, SgDomain.Z2)
-    psd = sg_psd_check_exact(sg_moment_matrix(s, window))
+    psd = psd_check_exact(hermitian_embedding(s, window))
     report = BisgaardReport(True, [], matrix_box, psd)
     if not try_recovery or not psd.is_psd:
         return report

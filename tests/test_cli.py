@@ -234,6 +234,9 @@ NPLUS_BOX2_REPORTS = {
     4: "c6c99971894fc9d0afc224d311769c51905b276ed667ca4cbd5dad906ca32779",
 }
 BISGAARD_NO_RECOVERY_REPORT = "3e9f85cfb0f9ab79b6e3c83f65cd045ef754e514250aeab788a7c59b042834d9"
+# Box-2 Z2 moments of two atoms with s(0,0) = -1: a NotPSD witness on the
+# 18x18 embedding, captured when that embedding was built from a complex matrix.
+BISGAARD_NOTPSD_REPORT = "58b1ed35ed167fe007074894a8b9dbaf541b13b38df9e16186fb1688c903d497"
 # The laurent-relations report records its --seed; without that key every
 # passing seed dumps the same identities and counts.
 LAURENT_REPORTS = {
@@ -272,6 +275,13 @@ def test_exact_semigroup_reports_are_byte_stable(tmp_path, capsys):
     assert report_digest(capsys, tmp_path, "semigroup", "--pipeline", "bisgaard",
                          "--sequence", sequence, "--no-recovery")[:2] == \
         (0, BISGAARD_NO_RECOVERY_REPORT)
+    atoms = [(Fraction(1), GaussianRational.of(1, 1)), (Fraction(1, 2), GaussianRational.of(2, -1))]
+    notpsd = sequence_from_measure(atoms, box_window(2, SgDomain.Z2))
+    notpsd.entries[(0, 0)] = GaussianRational.of(-1)
+    serialize.dump_json(serialize.sequence_to_dict(notpsd), tmp_path / "notpsd.json")
+    assert report_digest(capsys, tmp_path, "semigroup", "--pipeline", "bisgaard",
+                         "--sequence", str(tmp_path / "notpsd.json"))[:2] == \
+        (1, BISGAARD_NOTPSD_REPORT)
     assert report_digest(capsys, tmp_path, "semigroup", "--pipeline",
                          "laurent-relations", "--seed", "0")[:2] == (0, LAURENT_REPORTS[0])
 

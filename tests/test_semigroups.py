@@ -12,20 +12,20 @@ from momentext import extalg, semigroups
 from momentext.extalg import (AElement, Character, Mode, a_normalize, embed_poly,
                               norm_inverse_generator)
 from momentext.functionals.core import extend_from_measure
+from momentext.functionals.psd import psd_check_exact
 from momentext.polyalg import Poly, exponents_up_to_degree, norm_squared
 from momentext.scalars import GaussianRational
 from momentext.semigroups import (HermitianSequence, MissingMomentError,
                                   NplusExtensionReport, SgDomain, SgElement,
-                                  _atom_moment, _binomial_expansion, _hermitian_window,
+                                  _atom_moment, _binomial_expansion, _embedded_window,
                                   _polynomial_moments_from_sequence,
                                   bisgaard_check,
                                   box_window, complex_atoms_to_measure,
                                   hermitian_embedding, inversion_automorphism,
                                   laurent_relations_check,
                                   nplus_extension_check, sequence_from_measure,
-                                  sequence_residual_float, sg_moment_matrix,
-                                  sg_involution, sg_product,
-                                  sg_psd_check_exact, sg_to_functions)
+                                  sequence_residual_float, sg_involution,
+                                  sg_product, sg_to_functions)
 
 G = GaussianRational.of
 
@@ -148,32 +148,49 @@ def test_sequence_validation():
     assert not lopsided.hermitian_violations()  # partner missing: nothing to audit
 
 
+# On the window [(0,0), (1,0)] the moment matrix is
+# [[s(0,0), s(1,0)], [s(0,1), s(1,1)]].
+PAIR_WINDOW = [SgElement(0, 0, SgDomain.N02), SgElement(1, 0, SgDomain.N02)]
+
+
+def pair_sequence(s00, s10, s01, s11):
+    return HermitianSequence(SgDomain.N02, {(0, 0): s00, (1, 0): s10, (0, 1): s01, (1, 1): s11})
+
+
 def test_hermitian_embedding_blocks():
-    matrix = [[G(2), G(1, -1)], [G(1, 1), G(3)]]
-    emb = hermitian_embedding(matrix)
+    seq = pair_sequence(G(2), G(1, -1), G(1, 1), G(3))
+    emb = hermitian_embedding(seq, PAIR_WINDOW)
     assert emb == [[2, 1, 0, 1], [1, 3, -1, 0], [0, -1, 2, 1], [1, 0, 1, 3]]
-    assert sg_psd_check_exact(matrix).is_psd
+    verdict = psd_check_exact(emb)
+    assert verdict.is_psd and verdict.verify(emb)
+
+    spin = hermitian_embedding(pair_sequence(G(0), G(0, 1), G(0, -1), G(0)), PAIR_WINDOW)
+    verdict = psd_check_exact(spin)
+    assert not verdict.is_psd and verdict.witness_value < 0 and verdict.verify(spin)
 
     with pytest.raises(ValueError):
-        hermitian_embedding([[G(0), G(0, 1)], [G(0, 1), G(0)]])  # not Hermitian
+        hermitian_embedding(seq, box_window(1, SgDomain.Z2))  # foreign domain
 
-    spin = [[G(0), G(0, 1)], [G(0, -1), G(0)]]
-    verdict = sg_psd_check_exact(spin)
-    assert not verdict.is_psd and verdict.witness_value < 0
+    for broken in (pair_sequence(G(0), G(0, 1), G(0, 1), G(0)),  # s(0,1) != conj s(1,0)
+                   pair_sequence(G(2), G(1), G(2), G(3)),  # real parts differ
+                   pair_sequence(G(1), G(0), G(0), G(1, 1))):  # non-real diagonal
+        with pytest.raises(ValueError, match="not symmetric"):
+            psd_check_exact(hermitian_embedding(broken, PAIR_WINDOW))
 
 
 def test_moment_matrix_indices():
     seq = sequence_from_measure([(Fraction(1), G(1, 1))],
                                 box_window(2, SgDomain.N02))
     window = box_window(1, SgDomain.N02)
-    M = sg_moment_matrix(seq, window)
+    emb, n = hermitian_embedding(seq, window), len(window)
     i = window.index(SgElement(1, 0, SgDomain.N02))
     j = window.index(SgElement(0, 1, SgDomain.N02))
     # entry (i, j): s((1,0)* (0,1)) = s(0,2) = conj(z)^2 = (1-i)^2 = -2i
-    assert M[i][j] == G(0, -2)
-    assert M[i][i] == G(2)  # s(1,1) = |z|^2
-    with pytest.raises(MissingMomentError):
-        sg_moment_matrix(seq, box_window(2, SgDomain.N02))  # products reach (4,4)
+    assert (emb[i][j], emb[i][j + n], emb[i + n][j], emb[i + n][j + n]) == (0, 2, -2, 0)
+    assert (emb[i][i], emb[i][i + n]) == (2, 0)  # s(1,1) = |z|^2
+    with pytest.raises(MissingMomentError) as err:
+        hermitian_embedding(seq, box_window(2, SgDomain.N02))
+    assert err.value.index == (3, 0)  # row (0,1) meets (1,0) + (2,0) first
 
 
 def test_nplus_extension_pipeline_passes():
@@ -484,6 +501,27 @@ def oracle_sg_moment_matrix(seq, window):
     return out
 
 
+def oracle_hermitian_embedding(matrix):
+    """[[Re, -Im], [Im, Re]], checking every (i, j) against the conjugate of (j, i)."""
+    n = len(matrix)
+    for row in matrix:
+        if len(row) != n:
+            raise ValueError("matrix must be square")
+        for entry in row:
+            if not isinstance(entry, GaussianRational):
+                raise ValueError("exact embedding needs GaussianRational entries")
+    out = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        for j in range(n):
+            z = matrix[i][j]
+            if matrix[j][i] != z.conjugate():
+                raise ValueError(f"matrix is not Hermitian at ({i},{j})")
+            out[i][j] = out[i + n][j + n] = z.re
+            out[i][j + n] = -z.im
+            out[i + n][j] = z.im
+    return out
+
+
 def oracle_closure_keys(window):
     """The window's own keys and every u* v."""
     keys = {(u.m, u.n) for u in window}
@@ -511,7 +549,7 @@ def oracle_inversion_automorphism(a):
 # moment rectangle.
 @functools.lru_cache(maxsize=None)
 def oracle_psd(rows):
-    return sg_psd_check_exact([list(row) for row in rows])
+    return psd_check_exact(oracle_hermitian_embedding([list(row) for row in rows]))
 
 
 @functools.lru_cache(maxsize=None)
@@ -554,16 +592,50 @@ def missing_index(build, seq, window):
     return None
 
 
+def oracle_embedding(seq, window):
+    return oracle_hermitian_embedding(oracle_sg_moment_matrix(seq, window))
+
+
 def test_moment_matrix_matches_loop_oracle():
+    rng = random.Random(20)
     for domain in SgDomain:
         seq = sequence_from_measure(SG_ATOMS, box_window(6, domain))
         for box in range(4):
             window = box_window(box, domain)
-            got = sg_moment_matrix(seq, window)
-            assert got == oracle_sg_moment_matrix(seq, window), (domain, box)
-            for i in range(len(window)):
-                for j in range(len(window)):
-                    assert got[j][i] == got[i][j].conjugate()
+            for order in (window, rng.sample(window, len(window))):
+                got = hermitian_embedding(seq, order)
+                assert got == oracle_embedding(seq, order), (domain, box)
+                assert got == [list(col) for col in zip(*got)]
+
+
+def value_error(call):
+    try:
+        call()
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+def test_non_hermitian_refusal_matches_loop_oracle():
+    """Perturbing one stored entry breaks the symmetry of the embedding exactly
+    when the oracle finds the moment matrix not Hermitian."""
+    rng = random.Random(24)
+    refused = 0
+    for domain in SgDomain:
+        full = sequence_from_measure(SG_ATOMS, box_window(4, domain))
+        for box in range(3):
+            window = box_window(box, domain)
+            for key in rng.sample(sorted(full.entries), 8):
+                entries = dict(full.entries)
+                entries[key] = entries[key] + (G(0, 1) if key[0] == key[1] else G(1, 1))
+                seq = HermitianSequence(domain, entries)
+                want = value_error(lambda: oracle_embedding(seq, window))
+                got = value_error(lambda: psd_check_exact(hermitian_embedding(seq, window)))
+                assert (got is None) == (want is None), (domain, box, key)
+                if want is not None:
+                    assert "not Hermitian" in want and "not symmetric" in got
+                    refused += 1
+    assert refused > 10, refused
 
 
 def test_missing_moment_index_matches_loop_oracle():
@@ -580,10 +652,10 @@ def test_missing_moment_index_matches_loop_oracle():
                     # a shuffled window moves the first missing entry
                     for order in (window, rng.sample(window, len(window))):
                         want = missing_index(oracle_sg_moment_matrix, seq, order)
-                        assert missing_index(sg_moment_matrix, seq, order) == want
+                        assert missing_index(hermitian_embedding, seq, order) == want
                         if want is None:
-                            assert sg_moment_matrix(seq, order) == \
-                                oracle_sg_moment_matrix(seq, order)
+                            assert hermitian_embedding(seq, order) == \
+                                oracle_embedding(seq, order)
 
 
 def test_closure_keys_match_loop_oracle():
@@ -591,8 +663,8 @@ def test_closure_keys_match_loop_oracle():
     for box in range(5):
         window = box_window(box, SgDomain.NPLUS)
         for sub in (window, rng.sample(window, max(1, len(window) // 2))):
-            classes = _hermitian_window(sub).classes
-            assert {(u.m, u.n) for u in sub} | {mn for mn, _ in classes} == \
+            classes = _embedded_window(sub).classes
+            assert {(u.m, u.n) for u in sub} | {g[:2] for g, _ in classes} == \
                 oracle_closure_keys(sub)
 
 
@@ -733,84 +805,3 @@ def test_sequence_tables_match_atom_moment_oracle():
                 for (m, n), value in entries.items():
                     assert value == _atom_moment(used, m, n, GaussianRational.zero()), \
                         (domain, m, n)
-
-
-# -- the upper-triangle embedding against the full n^2 walk it replaced ----------
-
-
-def oracle_hermitian_embedding(matrix):
-    """Checks every (i, j) against the conjugate of (j, i), filling as it goes."""
-    n = len(matrix)
-    for row in matrix:
-        if len(row) != n:
-            raise ValueError("matrix must be square")
-        for entry in row:
-            if not isinstance(entry, GaussianRational):
-                raise ValueError("exact embedding needs GaussianRational entries")
-    out = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        for j in range(n):
-            z = matrix[i][j]
-            if matrix[j][i] != z.conjugate():
-                raise ValueError(f"matrix is not Hermitian at ({i},{j})")
-            out[i][j] = out[i + n][j + n] = z.re
-            out[i][j + n] = -z.im
-            out[i + n][j] = z.im
-    return out
-
-
-def embedding_outcome(embed, matrix):
-    try:
-        return embed(matrix)
-    except Exception as err:  # compared by type and message
-        return type(err), str(err)
-
-
-def test_hermitian_embedding_matches_full_walk_oracle():
-    rng = random.Random(31)
-
-    def rational():
-        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-
-    def hermitian(n):
-        m = [[None] * n for _ in range(n)]
-        for i in range(n):
-            m[i][i] = G(rational())
-            for j in range(i + 1, n):
-                m[i][j] = G(rational(), rational())
-                m[j][i] = m[i][j].conjugate()
-        return m
-
-    cases = [[]]
-    for n in range(1, 7):
-        for _ in range(4):
-            cases.append(hermitian(n))
-            broken = hermitian(n)  # one broken pair, upper or lower side
-            i, j = rng.randrange(n), rng.randrange(n)
-            broken[i][j] = broken[i][j] + G(0, 1) if i == j else broken[i][j] + G(1, 1)
-            cases.append(broken)
-            twice = hermitian(n)  # two broken pairs: the first (i, j) is reported
-            for _ in range(2):
-                i, j = rng.randrange(n), rng.randrange(n)
-                twice[i][j] = twice[i][j] + G(rational() or 1, rational())
-            cases.append(twice)
-        ragged = hermitian(n)
-        ragged[rng.randrange(n)].append(G(1))
-        cases.append(ragged)
-        floats = hermitian(n)
-        floats[rng.randrange(n)][rng.randrange(n)] = complex(1, 0)
-        cases.append(floats)
-        both = hermitian(n)  # faults in two rows: the earlier row's is reported
-        both[-1].append(G(1))
-        both[0][0] = Fraction(1)
-        cases.append(both)
-    cases.append([[G(1), G(0)]])  # non-square
-    cases.append([[G(0, 2)]])  # non-real diagonal
-    seen = set()
-    for matrix in cases:
-        got = embedding_outcome(hermitian_embedding, matrix)
-        assert got == embedding_outcome(oracle_hermitian_embedding, matrix), matrix
-        seen.add(got[1].split(" at ")[0] if isinstance(got, tuple) else "embedded")
-    assert seen == {"embedded", "matrix must be square",
-                           "exact embedding needs GaussianRational entries",
-                           "matrix is not Hermitian"}

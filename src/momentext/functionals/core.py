@@ -430,8 +430,11 @@ class MomentWindow:
     share one number of variables.  The window stores the ``keys`` in
     the given order, the distinct ``classes`` (sorted by pole order, then
     grlex), ``class_index`` and the n x n table ``class_of``; a matrix is
-    built by reading one value per class.  A localizer g enters through the
-    reader, which evaluates L(g * class) once per class.
+    built by reading one value per class.  ``cleared`` hands the exact PSD
+    kernel the same matrix as integers over one denominator, coercing and
+    clearing each class value once instead of each of the n^2 entries.  A
+    localizer g enters through the reader, which evaluates L(g * class)
+    once per class.
 
     In one variable ||x||^2 = x^2 divides a monomial, so product keys are
     reduced the way ``a_normalize`` reduces x^g / |x|^(2m) and can land at
@@ -518,6 +521,26 @@ class MomentWindow:
         for key in self._scan_order:
             values[self.class_index[key]] = read(key)
         return [[values[c] for c in row] for row in self.class_of]
+
+    def cleared(self, read) -> tuple[list[list[int]], int]:
+        """``psd._int_rows(self.matrix(read))``, coerced and cleared once per class.
+
+        Every class is read before any is coerced with ``as_fraction``, both
+        in scan order, so a missing value or a float raises as it would in
+        the matrix.  The class values are the matrix's entries, so their lcm
+        is the same delta; an asymmetric N raises the same ValueError.
+        """
+        from .psd import check_symmetric  # extend and recovery never load the psd layer
+
+        keys = self._scan_order
+        values = [read(key) for key in keys]
+        ints, delta = clear_denominators(list(map(as_fraction, values)))
+        by_class = [0] * len(ints)
+        for key, x in zip(keys, ints):
+            by_class[self.class_index[key]] = x
+        N = [list(map(by_class.__getitem__, row)) for row in self.class_of]
+        check_symmetric(N)
+        return N, delta
 
 
 def gram_matrix(L: LinearFunctional, basis: list[AElement]) -> list[list]:

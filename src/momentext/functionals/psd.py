@@ -1,17 +1,21 @@
 """Positive-semidefiniteness checks with reproducible certificates.
 
 The exact route factors a symmetric rational matrix as P*G*P^T = L*D*L^T
-with symmetric largest-diagonal pivoting.  The elimination holds each
-Schur complement as one symmetric integer matrix N over one common
-denominator delta > 0 and touches only its upper triangle: a pivot step
-sets N[i][j] to pivot*N[i][j] - N[k][i]*N[k][j] and delta to delta*pivot,
-then divides all of them by their gcd, so every Schur complement is in
-lowest terms.  Fractions are built only for the certificate's L and D.  A
-PSD verdict carries (permutation, unit lower factor, nonnegative
-diagonal); a NotPSD verdict carries a rational vector v with v^T*G*v < 0,
-lifted from the Schur complement by integer back-substitution.  Either
-certificate is checked back against G by ``PsdVerdict.verify``, which
-replays it on the same kernel.
+with symmetric largest-diagonal pivoting.  One elimination has two entry
+points: ``psd_check_exact`` takes the matrix and clears it entry by entry
+(``_int_rows``); ``psd_check_cleared`` takes it already cleared, as
+(N, delta) with G = N / delta, which ``MomentWindow.cleared`` builds with
+one coercion per moment class.  The elimination holds each Schur
+complement as one symmetric integer matrix N over one common denominator
+delta > 0 and touches only its upper triangle: a pivot step sets N[i][j]
+to pivot*N[i][j] - N[k][i]*N[k][j] and delta to delta*pivot, then divides
+all of them by their gcd, so every Schur complement is in lowest terms.
+Fractions are built only for the certificate's L and D.  A PSD verdict
+carries (permutation, unit lower factor, nonnegative diagonal); a NotPSD
+verdict carries a rational vector v with v^T*G*v < 0, lifted from the
+Schur complement by integer back-substitution.  Either certificate is
+checked back against G by ``PsdVerdict.verify``, which replays it on the
+same kernel.
 
 The float route is a plain eigenvalue bound and certifies nothing; it backs
 the approximate feasibility search where exactness is out of reach.
@@ -94,12 +98,18 @@ def _int_rows(matrix) -> tuple[list[list[int]], int]:
         raise ValueError("matrix must be square")
     flat, delta = clear_denominators([x for row in rows for x in row])
     N = [flat[i * n:(i + 1) * n] for i in range(n)]
-    for i in range(n):
-        N_i = N[i]
-        for j in range(i + 1, n):
+    check_symmetric(N)
+    return N, delta
+
+
+def check_symmetric(N: list[list[int]]) -> None:
+    """Raise ValueError at the first (i, j), i < j, row by row, where N is not symmetric."""
+    if N == [list(column) for column in zip(*N)]:
+        return
+    for i, N_i in enumerate(N):
+        for j in range(i + 1, len(N)):
             if N_i[j] != N[j][i]:
                 raise ValueError(f"matrix not symmetric at ({i},{j})")
-    return N, delta
 
 
 def psd_check_exact(matrix) -> PsdVerdict:
@@ -108,7 +118,13 @@ def psd_check_exact(matrix) -> PsdVerdict:
     Entries may be ints, Fractions or "p/q" strings; floats are refused so
     the exact path cannot silently degrade.
     """
-    G, dG = _int_rows(matrix)
+    return psd_check_cleared(*_int_rows(matrix))
+
+
+def psd_check_cleared(G: list[list[int]], dG: int) -> PsdVerdict:
+    """Exact PSD decision for G / dG: G a square symmetric integer matrix and
+    dG > 0, as ``_int_rows`` and ``MomentWindow.cleared`` return them.  G is
+    left as it is."""
     n = len(G)
     N, delta = [row[:] for row in G], dG  # G / dG stays for the witness value
     perm = list(range(n))
@@ -257,9 +273,10 @@ def hamburger_check(moments) -> PsdVerdict:
     moment sequence on the line, which is the positivity criterion the
     one-dimensional fibres reduce to.
     """
+    from .core import MomentWindow  # the algebra layers load only for the Hankel test
+
     s = [as_fraction(v) for v in moments]
     if len(s) % 2 != 1:
         raise ValueError(f"need an odd number of moments s_0..s_2N, got {len(s)}")
-    size = (len(s) + 1) // 2
-    hankel = [[s[i + j] for j in range(size)] for i in range(size)]
-    return psd_check_exact(hankel)
+    window = MomentWindow([((i,), 0) for i in range((len(s) + 1) // 2)])
+    return psd_check_cleared(*window.cleared(lambda key: s[key[0][0]]))

@@ -25,8 +25,10 @@ exact complex type.
 Positivity of a sequence is positivity of its Hermitian moment matrices
 s(u* v).  The exact check reads the real symmetric block matrix
 [[Re, -Im], [Im, Re]] directly as a ``MomentWindow``: the key ((m, n, p), 0)
-encodes row u = (m, n) in block p, so each entry is one class read, and the
-rational LDL^T certificates replay against that matrix.
+encodes row u = (m, n) in block p, so each entry is one class read.  The
+pipelines hand the exact kernel ``MomentWindow.cleared``, each class value
+cleared once; the rational LDL^T certificates replay against the matrix
+``hermitian_embedding``.
 """
 
 from __future__ import annotations
@@ -40,12 +42,12 @@ from math import comb
 from .extalg import AElement, Mode, a_normalize, embed_poly, norm_inverse_generator
 from .functionals.core import (DiscreteMeasure, LinearFunctional, MomentWindow,
                                SCALAR_EXACT, extend_from_measure)
-from .functionals.psd import PsdVerdict, psd_check_exact
+from .functionals.psd import PsdVerdict, psd_check_cleared
 from .functionals.recovery import (IndeterminateRankError, RecoveryFailedError,
                                    recover_atoms)
-from .polyalg import (Poly, divide_out_norm_squared, exponents_up_to_degree,
+from .polyalg import (Poly, divide_out_norm_squared, exponents_of_degree,
                       norm_squared_power)
-from .scalars import GaussianRational, as_fraction
+from .scalars import GaussianRational, as_fraction, clear_denominators
 
 
 class SgDomain(enum.Enum):
@@ -336,7 +338,7 @@ def nplus_extension_check(s: HermitianSequence, atoms,
                   if extended.entries[key] != value]
     restriction_ok = not mismatches
 
-    psd = psd_check_exact(moment_window.matrix(lambda key: _embedded_value(extended, key)))
+    psd = psd_check_cleared(*moment_window.cleared(lambda key: _embedded_value(extended, key)))
 
     # The translated targets read keys up to pole P and degree T; the
     # window (p, D) stores every key up to pole 2p >= P and degree 2D >= T.
@@ -411,7 +413,7 @@ def bisgaard_check(s: HermitianSequence, try_recovery: bool = True,
                   for n in range(-2 * (matrix_box + 1), 2 * (matrix_box + 1) + 1)):
             matrix_box += 1
     window = box_window(matrix_box, SgDomain.Z2)
-    psd = psd_check_exact(hermitian_embedding(s, window))
+    psd = psd_check_cleared(*_embedded_window(window).cleared(lambda key: _embedded_value(s, key)))
     report = BisgaardReport(True, [], matrix_box, psd)
     if not try_recovery or not psd.is_psd:
         return report
@@ -452,17 +454,28 @@ def _polynomial_moments_from_sequence(s: HermitianSequence, max_degree: int) -> 
 
     With x1 = (z + conj z)/2 and x2 = -i*(z - conj z)/2, the monomial
     x1^a * x2^b is 2^-(a+b) * (-i)^b * (z + conj z)^a * (z - conj z)^b.
+    The entries s(m, n) of one degree m + n are read in the order that
+    expansion meets them and cleared to integers over one denominator
+    delta, so the integer coefficients of (z + conj z)^a * (z - conj z)^b
+    sum in ints and each moment is one Fraction over delta * 2^(a+b).
     """
     values = {}
-    for gamma in exponents_up_to_degree(2, max_degree):
-        a, b = gamma
-        total = GaussianRational.zero()
-        for (m, n), coeff in _binomial_expansion(a, b, 0, 2).items():
-            total = total + coeff * s.value(m, n)
-        total = total * Fraction(1, 2 ** (a + b)) * GaussianRational(0, -1) ** b
-        if total.im != 0:
-            raise ValueError(f"moment of x^{gamma} came out non-real: {total}")
-        values[(gamma, 0)] = total.re
+    for degree in range(max_degree + 1):
+        row = [s.value(degree - n, n) for n in range(degree + 1)]
+        parts, delta = clear_denominators([x for z in row for x in (z.re, z.im)])
+        den = delta << degree
+        for gamma in exponents_of_degree(2, degree):
+            a, b = gamma
+            re = im = 0
+            for (_, n), coeff in _binomial_expansion(a, b, 0, 2).items():
+                c = coeff.re.numerator
+                re += c * parts[2 * n]
+                im += c * parts[2 * n + 1]
+            re, im = ((re, im), (im, -re), (-re, -im), (-im, re))[b % 4]  # times (-i)^b
+            if im:
+                total = GaussianRational(Fraction(re, den), Fraction(im, den))
+                raise ValueError(f"moment of x^{gamma} came out non-real: {total}")
+            values[(gamma, 0)] = Fraction(re, den)
     return LinearFunctional(2, Mode.APLUS, SCALAR_EXACT, values)
 
 

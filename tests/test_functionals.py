@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from momentext import scenarios
 from momentext.extalg import Mode, a_normalize, embed_poly, generator_f, truncated_basis
+from momentext.functionals import psd
 from momentext.functionals.core import (DiscreteMeasure, DomainOverflowError,
                                         InconsistentFunctionalError,
                                         LinearFunctional, MomentWindow,
@@ -384,16 +385,28 @@ def hermitian_star(key):
     return key[0][::-1], key[1]
 
 
+def embedded_star(key):
+    (m, n, p), pole = key
+    return (n, m, -p), pole
+
+
 @st.composite
 def window_inputs(draw):
-    """Keys of d = 1..4 with poles, or Hermitian Z^2 indices with negative
-    entries; zero, one or many keys, some of them repeated."""
-    if draw(st.booleans()):
-        entry, pole, dim, star = st.integers(-4, 4), st.just(0), 2, hermitian_star
+    """Keys of d = 1..4 with poles, Hermitian Z^2 indices with negative
+    entries, or those indices with a block p in {0, 1} as the semigroup
+    pipelines embed them; zero, one or many keys, some of them repeated."""
+    kind = draw(st.sampled_from(["poles", "hermitian", "embedded"]))
+    if kind == "hermitian":
+        key = st.tuples(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), st.just(0))
+        star = hermitian_star
+    elif kind == "embedded":
+        key = st.tuples(st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 1)),
+                        st.just(0))
+        star = embedded_star
     else:
-        entry, pole, dim, star = st.integers(0, 5), st.integers(0, 3), \
-            draw(st.integers(1, 4)), (lambda key: key)
-    key = st.tuples(st.tuples(*[entry] * dim), pole)
+        key = st.tuples(st.tuples(*[st.integers(0, 5)] * draw(st.integers(1, 4))),
+                        st.integers(0, 3))
+        star = lambda key: key  # noqa: E731
     keys = draw(st.lists(key, max_size=9))
     if keys:
         keys += draw(st.lists(st.sampled_from(keys), max_size=3))
@@ -431,6 +444,46 @@ def test_packed_window_fails_at_the_oracles_missing_class(inputs, data):
         window.matrix(read)
     assert got.value.key == first
     assert window.matrix(lambda key: key) == table
+
+
+def outcome(call):
+    """call()'s result, or the type and text of what it raised."""
+    try:
+        return call()
+    except Exception as err:  # noqa: BLE001 - compared, not handled
+        return type(err), str(err)
+
+
+@settings(max_examples=200, deadline=None)
+@given(inputs=window_inputs(), seed=st.integers(0, 2 ** 16),
+       fault=st.sampled_from(["none", "asymmetric", "float", "missing", "float and missing"]))
+def test_cleared_window_matches_int_rows_of_its_matrix(inputs, seed, fault):
+    """One coercion per class gives _int_rows(matrix) and its errors: a
+    read that breaks the star's symmetry, floats and missing classes
+    (every read fails before any coercion does, as in the matrix)."""
+    keys, star = inputs
+    window = MomentWindow(keys, star)
+    rng = random.Random(seed)
+    values = {key: Fraction(rng.randint(-20, 20), rng.randint(1, 12)) for key in window.classes}
+    if fault != "asymmetric":  # a star pair reads one value
+        values = {key: values[min(key, star(key))] for key in window.classes}
+    if fault not in ("none", "asymmetric"):
+        for i, key in enumerate(rng.sample(window.classes, min(4, len(window.classes)))):
+            missing = fault == "missing" or (fault == "float and missing" and i % 2)
+            values[key] = None if missing else float(values[key])
+
+    def read(key):
+        if values[key] is None:
+            raise DomainOverflowError(key)
+        return values[key]
+
+    want = outcome(lambda: psd._int_rows(window.matrix(read)))
+    assert outcome(lambda: window.cleared(read)) == want
+    if fault == "none":
+        N, delta = want
+        before = [row[:] for row in N]
+        assert psd.psd_check_cleared(N, delta) == psd.psd_check_exact(window.matrix(read))
+        assert N == before
 
 
 def test_window_edge_cases():

@@ -157,6 +157,24 @@ def test_hamburger_needs_odd_length():
         hamburger_check([Fraction(1), Fraction(0)])
 
 
+def test_hamburger_window_matches_the_listed_hankel_matrix():
+    rng = random.Random(5)
+    for length in (1, 3, 5, 7, 9):
+        for _ in range(4):
+            s = [Fraction(rng.randint(-3, 9), rng.randint(1, 4)) for _ in range(length)]
+            size = (length + 1) // 2
+            hankel = [[s[i + j] for j in range(size)] for i in range(size)]
+            assert hamburger_check(s) == psd_check_exact(hankel)
+    assert hamburger_check([1, "1/2", "1/3"]) == psd_check_exact([[1, "1/2"], ["1/2", "1/3"]])
+    refused = "cannot interpret 0.5 as an exact rational"
+    for moments, error, text in (([1, 0.5, 1], TypeError, refused),
+                                 ([1, 0.5], TypeError, refused),
+                                 ([], ValueError, "need an odd number of moments s_0..s_2N, got 0")):
+        with pytest.raises(error) as got:
+            hamburger_check(moments)
+        assert str(got.value) == text
+
+
 # -- certificate replay: tampering and the full n x n oracle --------------------
 
 

@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 from momentext import extalg, semigroups
 from momentext.extalg import (AElement, Character, Mode, a_normalize, embed_poly,
                               norm_inverse_generator)
-from momentext.functionals.core import extend_from_measure
-from momentext.functionals.psd import psd_check_exact
+from momentext.functionals.core import SCALAR_EXACT, LinearFunctional, extend_from_measure
+from momentext.functionals.psd import psd_check_cleared, psd_check_exact
 from momentext.polyalg import Poly, exponents_up_to_degree, norm_squared
 from momentext.scalars import GaussianRational
 from momentext.semigroups import (HermitianSequence, MissingMomentError,
                                   NplusExtensionReport, SgDomain, SgElement,
-                                  _atom_moment, _binomial_expansion, _embedded_window,
+                                  _atom_moment, _binomial_expansion, _embedded_value,
+                                  _embedded_window,
                                   _polynomial_moments_from_sequence,
                                   bisgaard_check,
                                   box_window, complex_atoms_to_measure,
@@ -421,6 +422,82 @@ def test_polynomial_moments_from_sequence_match_zdict_oracle():
         for (m, n), coeff in oracle_monomial_in_z(gamma).items():
             total = total + coeff * seq.value(m, n)
         assert total.im == 0 and L.value(gamma) == total.re
+
+
+def oracle_polynomial_moments_from_sequence(s, max_degree):
+    """One GaussianRational sum per moment, scaled by 2^-(a+b) * (-i)^b."""
+    values = {}
+    for gamma in exponents_up_to_degree(2, max_degree):
+        a, b = gamma
+        total = GaussianRational.zero()
+        for (m, n), coeff in _binomial_expansion(a, b, 0, 2).items():
+            total = total + coeff * s.value(m, n)
+        total = total * Fraction(1, 2 ** (a + b)) * GaussianRational(0, -1) ** b
+        if total.im != 0:
+            raise ValueError(f"moment of x^{gamma} came out non-real: {total}")
+        values[(gamma, 0)] = total.re
+    return LinearFunctional(2, Mode.APLUS, SCALAR_EXACT, values)
+
+
+def outcome(call):
+    """call()'s result, or the type and text of what it raised."""
+    try:
+        return call()
+    except Exception as err:  # noqa: BLE001 - compared, not handled
+        return type(err), str(err)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), degree=st.integers(0, 6),
+       fault=st.sampled_from(["none", "non-hermitian", "missing"]))
+def test_integer_polynomial_moments_match_fraction_oracle(seed, degree, fault):
+    rng = random.Random(seed)
+    atoms = [(Fraction(rng.randint(1, 5), rng.randint(1, 4)),
+              G(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                Fraction(rng.randint(-4, 4), rng.randint(1, 3))))
+             for _ in range(rng.randint(1, 3))]
+    entries = dict(sequence_from_measure(atoms, box_window(degree, SgDomain.N02)).entries)
+    key = rng.choice(sorted(entries))
+    if fault == "non-hermitian":
+        entries[key] = entries[key] + G(rng.randint(-2, 2), rng.choice((-1, 1)))
+    elif fault == "missing":
+        del entries[key]
+    seq = HermitianSequence(SgDomain.N02, entries)
+    got = outcome(lambda: _polynomial_moments_from_sequence(seq, degree))
+    want = outcome(lambda: oracle_polynomial_moments_from_sequence(seq, degree))
+    assert got == want
+    if isinstance(want, LinearFunctional):
+        assert list(got.values.items()) == list(want.values.items())
+
+
+def test_pipeline_verdicts_are_the_embedding_verdicts():
+    """The cleared kernel path of both pipelines decides as psd_check_exact
+    on the public matrix hermitian_embedding, and refuses non-Hermitian
+    data at the same entry."""
+    atoms = [(Fraction(1), G(2, 1)), (Fraction(1, 2), G(-1, 1)), (Fraction(1, 3), G(1, -2))]
+    seq = sequence_from_measure(atoms, box_window(4, SgDomain.Z2))
+    notpsd = {**seq.entries, (0, 0): G(Fraction(1, 100))}
+    for entries, is_psd in ((seq.entries, True), (notpsd, False)):
+        s = HermitianSequence(SgDomain.Z2, entries)
+        report = bisgaard_check(s, try_recovery=False)
+        assert report.psd.is_psd is is_psd
+        assert report.psd == psd_check_exact(hermitian_embedding(s, box_window(2, SgDomain.Z2)))
+
+    tampered = HermitianSequence(SgDomain.Z2, {**seq.entries, (1, 0): seq.value(1, 0) + G(0, 1)})
+    report = bisgaard_check(tampered)
+    assert (report.hermitian_ok, report.psd) == (False, None)
+    window = box_window(1, SgDomain.Z2)
+    cleared = outcome(lambda: psd_check_cleared(
+        *_embedded_window(window).cleared(lambda key: _embedded_value(tampered, key))))
+    assert cleared == outcome(lambda: psd_check_exact(hermitian_embedding(tampered, window)))
+    assert cleared[0] is ValueError and cleared[1].startswith("matrix not symmetric at")
+
+    for radius in (1, 2):
+        window = box_window(radius, SgDomain.NPLUS)
+        report = nplus_extension_check(sequence_from_measure(atoms, box_window(1, SgDomain.N02)),
+                                       atoms, window)
+        extended = sequence_from_measure(atoms, box_window(2 * radius, SgDomain.NPLUS))
+        assert report.psd == psd_check_exact(hermitian_embedding(extended, window))
 
 
 # -- the complex-atom evaluator against the retired per-path loops ---------------

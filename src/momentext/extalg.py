@@ -31,9 +31,10 @@ normalized.  In a sum with unequal poles the lifted summand is divisible
 by s and the other is not, so the sum is reduced.  And since s is
 homogeneous, s divides a polynomial exactly when it divides each of its
 homogeneous components (``semigroups.inversion_automorphism`` reduces
-component by component).  ``a_normalize`` and ``divide_by_norm_squared``
-remain the public reducer and the reference the shortcuts are tested
-against.
+component by component).  ``a_normalize`` remains the public reducer and
+the reference the shortcuts are tested against.  It divides through
+``divide_out_norm_squared``, which clears the numerator once and divides
+in integers; ``divide_by_norm_squared`` is one step of that division.
 
 Characters (multiplicative evaluations) come in two kinds: evaluation at a
 nonzero point, and the limit along a direction t into the origin, which
@@ -79,8 +80,7 @@ class AElement:
     mode: Mode = Mode.APLUS
 
     def __post_init__(self) -> None:
-        if self.pole_order < 0:
-            raise ValueError("pole_order must be >= 0")
+        _check_pole_order(self.pole_order)
         if self.pole_order > 0 and divide_by_norm_squared(self.numerator) is not None:
             raise ValueError("AElement not reduced: numerator divisible by ||x||^2")
         if self.mode is Mode.APLUS:
@@ -148,6 +148,14 @@ class AElement:
         return f"({self.numerator}) / ||x||^{2 * self.pole_order}"
 
 
+def _check_pole_order(pole_order: int) -> None:
+    # a bool would be stored as given and written as JSON true/false
+    if isinstance(pole_order, bool):
+        raise TypeError("bool is not a pole order")
+    if pole_order < 0:
+        raise ValueError("pole_order must be >= 0")
+
+
 def _check_degree_condition(numerator: Poly, pole_order: int) -> None:
     bound = 2 * pole_order
     for exp in numerator.terms:
@@ -175,8 +183,7 @@ def a_normalize(numerator: Poly, pole_order: int, mode: Mode = Mode.APLUS) -> AE
     Dividing by ||x||^2 lowers the least degree by exactly 2, so the checked
     degree condition holds for the reduced pair as well.
     """
-    if pole_order < 0:
-        raise ValueError("pole_order must be >= 0")
+    _check_pole_order(pole_order)
     if mode is Mode.APLUS:
         _check_degree_condition(numerator, pole_order)
     numerator, pole_order = divide_out_norm_squared(numerator, pole_order)
@@ -195,11 +202,15 @@ def a_add(a: AElement, b: AElement) -> AElement:
 
     With poles m_a > m_b, s = ||x||^2 does not divide the reduced N_a but
     divides N_b * s^(m_a - m_b), so the sum is nonzero and reduced, any d.
+    Only the operand below the top pole is lifted.
     """
     _check_compatible(a, b)
     m = max(a.pole_order, b.pole_order)
-    na = a.numerator * norm_squared_power(a.nvars, m - a.pole_order)
-    nb = b.numerator * norm_squared_power(a.nvars, m - b.pole_order)
+    na, nb = a.numerator, b.numerator
+    if a.pole_order < m:
+        na = na * norm_squared_power(a.nvars, m - a.pole_order)
+    if b.pole_order < m:
+        nb = nb * norm_squared_power(a.nvars, m - b.pole_order)
     if a.pole_order == b.pole_order:
         return a_normalize(na + nb, m, a.mode)
     return AElement._trusted(na + nb, m, a.mode)

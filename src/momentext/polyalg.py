@@ -10,6 +10,13 @@ division) terms are compared graded-lexicographically: total degree first,
 ties broken lexicographically with x1 highest.  Degrees ascend in listings
 and within a degree the grlex-largest monomial comes first, so a basis in
 two variables reads 1, x1, x2, x1^2, x1*x2, x2^2, ...
+
+Products and divisions by ||x||^2 run on integer content: a polynomial is
+cleared once to integer terms over one denominator (``integer_terms``),
+the kernel multiplies, adds and divides ints, and a Fraction is built
+once per result term.  The integer kernels (``integer_product``,
+``integer_divide_out``) also serve callers that hold several pieces of
+one polynomial over its denominator, such as the inversion automorphism.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import functools
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, neg
+from operator import add, mul
 
 from .scalars import (as_fraction, clear_denominators, format_fraction,
                       is_exact_scalar, power_by_squaring)
@@ -77,6 +84,13 @@ class Poly:
     given: valid tuple exponents and nonzero Fraction coefficients, each
     arithmetic operation dropping the zeros it can make.  Both keep the
     given term order.  Treat the stored dict as immutable.
+
+    A product lists its terms in first-occurrence order, self outer and
+    other inner, zeros dropped after, so float sums over its terms are
+    reproducible.  When one factor is a single term the product makes no
+    sums and multiplies Fractions directly; otherwise both factors are
+    cleared to integers over one denominator and the product is formed
+    in ints, with one Fraction per result term.
     """
 
     nvars: int
@@ -91,8 +105,8 @@ class Poly:
             if len(exp) != self.nvars:
                 raise DimensionMismatchError(
                     f"exponent {exp} has length {len(exp)}, expected {self.nvars}")
-            if any(not isinstance(e, int) or e < 0 for e in exp):
-                raise ValueError(f"exponent {exp} must consist of nonnegative ints")
+            if any(not isinstance(e, int) or isinstance(e, bool) or e < 0 for e in exp):
+                raise ValueError(f"exponent {exp} must consist of nonnegative ints, not bools")
             coeff = as_fraction(coeff)
             if coeff != 0:
                 clean[exp] = coeff
@@ -104,6 +118,14 @@ class Poly:
         p = object.__new__(cls)
         p.__dict__.update(nvars=nvars, terms=terms)
         return p
+
+    @classmethod
+    def _over(cls, nvars: int, terms: dict[Exponent, int], den: int) -> "Poly":
+        """The polynomial terms / den from nonzero integer terms and den > 0,
+        one Fraction per term, in the given order."""
+        if den == 1:
+            return cls._trusted(nvars, {e: Fraction(c) for e, c in terms.items()})
+        return cls._trusted(nvars, {e: Fraction(c, den) for e, c in terms.items()})
 
     # -- constructors ------------------------------------------------------
 
@@ -207,12 +229,14 @@ class Poly:
                 return Poly._trusted(self.nvars, {})
             return Poly._trusted(self.nvars, {e: c * scalar for e, c in self.terms.items()})
         _check_same_nvars(self, other)
-        terms: dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(map(add, e1, e2))
-                terms[exp] = terms[exp] + c1 * c2 if exp in terms else c1 * c2
-        return Poly._trusted(self.nvars, {e: c for e, c in terms.items() if c})
+        if len(self.terms) < 2 or len(other.terms) < 2:
+            # a product by one term makes no sums, so no zeros
+            return Poly._trusted(self.nvars, {tuple(map(add, e1, e2)): c1 * c2
+                                              for e1, c1 in self.terms.items()
+                                              for e2, c2 in other.terms.items()})
+        a, da = integer_terms(self)
+        b, db = integer_terms(other)
+        return Poly._over(self.nvars, integer_product(a, b), da * db)
 
     __rmul__ = __mul__
 
@@ -326,8 +350,39 @@ def norm_squared(nvars: int) -> Poly:
     return norm_squared_power(nvars, 1)
 
 
-def divide_by_norm_squared(p: Poly) -> Poly | None:
-    """The exact quotient p / (x1^2+...+xd^2), or None when it does not divide.
+@functools.lru_cache(maxsize=None)
+def integer_norm_squared_power(nvars: int, t: int) -> dict[Exponent, int]:
+    """The terms of ``norm_squared_power(nvars, t)`` as ints, in its order,
+    memoized and shared: never mutate them."""
+    return {e: c.numerator for e, c in norm_squared_power(nvars, t).terms.items()}
+
+
+# -- integer-content kernels ---------------------------------------------------
+
+
+def integer_terms(p: Poly) -> tuple[dict[Exponent, int], int]:
+    """(N, den): p = N / den with integer terms N in p's order and den > 0,
+    the lcm of p's denominators."""
+    coeffs, den = clear_denominators(p.terms.values())
+    return dict(zip(p.terms, coeffs)), den
+
+
+def integer_product(a: dict[Exponent, int], b: dict[Exponent, int]) -> dict[Exponent, int]:
+    """The product of two integer term maps, the order of ``Poly.__mul__``:
+    first occurrence, a outer and b inner, zeros dropped after."""
+    b_items = list(b.items())
+    terms: dict[Exponent, int] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b_items:
+            exp = tuple(map(add, e1, e2))
+            terms[exp] = terms[exp] + c1 * c2 if exp in terms else c1 * c2
+    return {e: c for e, c in terms.items() if c}
+
+
+def _quotient_by_norm_squared(codes: dict[int, int], top: int, first: int,
+                              steps: list[int]) -> dict[int, int] | None:
+    """The exact quotient of packed integer terms by s = x1^2+...+xd^2, or
+    None when s does not divide them.
 
     Leading-term division, leads ordered by (total degree, exponent): if
     p = q * s exactly then the leading term of p is the product of the
@@ -335,42 +390,91 @@ def divide_by_norm_squared(p: Poly) -> Poly | None:
     the remainder or hits a lead not divisible by x1^2, which certifies
     non-divisibility.  Cancelling x^e only adds terms x^(e - 2*e1 + 2*e_k)
     below it, so one pass over a heap of pending exponents meets the leads
-    in descending order, the order of the quotient's terms.  ``p`` is
-    trusted to be canonical.
+    in descending order, the order of the quotient's terms.  Every
+    coefficient of s is 1, so integer terms have an integer quotient.
+
+    An exponent e of degree t is packed as the integer t*top + sum_i
+    e_i*place_i (``integer_divide_out``), whose order is the lead order;
+    ``first`` is place_1, and x^e -> x^(e - 2*e1 + 2*e_k) adds steps[k].
     """
-    remainder = dict(p.terms)
-    quotient: dict[Exponent, Fraction] = {}
-    # x^(e - 2*e1 + 2*e_k) = x^(e + step); every coefficient of ||x||^2 is 1
-    steps = [(-2,) + tuple(2 if j == k else 0 for j in range(1, p.nvars))
-             for k in range(1, p.nvars)]
-    pending = [(-sum(e), tuple(map(neg, e))) for e in remainder]
+    remainder = dict(codes)
+    quotient: dict[int, int] = {}
+    pending = [-code for code in remainder]
     heapq.heapify(pending)
+    to_quotient = 2 * top + 2 * first
     while pending:
-        degree, key = heapq.heappop(pending)
-        lead = tuple(map(neg, key))
+        lead = -heapq.heappop(pending)
         coeff = remainder.pop(lead, None)
         if coeff is None:  # cancelled after it was pushed
             continue
-        if lead[0] < 2:
+        if lead % top < 2 * first:  # x1^2 does not divide the lead
             return None
-        quotient[(lead[0] - 2,) + lead[1:]] = coeff
+        quotient[lead - to_quotient] = coeff
         for step in steps:
-            exp = tuple(map(add, lead, step))
-            if exp not in remainder:
-                remainder[exp] = -coeff
-                heapq.heappush(pending, (degree, tuple(map(neg, exp))))
-            elif new := remainder[exp] - coeff:
-                remainder[exp] = new
+            code = lead + step
+            if code not in remainder:
+                remainder[code] = -coeff
+                heapq.heappush(pending, -code)
+            elif new := remainder[code] - coeff:
+                remainder[code] = new
             else:
-                del remainder[exp]
-    return Poly._trusted(p.nvars, quotient)
+                del remainder[code]
+    return quotient
+
+
+def integer_divide_out(nvars: int, terms: dict[Exponent, int],
+                       limit: int) -> tuple[dict[Exponent, int], int]:
+    """(terms / s^j, limit - j) for the largest j <= limit with s^j dividing
+    terms, s = ||x||^2; the terms come back as given when j = 0.
+
+    A single term is divisible by s only for d = 1 (for d >= 2 any nonzero
+    multiple of s has distinct leading and trailing terms), so it is divided
+    without the heap pass; that path works for Fraction terms as well.
+    Otherwise the exponents are packed into integers in base D + 1, D the
+    largest degree, which no exponent entry reaches; division keeps or
+    lowers every degree, so the packing holds for all j passes and is
+    undone once.
+    """
+    if len(terms) == 1:
+        ((exp, coeff),) = terms.items()
+        j = 0 if nvars > 1 else min(limit, exp[0] // 2)
+        return ({(exp[0] - 2 * j,): coeff} if j else terms), limit - j
+    if not limit:
+        return terms, limit
+    base = max(map(sum, terms), default=0) + 1
+    place = [base ** (nvars - 1 - i) for i in range(nvars)]
+    top = base ** nvars
+    steps = [2 * w - 2 * place[0] for w in place[1:]]
+    codes = {sum(e) * top + sum(map(mul, e, place)): c for e, c in terms.items()}
+    j = 0
+    while j < limit:
+        quotient = _quotient_by_norm_squared(codes, top, place[0], steps)
+        if quotient is None:
+            break
+        codes, j = quotient, j + 1
+    if not j:
+        return terms, limit
+    return {tuple(code // w % base for w in place): c for code, c in codes.items()}, limit - j
 
 
 def divide_out_norm_squared(p: Poly, limit: int) -> tuple[Poly, int]:
-    """(p / ||x||^(2j), limit - j) for the largest j <= limit dividing p."""
-    while limit:
-        quotient = divide_by_norm_squared(p)
-        if quotient is None:
-            break
-        p, limit = quotient, limit - 1
-    return p, limit
+    """(p / ||x||^(2j), limit - j) for the largest j <= limit dividing p.
+
+    p is cleared once, divided in integers and rebuilt with one Fraction
+    per quotient term; a monomial is divided as it stands.  p itself comes
+    back when s does not divide it, and the zero polynomial gives (0, 0).
+    """
+    if not limit or len(p.terms) == 1:
+        terms, left = integer_divide_out(p.nvars, p.terms, limit)
+        return (Poly._trusted(p.nvars, terms) if left < limit else p), left
+    terms, den = integer_terms(p)
+    terms, left = integer_divide_out(p.nvars, terms, limit)
+    return (Poly._over(p.nvars, terms, den) if left < limit else p), left
+
+
+def divide_by_norm_squared(p: Poly) -> Poly | None:
+    """The exact quotient p / (x1^2+...+xd^2), or None when it does not
+    divide; the quotient's terms come in descending (degree, exponent)
+    order.  ``p`` is trusted to be canonical."""
+    quotient, left = divide_out_norm_squared(p, 1)
+    return None if left else quotient

@@ -45,8 +45,8 @@ from .functionals.core import (DiscreteMeasure, LinearFunctional, MomentWindow,
 from .functionals.psd import PsdVerdict, psd_check_cleared
 from .functionals.recovery import (IndeterminateRankError, RecoveryFailedError,
                                    recover_atoms)
-from .polyalg import (Poly, divide_out_norm_squared, exponents_of_degree,
-                      norm_squared_power)
+from .polyalg import (Poly, exponents_of_degree, integer_divide_out,
+                      integer_norm_squared_power, integer_product, integer_terms)
 from .scalars import GaussianRational, as_fraction, clear_denominators
 
 
@@ -499,24 +499,27 @@ def inversion_automorphism(a: AElement) -> AElement:
     if a.mode is not Mode.LAURENT:
         raise ValueError("the inversion automorphism lives on the Laurent algebra")
     d, m = a.nvars, a.pole_order
-    components: dict[int, dict] = {}
-    for gamma, coeff in a.numerator.terms.items():
-        components.setdefault(sum(gamma), {})[gamma] = coeff
-    if not components:
+    if a.numerator.is_zero():
         return a
+    # one denominator for the whole element: the lifts and divisions by s
+    # keep integer coefficients, and each image term is built once
+    terms, den = integer_terms(a.numerator)
+    components: dict[int, dict] = {}
+    for gamma, coeff in terms.items():
+        components.setdefault(sum(gamma), {})[gamma] = coeff
     pole = reduction = max(0, max(components) - m)
     parts = []
     for k in sorted(components, reverse=True):  # ascending lift
-        part, lift = Poly._trusted(d, components[k]), pole - k + m
+        part, lift = components[k], pole - k + m
         if lift < reduction:
-            part, left = divide_out_norm_squared(part, reduction - lift)
+            part, left = integer_divide_out(d, part, reduction - lift)
             lift = reduction = reduction - left
         parts.append((part, lift))
     numerator: dict = {}
     for part, lift in parts:
-        numerator.update((part * norm_squared_power(d, lift - reduction)
-                          if lift > reduction else part).terms)
-    return AElement._trusted(Poly._trusted(d, numerator), pole - reduction, Mode.LAURENT)
+        numerator.update(integer_product(part, integer_norm_squared_power(d, lift - reduction))
+                         if lift > reduction else part)
+    return AElement._trusted(Poly._over(d, numerator, den), pole - reduction, Mode.LAURENT)
 
 
 @dataclass

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -16,10 +17,12 @@ from momentext.functionals.core import (DiscreteMeasure, LinearFunctional,
                                         gram_matrix, polynomial_moments)
 from momentext.functionals.feasibility import extension_feasibility
 from momentext.polyalg import (ClearedPoint, ClearedPoly, DimensionMismatchError,
-                               Poly, divide_by_norm_squared,
+                               Poly, divide_by_norm_squared, divide_out_norm_squared,
                                exponents_of_degree, exponents_up_to_degree,
                                grlex_key, norm_squared, norm_squared_power)
 from momentext.semigroups import inversion_automorphism
+from momentext.serialize import (aelement_from_dict, aelement_to_dict, poly_from_dict,
+                                 poly_to_dict)
 
 
 def random_poly(rng: random.Random, nvars: int, max_degree: int = 3) -> Poly:
@@ -398,6 +401,66 @@ def test_arithmetic_stores_no_zero_and_matches_filtered_terms(pair, scalar, k, t
     for got, want in cases:
         assert all(c != 0 and type(c) is Fraction for c in got.terms.values())
         assert list(got.terms.items()) == list(want.items())
+
+
+@st.composite
+def product_operands(draw) -> tuple[Poly, Poly]:
+    """Factors for both product paths: a single term on either side (no
+    sums), general pairs, and (u + v, u - v), whose cross terms cancel after
+    clearing to integers."""
+    d = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["single left", "single right", "general", "cancelling"]))
+    if kind.startswith("single"):
+        single = Poly.monomial(d, draw(st.tuples(*[st.integers(0, 3)] * d)),
+                               draw(COEFFICIENTS.filter(bool)))
+        other = draw(polys(d))
+        return (single, other) if kind == "single left" else (other, single)
+    u, v = draw(polys(d)), draw(polys(d))
+    return (u, v) if kind == "general" else (u + v, u - v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=product_operands())
+def test_integer_content_product_matches_fraction_product(pair):
+    p, q = pair
+    assert_same_poly(p * q, validated_product(p, q))
+    assert_same_poly(q * p, validated_product(q, p))
+
+
+def divide_out_by_rescan(p: Poly, limit: int) -> tuple[Poly, int]:
+    while limit and (quotient := divide_by_norm_squared_by_rescan(p)) is not None:
+        p, limit = quotient, limit - 1
+    return p, limit
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.one_of(dividends(), st.integers(1, 4).map(Poly.zero)),
+       extra=st.booleans(), limit=st.integers(0, 3))
+def test_divide_out_matches_repeated_rescan_division(p, extra, limit):
+    if extra:  # a third factor of ||x||^2 for limit 3
+        p = p * norm_squared(p.nvars)
+    got, left = divide_out_norm_squared(p, limit)
+    want, want_left = divide_out_by_rescan(p, limit)
+    assert left == want_left
+    assert_same_poly(got, want)
+    if p.is_zero():
+        assert left == 0
+
+
+def test_bools_are_refused_as_exponents_and_pole_orders():
+    with pytest.raises(ValueError, match="not bools"):
+        Poly(2, {(True, 0): 1})
+    x1 = Poly.variable(2, 0)
+    for build in (lambda: a_normalize(x1, True, Mode.LAURENT),
+                  lambda: AElement(x1, True, Mode.LAURENT),
+                  lambda: AElement(x1 * x1, False, Mode.APLUS)):
+        with pytest.raises(TypeError, match="bool"):
+            build()
+    # what the constructors accept, serialization writes and loads back
+    p = Poly(2, {(1, 0): Fraction(1, 2), (0, 3): -2})
+    assert_same_poly(poly_from_dict(json.loads(json.dumps(poly_to_dict(p)))), p)
+    for a in (a_normalize(x1 * 3, 1, Mode.LAURENT), a_normalize(x1 * x1, 1, Mode.APLUS)):
+        assert_same_element(aelement_from_dict(json.loads(json.dumps(aelement_to_dict(a)))), a)
 
 
 def test_public_constructors_keep_their_checks():

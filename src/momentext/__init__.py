@@ -35,7 +35,7 @@ _EXPORTS = {name: module for module, names in (
     ("scalars", ("GaussianRational", "as_fraction", "format_fraction")),
     ("semigroups", ("BisgaardReport", "HermitianSequence", "LaurentRelationsReport",
                     "NplusExtensionReport", "SgDomain", "SgElement", "bisgaard_check",
-                    "box_window", "complex_atoms_to_measure", "hermitian_embedding",
+                    "box_window", "hermitian_embedding",
                     "inversion_automorphism", "laurent_relations_check",
                     "nplus_extension_check", "sequence_from_measure", "sg_involution",
                     "sg_product", "sg_to_functions")),

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 from .functionals.errors import IndeterminateRankError, RecoveryFailedError
 
 if TYPE_CHECKING:
-    from .functionals.core import DiscreteMeasure, LinearFunctional
+    from .functionals.core import LinearFunctional
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -185,19 +185,6 @@ def cmd_fibres(args) -> int:
 # -- semigroup -------------------------------------------------------------------
 
 
-def _measure_to_atoms(measure: DiscreteMeasure):
-    from .scalars import GaussianRational
-
-    if measure.dim != 2 or measure.sphere_atoms:
-        raise ValueError("semigroup pipelines need a plain dim-2 measure")
-    if not measure.is_exact():
-        raise ValueError("semigroup pipelines need exact rational measures")
-    atoms = [(w, GaussianRational(p[0], p[1])) for w, p in measure.atoms]
-    if measure.origin_mass:
-        atoms.append((measure.origin_mass, GaussianRational.zero()))
-    return atoms
-
-
 def cmd_semigroup(args) -> int:
     from . import serialize
     from .semigroups import (SgDomain, bisgaard_check, box_window,
@@ -219,12 +206,11 @@ def cmd_semigroup(args) -> int:
         if not args.measure:
             raise ValueError("--measure is required for the nplus-extension pipeline")
         measure = serialize.measure_from_dict(serialize.load_json(args.measure))
-        atoms = _measure_to_atoms(measure)
         if args.sequence:
             s = serialize.sequence_from_dict(serialize.load_json(args.sequence))
         else:
-            s = sequence_from_measure(atoms, box_window(args.box, SgDomain.N02))
-        result = nplus_extension_check(s, atoms, box_window(args.box, SgDomain.NPLUS))
+            s = sequence_from_measure(measure, box_window(args.box, SgDomain.N02))
+        result = nplus_extension_check(s, measure, box_window(args.box, SgDomain.NPLUS))
         report = {"command": "semigroup", "pipeline": args.pipeline,
                   "restriction_ok": result.restriction_ok,
                   "restriction_mismatches": [list(k) for k in result.restriction_mismatches],
@@ -237,30 +223,27 @@ def cmd_semigroup(args) -> int:
               args.out)
         return EXIT_OK if result.passed else EXIT_NEGATIVE
 
-    if args.pipeline == "bisgaard":
-        if not args.sequence:
-            raise ValueError("--sequence is required for the bisgaard pipeline")
-        s = serialize.sequence_from_dict(serialize.load_json(args.sequence))
-        result = bisgaard_check(s, try_recovery=not args.no_recovery, seed=args.seed)
-        report = {"command": "semigroup", "pipeline": args.pipeline,
-                  "hermitian_ok": result.hermitian_ok,
-                  "hermitian_violations": [list(k) for k in result.hermitian_violations],
-                  "matrix_box": result.matrix_box,
-                  "psd": serialize.verdict_to_dict(result.psd) if result.psd else None,
-                  "recovered_atoms": [[w, z.real, z.imag]
-                                      for w, z in (result.recovered_atoms or [])],
-                  "recovery_residual": result.recovery_residual,
-                  "recovery_error": result.recovery_error,
-                  "passed": result.passed}
-        lines = [f"laurent positivity: "
-                 f"{'pass' if result.passed else 'FAIL'}"
-                 + (f" ({result.recovery_error})" if result.recovery_error else "")]
-        _emit(report, lines, args.out)
-        if result.passed:
-            return EXIT_OK
-        return EXIT_UNRESOLVED if result.recovery_unresolved else EXIT_NEGATIVE
-
-    raise ValueError(f"unknown pipeline {args.pipeline!r}")
+    # bisgaard, the last of the parser's choices
+    if not args.sequence:
+        raise ValueError("--sequence is required for the bisgaard pipeline")
+    s = serialize.sequence_from_dict(serialize.load_json(args.sequence))
+    result = bisgaard_check(s, try_recovery=not args.no_recovery, seed=args.seed)
+    report = {"command": "semigroup", "pipeline": args.pipeline,
+              "hermitian_ok": result.hermitian_ok,
+              "hermitian_violations": [list(k) for k in result.hermitian_violations],
+              "matrix_box": result.matrix_box,
+              "psd": serialize.verdict_to_dict(result.psd) if result.psd else None,
+              "recovered_atoms": [[w, z.real, z.imag]
+                                  for w, z in (result.recovered_atoms or [])],
+              "recovery_residual": result.recovery_residual,
+              "recovery_error": result.recovery_error,
+              "passed": result.passed}
+    lines = [f"laurent positivity: {'pass' if result.passed else 'FAIL'}"
+             + (f" ({result.recovery_error})" if result.recovery_error else "")]
+    _emit(report, lines, args.out)
+    if result.passed:
+        return EXIT_OK
+    return EXIT_UNRESOLVED if result.recovery_unresolved else EXIT_NEGATIVE
 
 
 # -- recover-atoms ----------------------------------------------------------------

@@ -528,19 +528,15 @@ class MomentWindow:
         Every class is read before any is coerced with ``as_fraction``, both
         in scan order, so a missing value or a float raises as it would in
         the matrix.  The class values are the matrix's entries, so their lcm
-        is the same delta; an asymmetric N raises the same ValueError.
+        is the same delta.
         """
-        from .psd import check_symmetric  # extend and recovery never load the psd layer
-
         keys = self._scan_order
         values = [read(key) for key in keys]
         ints, delta = clear_denominators(list(map(as_fraction, values)))
         by_class = [0] * len(ints)
         for key, x in zip(keys, ints):
             by_class[self.class_index[key]] = x
-        N = [list(map(by_class.__getitem__, row)) for row in self.class_of]
-        check_symmetric(N)
-        return N, delta
+        return [list(map(by_class.__getitem__, row)) for row in self.class_of], delta
 
 
 def gram_matrix(L: LinearFunctional, basis: list[AElement]) -> list[list]:

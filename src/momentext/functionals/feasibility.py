@@ -123,25 +123,19 @@ def extension_feasibility(L: LinearFunctional, pole_order: int, degree: int,
             A[r, window.class_index[(eps, 0)]] = float(coeff)
     b = np.array([v for v, _ in rows.values()])
 
-    if len(b):
-        y_start, _, *_ = np.linalg.lstsq(A, b, rcond=None)
-        misfit = float(np.linalg.norm(A @ y_start - b))
-        if misfit > 1e-9 * max(1.0, float(np.linalg.norm(b))):
-            raise InconsistentFunctionalError(
-                f"stored values admit no common moment vector (misfit {misfit:.3e})")
-    else:
-        y_start = np.zeros(len(classes))
+    # b has a row: a functional without keys has zero mass and returned above
+    y_start, _, *_ = np.linalg.lstsq(A, b, rcond=None)
+    misfit = float(np.linalg.norm(A @ y_start - b))
+    if misfit > 1e-9 * max(1.0, float(np.linalg.norm(b))):
+        raise InconsistentFunctionalError(
+            f"stored values admit no common moment vector (misfit {misfit:.3e})")
 
     w_inv = 1.0 / counts
-    if len(b):
-        K_pinv = np.linalg.pinv((A * w_inv) @ A.T)
-        AT_winv = (A * w_inv).T
+    K_pinv = np.linalg.pinv((A * w_inv) @ A.T)
+    AT_winv = (A * w_inv).T
 
-        def project_affine(y_vec: np.ndarray) -> np.ndarray:
-            return y_vec - AT_winv @ (K_pinv @ (A @ y_vec - b))
-    else:
-        def project_affine(y_vec: np.ndarray) -> np.ndarray:
-            return y_vec
+    def project_affine(y_vec: np.ndarray) -> np.ndarray:
+        return y_vec - AT_winv @ (K_pinv @ (A @ y_vec - b))
 
     def affine_matrix(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         means = np.bincount(class_of.ravel(), weights=G.ravel(),

@@ -5,7 +5,8 @@ with symmetric largest-diagonal pivoting.  One elimination has two entry
 points: ``psd_check_exact`` takes the matrix and clears it entry by entry
 (``_int_rows``); ``psd_check_cleared`` takes it already cleared, as
 (N, delta) with G = N / delta, which ``MomentWindow.cleared`` builds with
-one coercion per moment class.  The elimination holds each Schur
+one coercion per moment class.  Both refuse an asymmetric N, as ``verify``
+refuses an asymmetric matrix.  The elimination holds each Schur
 complement as one symmetric integer matrix N over one common denominator
 delta > 0 and touches only its upper triangle: a pivot step sets N[i][j]
 to pivot*N[i][j] - N[k][i]*N[k][j] and delta to delta*pivot, then divides
@@ -52,6 +53,7 @@ class PsdVerdict:
     def verify(self, matrix) -> bool:
         """Replay the certificate against the original matrix."""
         G, delta = _int_rows(matrix)
+        check_symmetric(G)
         n = len(G)
         if self.is_psd:
             perm, L, D = self.permutation, self.unit_lower, self.diagonal
@@ -86,7 +88,7 @@ class PsdVerdict:
 
 
 def _int_rows(matrix) -> tuple[list[list[int]], int]:
-    """A square symmetric rational matrix as integers N over one denominator.
+    """A square rational matrix as integers N over one denominator.
 
     Entries are coerced with ``as_fraction`` (floats refused) and cleared
     by ``clear_denominators``: delta > 0 is the least common multiple of
@@ -97,9 +99,7 @@ def _int_rows(matrix) -> tuple[list[list[int]], int]:
     if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
     flat, delta = clear_denominators([x for row in rows for x in row])
-    N = [flat[i * n:(i + 1) * n] for i in range(n)]
-    check_symmetric(N)
-    return N, delta
+    return [flat[i * n:(i + 1) * n] for i in range(n)], delta
 
 
 def check_symmetric(N: list[list[int]]) -> None:
@@ -122,9 +122,10 @@ def psd_check_exact(matrix) -> PsdVerdict:
 
 
 def psd_check_cleared(G: list[list[int]], dG: int) -> PsdVerdict:
-    """Exact PSD decision for G / dG: G a square symmetric integer matrix and
-    dG > 0, as ``_int_rows`` and ``MomentWindow.cleared`` return them.  G is
-    left as it is."""
+    """Exact PSD decision for G / dG: G a square integer matrix and dG > 0,
+    as ``_int_rows`` and ``MomentWindow.cleared`` return them.  An
+    asymmetric G raises ValueError; G is left as it is."""
+    check_symmetric(G)
     n = len(G)
     N, delta = [row[:] for row in G], dG  # G / dG stays for the witness value
     perm = list(range(n))

@@ -17,7 +17,6 @@ from .extalg import AElement, Mode, a_normalize
 from .fibres import FibreSpec, Preorder
 from .functionals.core import DiscreteMeasure
 from .polyalg import Poly, exponents_of_degree
-from .scalars import GaussianRational
 from .semigroups import SgDomain, box_window, sequence_from_measure
 from . import serialize
 
@@ -87,17 +86,16 @@ def random_aelement(rng: random.Random, dim: int, max_extra_degree: int = 2,
 
 
 def random_complex_atoms(rng: random.Random, max_atoms: int = 3,
-                         min_atoms: int = 1) -> list[tuple[Fraction, GaussianRational]]:
+                         min_atoms: int = 1) -> DiscreteMeasure:
+    """A plane measure of distinct nonzero atoms z = x1 + i*x2, without origin mass."""
     count = rng.randint(min_atoms, max_atoms)
-    atoms = []
-    seen = set()
+    atoms, seen = [], {(0, 0)}
     while len(atoms) < count:
-        z = GaussianRational(random_fraction(rng, -4, 4, 3), random_fraction(rng, -4, 4, 3))
-        if z.is_zero() or (z.re, z.im) in seen:
-            continue
-        seen.add((z.re, z.im))
-        atoms.append((random_fraction(rng, 1, 6, 3), z))
-    return atoms
+        z = (random_fraction(rng, -4, 4, 3), random_fraction(rng, -4, 4, 3))
+        if z not in seen:
+            seen.add(z)
+            atoms.append((random_fraction(rng, 1, 6, 3), z))
+    return DiscreteMeasure(2, tuple(atoms))
 
 
 # -- scenario writers --------------------------------------------------------
@@ -126,9 +124,8 @@ def write_strip_scenario(out_dir: Path, seed: int = 0) -> dict[str, str]:
 def write_bisgaard_two_atoms_scenario(out_dir: Path, seed: int = 0) -> dict[str, str]:
     """Laurent moment data of 2*delta_{z=1} + delta_{z=-2i} on the box-6 window."""
     del seed
-    atoms = [(Fraction(2), GaussianRational.one()),
-             (Fraction(1), GaussianRational.of(0, -2))]
-    seq = sequence_from_measure(atoms, box_window(6, SgDomain.Z2))
+    measure = DiscreteMeasure(2, ((Fraction(2), (1, 0)), (Fraction(1), (0, -2))))
+    seq = sequence_from_measure(measure, box_window(6, SgDomain.Z2))
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "bisgaard_two_atoms.json"
     serialize.dump_json(serialize.sequence_to_dict(seq), path)

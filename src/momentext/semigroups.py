@@ -20,7 +20,8 @@ Both directions between (x1, x2) and (z, conj z) go through one closed-form
 helper, ``_binomial_expansion`` of (X + i^s*Y)^p * (X + i^t*Y)^q: s=1, t=3
 on (x1, x2) for ``sg_to_functions``, s=0, t=2 on (z, conj z) for the
 polynomial moments that atom recovery reads.  GaussianRational is the only
-exact complex type.
+exact complex type, and the exact plane ``DiscreteMeasure`` on C = R^2 the
+only exact form of complex atomic data.
 
 Positivity of a sequence is positivity of its Hermitian moment matrices
 s(u* v).  The exact check reads the real symmetric block matrix
@@ -47,7 +48,7 @@ from .functionals.recovery import (IndeterminateRankError, RecoveryFailedError,
                                    recover_atoms)
 from .polyalg import (Poly, exponents_of_degree, integer_divide_out,
                       integer_norm_squared_power, integer_product, integer_terms)
-from .scalars import GaussianRational, as_fraction, clear_denominators
+from .scalars import GaussianRational, clear_denominators
 
 
 class SgDomain(enum.Enum):
@@ -214,28 +215,17 @@ def sg_to_functions(u: SgElement) -> tuple[AElement, AElement]:
     return a_normalize(re_part, c, mode), a_normalize(im_part, c, mode)
 
 
-def complex_atoms_to_measure(atoms) -> DiscreteMeasure:
-    """Weighted complex atoms as a measure on the real plane (0 -> origin mass)."""
-    points = []
-    origin = Fraction(0)
-    for weight, z in atoms:
-        weight = as_fraction(weight)
-        if not isinstance(z, GaussianRational):
-            raise ValueError("exact pipelines need GaussianRational atoms")
-        if z.is_zero():
-            origin += weight
-        else:
-            points.append((weight, (z.re, z.im)))
-    return DiscreteMeasure(2, tuple(points), origin, ())
+def sequence_from_measure(measure: DiscreteMeasure,
+                          window: list[SgElement]) -> HermitianSequence:
+    """Exact s(m,n) = integral of z^m * conj(z)^n, z = x1 + i*x2, over the window.
 
-
-def sequence_from_measure(atoms, window: list[SgElement]) -> HermitianSequence:
-    """Exact moment sequence s(m,n) = sum of w * z^m * conj(z)^n over atoms.
-
-    Atoms are (weight, GaussianRational) pairs.  A zero atom is legal only
-    when every window index keeps both exponents nonnegative (the 0^0 = 1
-    convention applies at (0,0)); windows with negative powers reject it.
+    The measure is exact, on R^2 = C, without directions.  Its origin mass is
+    an atom at 0, refused on windows with negative powers (0^0 = 1 at (0,0)).
     """
+    if measure.dim != 2 or measure.sphere_atoms:
+        raise ValueError("semigroup pipelines need a plain dim-2 measure")
+    if not measure.is_exact():
+        raise ValueError("semigroup pipelines need exact rational measures")
     if not window:
         raise ValueError("window must be nonempty")
     domain = window[0].domain
@@ -243,21 +233,16 @@ def sequence_from_measure(atoms, window: list[SgElement]) -> HermitianSequence:
         raise ValueError("window mixes semigroup domains")
     low = min(0, *(min(u.m, u.n) for u in window))
     high = max(0, *(max(u.m, u.n) for u in window))
-    clean = []
-    for weight, z in atoms:
-        weight = as_fraction(weight)
-        if weight <= 0:
-            raise ValueError(f"atom weight {weight} must be positive")
-        if not isinstance(z, GaussianRational):
-            raise ValueError("exact sequence needs GaussianRational atoms")
-        if z.is_zero() and low < 0:
+    atoms = [(weight, GaussianRational(x, y)) for weight, (x, y) in measure.atoms]
+    if measure.origin_mass:
+        if low < 0:
             raise ValueError("an atom at 0 has no moments at negative powers")
-        clean.append((weight, z))
+        atoms.append((measure.origin_mass, GaussianRational.zero()))
     # One table of w * z^e and one of conj(z)^e per atom over the window's
     # exponents, by a running product from z^low; an atom at 0 has low == 0,
     # so z^0 == 1 keeps the 0^0 = 1 rule.
     tables = []
-    for weight, z in clean:
+    for weight, z in atoms:
         weighted, conj, power = {}, {}, z ** low
         for e in range(low, high + 1):
             weighted[e], conj[e], power = weight * power, power.conjugate(), power * z
@@ -312,9 +297,9 @@ class NplusExtensionReport:
         return self.restriction_ok and self.psd.is_psd and self.cross_path_ok
 
 
-def nplus_extension_check(s: HermitianSequence, atoms,
+def nplus_extension_check(s: HermitianSequence, measure: DiscreteMeasure,
                           window: list[SgElement] | None = None) -> NplusExtensionReport:
-    """Extend the moment sequence of the atoms to NPLUS and audit it.
+    """Extend the moment sequence of the plane measure to NPLUS and audit it.
 
     Checks, in order: the extension restricts back to s on s's own window;
     the extended moment matrix over the window is PSD (exact certificate);
@@ -332,7 +317,7 @@ def nplus_extension_check(s: HermitianSequence, atoms,
     closure_keys = {(u.m, u.n) for u in window} | {g[:2] for g, _ in moment_window.classes}
     target_keys = sorted(closure_keys | set(s.entries.keys()))
     target = [SgElement(m, n, SgDomain.NPLUS) for (m, n) in target_keys]
-    extended = sequence_from_measure(atoms, target)
+    extended = sequence_from_measure(measure, target)
 
     mismatches = [key for key, value in s.entries.items()
                   if extended.entries[key] != value]
@@ -344,7 +329,6 @@ def nplus_extension_check(s: HermitianSequence, atoms,
     # window (p, D) stores every key up to pole 2p >= P and degree 2D >= T.
     pole = max(max(0, -m, -n) for (m, n) in target_keys)
     top_degree = max(m + n + 2 * max(0, -m, -n) for (m, n) in target_keys)
-    measure = complex_atoms_to_measure(atoms)
     if measure.origin_mass != 0:
         raise ValueError("atoms at 0 cannot feed the punctured-plane extension")
     half_pole = (pole + 1) // 2

@@ -15,8 +15,8 @@ directly: on Python 3.10 and 3.11 json's C encoder runs only without
 functions read every exact rational with one parser, ``_rational``, check
 the shape of what they read and raise ValueError on anything malformed (a
 list where an object belongs, a string where a list belongs, a non-integer
-exponent), so bad input is reported as an input error instead of turning
-into data.
+exponent, a key listed twice), so bad input is reported as an input error
+instead of turning into data.
 """
 
 from __future__ import annotations
@@ -96,6 +96,18 @@ def _exponent(value) -> tuple[int, ...]:
     return tuple(_integer(e, "exponent entry") for e in _array(value, "exponent"))
 
 
+def _refuse_repeats(items: list, count: int, key, what: str) -> None:
+    """Raise ValueError at the first repeated ``key(item)`` when the ``items``
+    gave only ``count`` distinct keys.  Loaders call it after every other
+    check, so an input with another fault keeps that fault's error."""
+    if count != len(items):
+        seen = set()
+        for k in map(key, items):
+            if k in seen:
+                raise ValueError(f"{what} {k} more than once")
+            seen.add(k)
+
+
 def _rational(value) -> Fraction:
     """The exact rational of a JSON int or string, the one parser of them all.
 
@@ -135,7 +147,10 @@ def poly_from_dict(data: dict) -> Poly:
     for item in _array(data["terms"], "polynomial terms"):
         item = _object(item, "polynomial term")
         terms[_exponent(item["exp"])] = _rational(item["coeff"])
-    return Poly(_integer(data["nvars"], "nvars"), terms)
+    poly = Poly(_integer(data["nvars"], "nvars"), terms)
+    _refuse_repeats(data["terms"], len(terms), lambda item: str(item["exp"]),
+                    "polynomial lists the exponent")
+    return poly
 
 
 # -- algebra elements --------------------------------------------------------
@@ -239,10 +254,12 @@ def functional_from_dict(data: dict) -> LinearFunctional:
     for item in _array(data["entries"], "entries"):
         key, value = (exact and _canonical_entry(item)) or _entry(item, kind)
         values[key] = value
-    return LinearFunctional(_integer(data["nvars"], "nvars"), Mode(data["mode"]), kind,
-                            values,
-                            pole_max=_integer(data.get("pole_max", 0), "pole_max"),
-                            degree_max=_integer(data.get("degree_max", 0), "degree_max"))
+    L = LinearFunctional(_integer(data["nvars"], "nvars"), Mode(data["mode"]), kind, values,
+                         pole_max=_integer(data.get("pole_max", 0), "pole_max"),
+                         degree_max=_integer(data.get("degree_max", 0), "degree_max"))
+    _refuse_repeats(data["entries"], len(values), lambda item: f"(exp {item['exp']}, "
+                    f"pole_order {item['pole_order']})", "functional lists the key")
+    return L
 
 
 def moments_from_dict(data: dict) -> list:
@@ -315,7 +332,10 @@ def sequence_from_dict(data: dict) -> HermitianSequence:
         item = _object(item, "entry")
         entries[(_integer(item["m"], "m"), _integer(item["n"], "n"))] = \
             GaussianRational(_rational(item["re"]), _rational(item.get("im", 0)))
-    return HermitianSequence(domain, entries)
+    seq = HermitianSequence(domain, entries)
+    _refuse_repeats(data["entries"], len(entries),
+                    lambda item: f"({item['m']},{item['n']})", "sequence lists the entry")
+    return seq
 
 
 # -- PSD verdicts ------------------------------------------------------------

@@ -27,7 +27,6 @@ from momentext.functionals.psd import hamburger_check, psd_check_exact
 from momentext.functionals.recovery import (IndeterminateRankError,
                                             recover_atoms)
 from momentext.polyalg import Poly
-from momentext.scalars import GaussianRational
 from momentext.scenarios import (random_aelement, random_complex_atoms,
                                  random_measure, random_point,
                                  rational_direction)
@@ -196,9 +195,9 @@ def test_criterion_5_cauchy_schwarz_chain():
 def test_criterion_6_halfplane_extension_pipeline():
     start = time.perf_counter()
     for i in range(5):
-        atoms = random_complex_atoms(random.Random(600 + i))
-        seq = sequence_from_measure(atoms, box_window(3, SgDomain.N02))
-        report = nplus_extension_check(seq, atoms)
+        measure = random_complex_atoms(random.Random(600 + i))
+        seq = sequence_from_measure(measure, box_window(3, SgDomain.N02))
+        report = nplus_extension_check(seq, measure)
         assert report.restriction_ok, f"measure {i}: restriction mismatch"
         assert report.psd.is_psd, f"measure {i}: moment matrix not PSD"
         assert report.cross_path_ok, f"measure {i}: function-algebra route disagrees"
@@ -225,18 +224,18 @@ def test_criterion_7_laurent_pipeline_and_recovery():
     worst_coord = 0.0
     worst_residual = 0.0
     for i in range(5):
-        atoms = random_complex_atoms(random.Random(700 + i), max_atoms=3)
-        seq = sequence_from_measure(atoms, box_window(4, SgDomain.Z2))
+        measure = random_complex_atoms(random.Random(700 + i), max_atoms=3)
+        seq = sequence_from_measure(measure, box_window(4, SgDomain.Z2))
         report = bisgaard_check(seq, seed=0)
         assert report.hermitian_ok and report.psd.is_psd
         assert report.recovery_error is None, f"measure {i}: {report.recovery_error}"
         assert report.passed
-        assert len(report.recovered_atoms) == len(atoms)
-        for weight, z in atoms:
+        assert len(report.recovered_atoms) == len(measure.atoms)
+        for weight, (x, y) in measure.atoms:
             err, w_err = min(
-                (abs(zr - complex(float(z.re), float(z.im))), abs(wr - float(weight)))
+                (abs(zr - complex(float(x), float(y))), abs(wr - float(weight)))
                 for wr, zr in report.recovered_atoms)
-            assert err < 1e-6 and w_err < 1e-6, f"measure {i}: atom {z} missed"
+            assert err < 1e-6 and w_err < 1e-6, f"measure {i}: atom {x} + {y}i missed"
             worst_coord = max(worst_coord, err)
         worst_residual = max(worst_residual, report.recovery_residual)
     assert worst_residual < 1e-8
@@ -297,8 +296,8 @@ def test_criterion_9_negative_controls():
     hankel = hamburger_check([Fraction(1), Fraction(0), Fraction(-1)])
     assert not hankel.is_psd and hankel.witness_value < 0
 
-    atoms = [(Fraction(1), GaussianRational(2, 1))]
-    seq = sequence_from_measure(atoms, box_window(2, SgDomain.Z2))
+    seq = sequence_from_measure(DiscreteMeasure(2, ((Fraction(1), (2, 1)),)),
+                                box_window(2, SgDomain.Z2))
     tampered = dict(seq.entries)
     tampered[(1, 0)] = tampered[(1, 0)] + tampered[(1, 0)]
     broken = bisgaard_check(HermitianSequence(SgDomain.Z2, tampered))

@@ -158,6 +158,24 @@ def test_semigroup_nplus_cli(tmp_path, capsys):
     assert "error" in err
 
 
+def test_nplus_cross_path_mismatch_is_a_negative_verdict(tmp_path, capsys, monkeypatch):
+    measure = write_measure(tmp_path / "m.json", [(Fraction(1), (Fraction(1), Fraction(1)))])
+    translate = semigroups.sg_to_functions
+
+    def off_at_one_key(u):  # Re z read as 2 Re z: L gives 2, the sequence 1
+        re, im = translate(u)
+        return (re + re, im) if (u.m, u.n) == (1, 0) else (re, im)
+
+    monkeypatch.setattr(semigroups, "sg_to_functions", off_at_one_key)
+    code, out, err = run(capsys, "semigroup", "--pipeline", "nplus-extension",
+                         "--measure", measure, "--box", "1")
+    assert code == 1
+    report = json.loads(out)
+    assert (report["restriction_ok"], report["psd"]["outcome"]) == (True, "PSD")
+    assert (report["cross_path_ok"], report["cross_path_mismatches"]) == (False, [[1, 0]])
+    assert err == "extension audit: restriction True, psd PSD, cross-path False\n"
+
+
 def test_semigroup_bisgaard_cli(tmp_path, capsys):
     code, out, _ = run(capsys, "gen-examples", "--scenario", "bisgaard-two-atoms",
                        "--dir", str(tmp_path))
@@ -186,10 +204,10 @@ def test_semigroup_bisgaard_cli(tmp_path, capsys):
 def test_bisgaard_undecided_recovery_is_unresolved(tmp_path, capsys):
     # 2*delta_1 + delta_(-2i) on the box-1 window: the moment matrix is PSD but
     # the window is too small to recover atoms, which decides nothing
-    atoms = [(Fraction(2), GaussianRational.one()), (Fraction(1), GaussianRational.of(0, -2))]
+    mu = DiscreteMeasure(2, ((Fraction(2), (1, 0)), (Fraction(1), (0, -2))))
     path = tmp_path / "sequence.json"
     serialize.dump_json(serialize.sequence_to_dict(
-        sequence_from_measure(atoms, box_window(1, SgDomain.Z2))), path)
+        sequence_from_measure(mu, box_window(1, SgDomain.Z2))), path)
     code, out, err = run(capsys, "semigroup", "--pipeline", "bisgaard", "--sequence", str(path))
     assert code == 3
     report = json.loads(out)
@@ -275,8 +293,8 @@ def test_exact_semigroup_reports_are_byte_stable(tmp_path, capsys):
     assert report_digest(capsys, tmp_path, "semigroup", "--pipeline", "bisgaard",
                          "--sequence", sequence, "--no-recovery")[:2] == \
         (0, BISGAARD_NO_RECOVERY_REPORT)
-    atoms = [(Fraction(1), GaussianRational.of(1, 1)), (Fraction(1, 2), GaussianRational.of(2, -1))]
-    notpsd = sequence_from_measure(atoms, box_window(2, SgDomain.Z2))
+    mu = DiscreteMeasure(2, ((Fraction(1), (1, 1)), (Fraction(1, 2), (2, -1))))
+    notpsd = sequence_from_measure(mu, box_window(2, SgDomain.Z2))
     notpsd.entries[(0, 0)] = GaussianRational.of(-1)
     serialize.dump_json(serialize.sequence_to_dict(notpsd), tmp_path / "notpsd.json")
     assert report_digest(capsys, tmp_path, "semigroup", "--pipeline", "bisgaard",
@@ -608,10 +626,10 @@ def test_cli_reports_are_plain_and_never_reach_json_dumps(tmp_path, capsys, monk
                                                     (Fraction(1, 2), (Fraction(2), Fraction(-1)))])
     moments = str(tmp_path / "moments.json")
     serialize.dump_json({"moments": ["2", "-1", "5", "-7", "17"]}, moments)
-    atoms = [(Fraction(1), GaussianRational.of(1, 1)), (Fraction(1, 2), GaussianRational.of(2, -1))]
+    mu = DiscreteMeasure(2, ((Fraction(1), (1, 1)), (Fraction(1, 2), (2, -1))))
     sequence = str(tmp_path / "n02.json")
     serialize.dump_json(serialize.sequence_to_dict(
-        sequence_from_measure(atoms, box_window(2, SgDomain.N02))), sequence)
+        sequence_from_measure(mu, box_window(2, SgDomain.N02))), sequence)
     wide, small = str(tmp_path / "L.json"), str(tmp_path / "L01.json")
     jobs = [
         ("extend", origin, "-M", "1", "-D", "2"),
@@ -645,15 +663,15 @@ def test_cli_reports_are_plain_and_never_reach_json_dumps(tmp_path, capsys, monk
 def test_nplus_extension_with_a_sequence_builds_no_quarter_plane_sequence(
         tmp_path, capsys, monkeypatch):
     measure = write_measure(tmp_path / "m.json", [(Fraction(1), (Fraction(1), Fraction(1)))])
-    atoms = [(Fraction(1), GaussianRational.of(1, 1))]
+    mu = DiscreteMeasure(2, ((Fraction(1), (1, 1)),))
     sequence = str(tmp_path / "n02.json")
     serialize.dump_json(serialize.sequence_to_dict(
-        sequence_from_measure(atoms, box_window(2, SgDomain.N02))), sequence)
+        sequence_from_measure(mu, box_window(2, SgDomain.N02))), sequence)
     domains = []
 
-    def recording(atoms, window):
+    def recording(measure, window):
         domains.append(window[0].domain)
-        return sequence_from_measure(atoms, window)
+        return sequence_from_measure(measure, window)
 
     monkeypatch.setattr(semigroups, "sequence_from_measure", recording)
     argv = ["semigroup", "--pipeline", "nplus-extension", "--measure", measure, "--box", "2"]
@@ -855,6 +873,43 @@ def test_known_malformed_inputs_exit_2_with_one_error_line(tmp_path, document, c
     assert proc.stderr.splitlines() == [message]
 
 
+# A repeated key once kept its last value and went on to a verdict: x^2 as
+# "1" then "-5" was NotPSD (exit 1), (0,0) twice a bisgaard FAIL.
+@pytest.mark.parametrize("document,command,message", [
+    pytest.param({**float_functional(1.0), "scalar_kind": "exact_rational",
+                  "entries": [{"exp": [k], "pole_order": 0, "value": v}
+                              for k, v in ((0, "1"), (1, "0"), (2, "1"), (2, "-5"))]},
+                 ["psd-check", "{input}"],
+                 "functional lists the key (exp [2], pole_order 0) more than once",
+                 id="repeated-functional-key"),
+    pytest.param({"domain": "Z2", "entries": [{"m": 0, "n": 0, "re": "1"},
+                                              {"m": 0, "n": 0, "re": "-1"}]},
+                 ["semigroup", "--pipeline", "bisgaard", "--sequence", "{input}"],
+                 "sequence lists the entry (0,0) more than once", id="repeated-sequence-entry"),
+    pytest.param({"dim": 1, "generators": [{"nvars": 1, "terms": [
+                     {"exp": [1], "coeff": "1"}, {"exp": [0], "coeff": "1"},
+                     {"exp": [1], "coeff": "-2"}]}]},
+                 ["fibres", "--preorder", "{input}", "--fibre-spec", "{input}",
+                  "--samples", "{input}"],
+                 "polynomial lists the exponent [1] more than once", id="repeated-term"),
+    pytest.param({"nvars": 2, "mode": "Aplus", "scalar_kind": "float", "entries": [
+                     {"exp": [0, 0], "pole_order": 0, "value": 1.0},
+                     {"exp": [2, 0], "pole_order": 1, "value": 0.25},
+                     {"exp": [0, 2], "pole_order": 1, "value": 0.25}]},
+                 ["psd-check", "{input}"],
+                 "reduction relation violated at keys [((0, 0), 0)]", id="float-relation"),
+    pytest.param(float_functional(1.0), ["psd-check", "{input}", "--scalar", "exact"],
+                 "cannot run the exact check on float-valued input", id="exact-on-float"),
+    pytest.param(float_functional(1.0), ["semigroup", "--pipeline", "bisgaard"],
+                 "--sequence is required for the bisgaard pipeline", id="bisgaard-no-sequence"),
+])
+def test_input_faults_exit_2_naming_the_fault(tmp_path, capsys, document, command, message):
+    path = tmp_path / "input.json"
+    serialize.dump_json(document, path)
+    assert run(capsys, *[arg.format(input=path) for arg in command]) == \
+        (2, "", f"error: {message}\n")
+
+
 def test_recovery_degree_defaults_to_the_stored_keys(tmp_path):
     # a declared degree_max of 200 once sized a degree-100 moment window
     proc = run_limited(["recover-atoms", wide_document(tmp_path, degree_max=200)])
@@ -945,12 +1000,12 @@ def fuzz_inputs(tmp_path_factory):
     work = tmp_path_factory.mktemp("fuzz")
     measure = DiscreteMeasure(2, atoms=((Fraction(1), (Fraction(1), Fraction(0))),
                                         (Fraction(2), (Fraction(1, 3), Fraction(-1)))))
-    atoms = [(Fraction(2), GaussianRational.one()), (Fraction(1), GaussianRational.of(0, -2))]
+    two_atoms = DiscreteMeasure(2, ((Fraction(2), (1, 0)), (Fraction(1), (0, -2))))
     docs = {"functional": serialize.functional_to_dict(polynomial_moments(measure, 2)),
             "measure": serialize.measure_to_dict(measure),
             "moments": {"moments": ["1", "0", "1", "0", "3"]},
             "sequence": serialize.sequence_to_dict(
-                sequence_from_measure(atoms, box_window(2, SgDomain.Z2)))}
+                sequence_from_measure(two_atoms, box_window(2, SgDomain.Z2)))}
     for kind, path in SCENARIOS["strip"](work).items():
         docs[kind] = json.loads(Path(path).read_text())
     return work, docs

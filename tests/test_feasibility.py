@@ -9,7 +9,7 @@ from momentext.extalg import Mode
 from momentext.functionals.core import (DiscreteMeasure,
                                         InconsistentFunctionalError,
                                         LinearFunctional, SCALAR_EXACT,
-                                        polynomial_moments)
+                                        SCALAR_FLOAT, polynomial_moments)
 from momentext.functionals.feasibility import extension_feasibility
 
 
@@ -93,6 +93,21 @@ def test_contradictory_keys_rejected():
                          {((0,), 0): Fraction(1), ((2,), 1): Fraction(2)})
     with pytest.raises(InconsistentFunctionalError):
         extension_feasibility(L, 1, 2)
+
+
+def test_keys_pinning_one_moment_share_a_constraint_row():
+    # in one variable x^2/||x||^2 = 1, so (0, 0) and (2, 1) pin the same moment
+    data = {((0,), 0): Fraction(1), ((2,), 0): Fraction(2)}
+    alone = extension_feasibility(LinearFunctional(1, Mode.APLUS, SCALAR_EXACT, data), 1, 4)
+    both = extension_feasibility(LinearFunctional(1, Mode.APLUS, SCALAR_EXACT,
+                                                  {**data, ((2,), 1): Fraction(1)}), 1, 4)
+    assert both.feasible and (both.gap, both.iterations) == (alone.gap, alone.iterations)
+    # the relation check compares raw values within 1e-9; the rows compare in
+    # units of L(1) = 1e-3, where the same 5e-10 gap is 5e-7
+    near = LinearFunctional(1, Mode.APLUS, SCALAR_FLOAT,
+                            {((0,), 0): 1e-3, ((2,), 1): 1e-3 + 5e-10})
+    with pytest.raises(InconsistentFunctionalError, match="pin the same moment"):
+        extension_feasibility(near, 1, 4)
 
 
 def test_out_of_window_key_rejected():

@@ -458,9 +458,10 @@ def outcome(call):
 @given(inputs=window_inputs(), seed=st.integers(0, 2 ** 16),
        fault=st.sampled_from(["none", "asymmetric", "float", "missing", "float and missing"]))
 def test_cleared_window_matches_int_rows_of_its_matrix(inputs, seed, fault):
-    """One coercion per class gives _int_rows(matrix) and its errors: a
-    read that breaks the star's symmetry, floats and missing classes
-    (every read fails before any coercion does, as in the matrix)."""
+    """One coercion per class gives _int_rows(matrix) and its errors, floats
+    and missing classes (every read fails before any coercion does, as in
+    the matrix); on a read that breaks the star's symmetry both kernels
+    raise the same error."""
     keys, star = inputs
     window = MomentWindow(keys, star)
     rng = random.Random(seed)
@@ -479,10 +480,11 @@ def test_cleared_window_matches_int_rows_of_its_matrix(inputs, seed, fault):
 
     want = outcome(lambda: psd._int_rows(window.matrix(read)))
     assert outcome(lambda: window.cleared(read)) == want
-    if fault == "none":
+    if fault in ("none", "asymmetric"):
         N, delta = want
         before = [row[:] for row in N]
-        assert psd.psd_check_cleared(N, delta) == psd.psd_check_exact(window.matrix(read))
+        assert outcome(lambda: psd.psd_check_cleared(N, delta)) == \
+            outcome(lambda: psd.psd_check_exact(window.matrix(read)))
         assert N == before
 
 

@@ -90,6 +90,18 @@ def test_asymmetric_and_float_inputs_rejected():
         psd_check_exact([[0.5]])
 
 
+def test_the_kernel_and_verify_refuse_asymmetric_input():
+    # the elimination reads only the upper triangle, so it checks the whole matrix first
+    N = [[1, 0, 0], [0, 1, 5], [0, 0, 1]]
+    with pytest.raises(ValueError, match=r"^matrix not symmetric at \(1,2\)$"):
+        psd.psd_check_cleared(N, 1)
+    verdict = psd_check_exact([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(ValueError, match=r"^matrix not symmetric at \(1,2\)$"):
+        verdict.verify(N)
+    with pytest.raises(ValueError, match="^matrix must be square$"):
+        verdict.verify([[1, 0], [0]])
+
+
 def test_random_gram_matrices_are_psd():
     rng = random.Random(5)
     for _ in range(40):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from momentext.functionals.core import (DiscreteMeasure, LinearFunctional,
-                                        SCALAR_FLOAT, polynomial_moments)
+                                        SCALAR_EXACT, SCALAR_FLOAT, polynomial_moments)
 from momentext.extalg import Mode
 from momentext.functionals.recovery import (IndeterminateRankError,
                                             RecoveryFailedError,
@@ -182,3 +182,21 @@ def test_moment_residual_is_bit_identical_to_float_oracle():
                 got = polynomial_moment_residual(rec, L, 2 * degree)
                 assert type(got) is float
                 assert got == oracle_moment_residual(rec, L, 2 * degree)
+
+
+def line_moments(atoms, top):
+    """Exact moments s_0..s_top of (weight, point) atoms on the line, signed weights allowed."""
+    return LinearFunctional(1, Mode.APLUS, SCALAR_EXACT,
+                            {((k,), 0): sum(w * x ** k for w, x in atoms) for k in range(top + 1)})
+
+
+def test_recovery_refuses_negative_weights_and_missed_moments():
+    # delta_1 - delta_2 / 2 has a flat rank-2 moment matrix, but one weight is negative
+    with pytest.raises(RecoveryFailedError, match="recovered weight .* is negative") as err:
+        recover_atoms(line_moments([(Fraction(1), 1), (Fraction(-1, 2), 2)], 4), 1, 2)
+    assert err.value.residual == pytest.approx(0.5)
+    # a coarse rank_tol calls the 1e-6 atom noise: one atom misses the data
+    with pytest.raises(RecoveryFailedError, match="misses the input moments") as err:
+        recover_atoms(line_moments([(Fraction(1), 1), (Fraction(1, 10 ** 6), 2)], 4), 1, 2,
+                      rank_tol=1e-3)
+    assert err.value.residual > 1e-8

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from momentext import extalg, semigroups
 from momentext.extalg import (AElement, Character, Mode, a_normalize, embed_poly,
                               norm_inverse_generator)
-from momentext.functionals.core import SCALAR_EXACT, LinearFunctional, extend_from_measure
+from momentext.functionals.core import (SCALAR_EXACT, DiscreteMeasure, LinearFunctional,
+                                       extend_from_measure)
 from momentext.functionals.psd import psd_check_cleared, psd_check_exact
 from momentext.polyalg import Poly, exponents_up_to_degree, norm_squared, norm_squared_power
 from momentext.scalars import GaussianRational
@@ -21,7 +22,7 @@ from momentext.semigroups import (HermitianSequence, MissingMomentError,
                                   _embedded_window,
                                   _polynomial_moments_from_sequence,
                                   bisgaard_check,
-                                  box_window, complex_atoms_to_measure,
+                                  box_window,
                                   hermitian_embedding, inversion_automorphism,
                                   laurent_relations_check,
                                   nplus_extension_check, sequence_from_measure,
@@ -30,6 +31,13 @@ from momentext.semigroups import (HermitianSequence, MissingMomentError,
 from test_polyalg import assert_same_element, divide_out_by_rescan, validated_product
 
 G = GaussianRational.of
+
+
+def plane_measure(atoms) -> DiscreteMeasure:
+    """The plane measure of (weight, GaussianRational) atoms; atoms at 0 add to the origin mass."""
+    origin = sum((w for w, z in atoms if z.is_zero()), Fraction(0))
+    return DiscreteMeasure(2, tuple((w, (z.re, z.im)) for w, z in atoms if not z.is_zero()),
+                           origin)
 
 
 def test_domain_membership():
@@ -114,7 +122,7 @@ def test_index_functions_match_point_values():
 
 
 def test_sequence_from_measure_oracle():
-    seq = sequence_from_measure([(Fraction(1), G(2, 1))],
+    seq = sequence_from_measure(DiscreteMeasure(2, ((Fraction(1), (2, 1)),)),
                                 box_window(2, SgDomain.N02))
     assert seq.value(0, 0) == G(1)
     assert seq.value(1, 0) == G(2, 1)
@@ -125,18 +133,36 @@ def test_sequence_from_measure_oracle():
     with pytest.raises(MissingMomentError):
         seq.value(3, 3)
 
-    two = sequence_from_measure([(Fraction(1), G(2, 1)), (Fraction(2), G(0, 1))],
+    two = sequence_from_measure(DiscreteMeasure(2, ((Fraction(1), (2, 1)), (Fraction(2), (0, 1)))),
                                 box_window(1, SgDomain.N02))
     assert two.value(1, 0) == G(2, 1) + G(0, 2)
 
-    at_zero = sequence_from_measure([(Fraction(3), G(0)), (Fraction(1), G(1))],
+    # the origin mass is an atom at 0, counted by 0^0 = 1 at (0, 0) only
+    at_zero = sequence_from_measure(DiscreteMeasure(2, ((Fraction(1), (1, 0)),), Fraction(3)),
                                     box_window(1, SgDomain.N02))
     assert at_zero.value(0, 0) == G(4)
     assert at_zero.value(1, 1) == G(1)
-    with pytest.raises(ValueError):
-        sequence_from_measure([(Fraction(3), G(0))], box_window(1, SgDomain.Z2))
-    with pytest.raises(ValueError):
-        sequence_from_measure([(Fraction(-1), G(1))], box_window(1, SgDomain.N02))
+    with pytest.raises(ValueError, match="an atom at 0 has no moments at negative powers"):
+        sequence_from_measure(DiscreteMeasure(2, (), Fraction(3)), box_window(1, SgDomain.Z2))
+    with pytest.raises(ValueError, match="atom weight -1 must be positive"):
+        DiscreteMeasure(2, ((Fraction(-1), (1, 0)),))
+
+
+def test_sequence_from_measure_checks_the_measure_before_the_window():
+    plane = DiscreteMeasure(2, ((Fraction(1), (1, 1)),))
+    flat = DiscreteMeasure(3, ((Fraction(1), (1, 1, 0)),))
+    directed = DiscreteMeasure(2, (), Fraction(0),
+                               ((Fraction(1), (Fraction(3, 5), Fraction(4, 5))),))
+    floats = DiscreteMeasure(2, ((1.0, (1.0, 1.0)),))
+    for measure, text in ((flat, "plain dim-2"), (directed, "plain dim-2"),
+                          (floats, "exact rational")):
+        for window in (box_window(1, SgDomain.N02), []):  # an empty window is refused after
+            with pytest.raises(ValueError, match=text):
+                sequence_from_measure(measure, window)
+    with pytest.raises(ValueError, match="window must be nonempty"):
+        sequence_from_measure(plane, [])
+    with pytest.raises(ValueError, match="window mixes semigroup domains"):
+        sequence_from_measure(plane, [SgElement(0, 0, SgDomain.N02), SgElement(0, 0, SgDomain.Z2)])
 
 
 def test_sequence_validation():
@@ -181,7 +207,7 @@ def test_hermitian_embedding_blocks():
 
 
 def test_moment_matrix_indices():
-    seq = sequence_from_measure([(Fraction(1), G(1, 1))],
+    seq = sequence_from_measure(DiscreteMeasure(2, ((Fraction(1), (1, 1)),)),
                                 box_window(2, SgDomain.N02))
     window = box_window(1, SgDomain.N02)
     emb, n = hermitian_embedding(seq, window), len(window)
@@ -196,9 +222,9 @@ def test_moment_matrix_indices():
 
 
 def test_nplus_extension_pipeline_passes():
-    atoms = [(Fraction(1), G(1, 1)), (Fraction(1, 2), G(2, -1))]
-    seq = sequence_from_measure(atoms, box_window(2, SgDomain.N02))
-    report = nplus_extension_check(seq, atoms)
+    mu = DiscreteMeasure(2, ((Fraction(1), (1, 1)), (Fraction(1, 2), (2, -1))))
+    seq = sequence_from_measure(mu, box_window(2, SgDomain.N02))
+    report = nplus_extension_check(seq, mu)
     assert report.passed
     assert report.restriction_ok and not report.restriction_mismatches
     assert report.psd.is_psd and report.psd.diagonal is not None
@@ -206,41 +232,39 @@ def test_nplus_extension_pipeline_passes():
 
 
 def test_nplus_extension_flags_foreign_sequence():
-    atoms = [(Fraction(1), G(1, 1))]
-    seq = sequence_from_measure(atoms, box_window(2, SgDomain.N02))
+    mu = DiscreteMeasure(2, ((Fraction(1), (1, 1)),))
+    seq = sequence_from_measure(mu, box_window(2, SgDomain.N02))
     tampered = dict(seq.entries)
     tampered[(1, 0)] = tampered[(1, 0)] + G(1)
     tampered[(0, 1)] = tampered[(0, 1)] + G(1)
-    report = nplus_extension_check(HermitianSequence(SgDomain.N02, tampered), atoms)
+    report = nplus_extension_check(HermitianSequence(SgDomain.N02, tampered), mu)
     assert not report.restriction_ok
     assert (1, 0) in report.restriction_mismatches
     assert not report.passed
 
 
 def test_nplus_extension_rejects_bad_inputs():
-    atoms = [(Fraction(1), G(1, 1))]
-    z2_seq = sequence_from_measure(atoms, box_window(1, SgDomain.Z2))
-    with pytest.raises(ValueError):
-        nplus_extension_check(z2_seq, atoms)
-    seq = sequence_from_measure(atoms, box_window(2, SgDomain.N02))
-    with pytest.raises(ValueError):
-        nplus_extension_check(seq, atoms + [(Fraction(1), G(0))])
+    mu = DiscreteMeasure(2, ((Fraction(1), (1, 1)),))
+    z2_seq = sequence_from_measure(mu, box_window(1, SgDomain.Z2))
+    with pytest.raises(ValueError, match="quarter-plane"):
+        nplus_extension_check(z2_seq, mu)
+    seq = sequence_from_measure(mu, box_window(2, SgDomain.N02))
+    with_origin = DiscreteMeasure(2, mu.atoms, Fraction(1))
+    with pytest.raises(ValueError, match="an atom at 0 has no moments at negative powers"):
+        nplus_extension_check(seq, with_origin)
+    # the box-0 window has no negative powers; the real-side extension refuses
+    with pytest.raises(ValueError, match="atoms at 0 cannot feed the punctured-plane"):
+        nplus_extension_check(sequence_from_measure(with_origin, box_window(0, SgDomain.N02)),
+                              with_origin, box_window(0, SgDomain.NPLUS))
     with pytest.raises(ValueError, match="window domain"):
-        nplus_extension_check(seq, atoms, box_window(1, SgDomain.N02))
-
-
-def test_complex_atoms_to_measure():
-    mu = complex_atoms_to_measure([(Fraction(1), G(1, 1)),
-                                   (Fraction(2), G(0))])
-    assert mu.origin_mass == 2
-    assert mu.atoms == ((Fraction(1), (Fraction(1), Fraction(1))),)
-    with pytest.raises(ValueError):
-        complex_atoms_to_measure([(Fraction(1), complex(1, 1))])
+        nplus_extension_check(seq, mu, box_window(1, SgDomain.N02))
+    with pytest.raises(ValueError, match="plain dim-2"):
+        nplus_extension_check(seq, DiscreteMeasure(1, ((Fraction(1), (1,)),)))
 
 
 def test_bisgaard_roundtrip_two_atoms():
     atoms = [(Fraction(1), G(2, 1)), (Fraction(1, 2), G(-1, 1))]
-    seq = sequence_from_measure(atoms, box_window(4, SgDomain.Z2))
+    seq = sequence_from_measure(plane_measure(atoms), box_window(4, SgDomain.Z2))
     report = bisgaard_check(seq)
     assert report.hermitian_ok
     assert report.matrix_box == 2
@@ -256,7 +280,7 @@ def test_bisgaard_roundtrip_two_atoms():
 
 def test_bisgaard_rejects_tampering_before_any_matrix():
     atoms = [(Fraction(1), G(2, 1))]
-    seq = sequence_from_measure(atoms, box_window(2, SgDomain.Z2))
+    seq = sequence_from_measure(plane_measure(atoms), box_window(2, SgDomain.Z2))
     tampered = dict(seq.entries)
     tampered[(1, 0)] = tampered[(1, 0)] + G(0, 1)
     report = bisgaard_check(HermitianSequence(SgDomain.Z2, tampered))
@@ -274,7 +298,7 @@ def test_bisgaard_window_must_be_closed_under_involution():
 
 def test_bisgaard_reports_nonpsd():
     atoms = [(Fraction(1), G(2, 1))]
-    seq = sequence_from_measure(atoms, box_window(2, SgDomain.Z2))
+    seq = sequence_from_measure(plane_measure(atoms), box_window(2, SgDomain.Z2))
     broken = dict(seq.entries)
     broken[(0, 0)] = G(-1)
     report = bisgaard_check(HermitianSequence(SgDomain.Z2, broken), matrix_box=1)
@@ -326,7 +350,7 @@ def test_laurent_relations_invert_four_times_per_pair(monkeypatch):
 
 def test_sequence_residual_float():
     atoms = [(Fraction(1), G(2, 1))]
-    seq = sequence_from_measure(atoms, box_window(2, SgDomain.Z2))
+    seq = sequence_from_measure(plane_measure(atoms), box_window(2, SgDomain.Z2))
     assert sequence_residual_float([(1.0, complex(2, 1))], 0.0, seq) < 1e-12
     off = sequence_residual_float([(1.25, complex(2, 1))], 0.0, seq)
     assert off > 0.25  # scales with |z|^(m+n) over the window
@@ -416,7 +440,7 @@ def test_binomial_expansion_property(m, n, a, b):
 
 def test_polynomial_moments_from_sequence_match_zdict_oracle():
     atoms = [(Fraction(2), G(1)), (Fraction(1), G(0, -2)), (Fraction(1, 3), G(-1, 2))]
-    seq = sequence_from_measure(atoms, box_window(6, SgDomain.Z2))
+    seq = sequence_from_measure(plane_measure(atoms), box_window(6, SgDomain.Z2))
     L = _polynomial_moments_from_sequence(seq, 6)
     for gamma in exponents_up_to_degree(2, 6):
         total = GaussianRational.zero()
@@ -457,7 +481,8 @@ def test_integer_polynomial_moments_match_fraction_oracle(seed, degree, fault):
               G(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
                 Fraction(rng.randint(-4, 4), rng.randint(1, 3))))
              for _ in range(rng.randint(1, 3))]
-    entries = dict(sequence_from_measure(atoms, box_window(degree, SgDomain.N02)).entries)
+    entries = dict(sequence_from_measure(plane_measure(atoms),
+                                         box_window(degree, SgDomain.N02)).entries)
     key = rng.choice(sorted(entries))
     if fault == "non-hermitian":
         entries[key] = entries[key] + G(rng.randint(-2, 2), rng.choice((-1, 1)))
@@ -476,7 +501,7 @@ def test_pipeline_verdicts_are_the_embedding_verdicts():
     on the public matrix hermitian_embedding, and refuses non-Hermitian
     data at the same entry."""
     atoms = [(Fraction(1), G(2, 1)), (Fraction(1, 2), G(-1, 1)), (Fraction(1, 3), G(1, -2))]
-    seq = sequence_from_measure(atoms, box_window(4, SgDomain.Z2))
+    seq = sequence_from_measure(plane_measure(atoms), box_window(4, SgDomain.Z2))
     notpsd = {**seq.entries, (0, 0): G(Fraction(1, 100))}
     for entries, is_psd in ((seq.entries, True), (notpsd, False)):
         s = HermitianSequence(SgDomain.Z2, entries)
@@ -495,9 +520,11 @@ def test_pipeline_verdicts_are_the_embedding_verdicts():
 
     for radius in (1, 2):
         window = box_window(radius, SgDomain.NPLUS)
-        report = nplus_extension_check(sequence_from_measure(atoms, box_window(1, SgDomain.N02)),
-                                       atoms, window)
-        extended = sequence_from_measure(atoms, box_window(2 * radius, SgDomain.NPLUS))
+        report = nplus_extension_check(
+            sequence_from_measure(plane_measure(atoms), box_window(1, SgDomain.N02)),
+            plane_measure(atoms), window)
+        extended = sequence_from_measure(plane_measure(atoms),
+                                         box_window(2 * radius, SgDomain.NPLUS))
         assert report.psd == psd_check_exact(hermitian_embedding(extended, window))
 
 
@@ -540,11 +567,11 @@ def test_sequence_from_measure_matches_loop_oracle():
                  for _ in range(3)]
         atoms = [(w, z) for w, z in atoms if not z.is_zero()]
         window = box_window(3, SgDomain.Z2)
-        assert sequence_from_measure(atoms, window).entries == \
+        assert sequence_from_measure(plane_measure(atoms), window).entries == \
             oracle_sequence_entries(atoms, window)
         with_zero = atoms + [(Fraction(1, 2), G(0))]
         window = box_window(3, SgDomain.N02)
-        assert sequence_from_measure(with_zero, window).entries == \
+        assert sequence_from_measure(plane_measure(with_zero), window).entries == \
             oracle_sequence_entries(with_zero, window)
 
 
@@ -555,7 +582,7 @@ def test_sequence_residual_float_is_bit_identical_to_oracle():
                   G(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
                     Fraction(rng.randint(1, 4), rng.randint(1, 3))))
                  for _ in range(2)]
-        seq = sequence_from_measure(exact, box_window(6, SgDomain.Z2))
+        seq = sequence_from_measure(plane_measure(exact), box_window(6, SgDomain.Z2))
         report = bisgaard_check(seq, seed=trial)
         assert report.recovered_atoms, report.recovery_error
         for origin in (0.0, 0.25):
@@ -668,19 +695,19 @@ def oracle_extension(measure, pole, degree):
     return extend_from_measure(measure, pole, degree)
 
 
-def oracle_nplus_extension_check(s, atoms, window):
+def oracle_nplus_extension_check(s, measure, window):
     """The pipeline with the loop closure, the loop matrix and the cross path
     on the full (P, max(2P, T)) window."""
     closure_keys = oracle_closure_keys(window)
     target_keys = sorted(closure_keys | set(s.entries.keys()))
     extended = sequence_from_measure(
-        atoms, [SgElement(m, n, SgDomain.NPLUS) for (m, n) in target_keys])
+        measure, [SgElement(m, n, SgDomain.NPLUS) for (m, n) in target_keys])
     mismatches = [key for key, value in s.entries.items()
                   if extended.entries[key] != value]
     psd = oracle_psd(tuple(map(tuple, oracle_sg_moment_matrix(extended, window))))
     pole = max(max(0, -m, -n) for (m, n) in target_keys)
     top_degree = max(m + n + 2 * max(0, -m, -n) for (m, n) in target_keys)
-    L = oracle_extension(complex_atoms_to_measure(atoms), pole, max(2 * pole, top_degree))
+    L = oracle_extension(measure, pole, max(2 * pole, top_degree))
     cross_bad = []
     for (m, n) in target_keys:
         re_part, im_part = sg_to_functions(SgElement(m, n, SgDomain.NPLUS))
@@ -710,7 +737,7 @@ def oracle_embedding(seq, window):
 def test_moment_matrix_matches_loop_oracle():
     rng = random.Random(20)
     for domain in SgDomain:
-        seq = sequence_from_measure(SG_ATOMS, box_window(6, domain))
+        seq = sequence_from_measure(plane_measure(SG_ATOMS), box_window(6, domain))
         for box in range(4):
             window = box_window(box, domain)
             for order in (window, rng.sample(window, len(window))):
@@ -733,7 +760,7 @@ def test_non_hermitian_refusal_matches_loop_oracle():
     rng = random.Random(24)
     refused = 0
     for domain in SgDomain:
-        full = sequence_from_measure(SG_ATOMS, box_window(4, domain))
+        full = sequence_from_measure(plane_measure(SG_ATOMS), box_window(4, domain))
         for box in range(3):
             window = box_window(box, domain)
             for key in rng.sample(sorted(full.entries), 8):
@@ -753,7 +780,7 @@ def test_missing_moment_index_matches_loop_oracle():
     rng = random.Random(21)
     for domain in SgDomain:
         for data_box in range(4):
-            full = sequence_from_measure(SG_ATOMS, box_window(data_box, domain))
+            full = sequence_from_measure(plane_measure(SG_ATOMS), box_window(data_box, domain))
             thinned = dict(full.entries)
             for key in rng.sample(sorted(thinned), len(thinned) // 3):
                 del thinned[key]
@@ -863,13 +890,13 @@ def test_inversion_never_normalizes_and_adds_no_elements(monkeypatch):
 
 
 def test_nplus_reports_match_full_window_oracle():
-    atoms = SG_ATOMS[:2]
+    measure = plane_measure(SG_ATOMS[:2])
     for data_box in range(5):
-        seq = sequence_from_measure(atoms, box_window(data_box, SgDomain.N02))
+        seq = sequence_from_measure(measure, box_window(data_box, SgDomain.N02))
         for box in range(5):
             window = box_window(box, SgDomain.NPLUS)
-            report = nplus_extension_check(seq, atoms, window)
-            assert report == oracle_nplus_extension_check(seq, atoms, window)
+            report = nplus_extension_check(seq, measure, window)
+            assert report == oracle_nplus_extension_check(seq, measure, window)
             assert report.passed, (data_box, box)
     # Box windows and box data give even P and T; odd ones make the halved
     # cross window round up.
@@ -881,19 +908,19 @@ def test_nplus_reports_match_full_window_oracle():
     data += [[u for u in box_window(t, SgDomain.N02) if u.m + u.n <= t] for t in (3, 5)]
     for window in windows + [box_window(b, SgDomain.NPLUS) for b in range(3)]:
         for data_window in data:
-            seq = sequence_from_measure(atoms, data_window)
-            report = nplus_extension_check(seq, atoms, window)
-            assert report == oracle_nplus_extension_check(seq, atoms, window)
+            seq = sequence_from_measure(measure, data_window)
+            report = nplus_extension_check(seq, measure, window)
+            assert report == oracle_nplus_extension_check(seq, measure, window)
             assert report.passed
-    seq = sequence_from_measure(atoms, box_window(4, SgDomain.N02))
+    seq = sequence_from_measure(measure, box_window(4, SgDomain.N02))
     tampered = dict(seq.entries)
     tampered[(2, 1)] = tampered[(2, 1)] + G(0, 1)
     tampered[(1, 2)] = tampered[(1, 2)] + G(0, -1)
     seq = HermitianSequence(SgDomain.N02, tampered)
     for box in range(4):
         window = box_window(box, SgDomain.NPLUS)
-        report = nplus_extension_check(seq, atoms, window)
-        assert report == oracle_nplus_extension_check(seq, atoms, window)
+        report = nplus_extension_check(seq, measure, window)
+        assert report == oracle_nplus_extension_check(seq, measure, window)
         assert report.restriction_mismatches == [(1, 2), (2, 1)]
 
 
@@ -909,7 +936,7 @@ def test_sequence_tables_match_atom_moment_oracle():
                 window = box_window(box, domain)
                 # an atom at 0 only on windows without negative indices
                 used = atoms + [(Fraction(1, 2), G(0))] if domain is SgDomain.N02 else atoms
-                entries = sequence_from_measure(used, window).entries
+                entries = sequence_from_measure(plane_measure(used), window).entries
                 assert list(entries) == [(u.m, u.n) for u in window]
                 for (m, n), value in entries.items():
                     assert value == _atom_moment(used, m, n, GaussianRational.zero()), \

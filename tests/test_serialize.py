@@ -132,7 +132,7 @@ def test_preorder_fibre_samples_roundtrip():
 
 
 def test_sequence_roundtrip_exact_and_float():
-    seq = sequence_from_measure([(Fraction(1), GaussianRational.of(2, 1))],
+    seq = sequence_from_measure(DiscreteMeasure(2, ((Fraction(1), (2, 1)),)),
                                 box_window(2, SgDomain.Z2))
     back = sequence_from_dict(sequence_to_dict(seq))
     assert back.domain is seq.domain and back.entries == seq.entries
@@ -429,6 +429,12 @@ def test_one_pass_loader_matches_field_by_field_loader(data):
     declared = [data.get(field, 0) for field in ("pole_max", "degree_max")]
     if min(declared) < 0:  # accepted before, refused now
         assert got[:2] == ("error", ValueError) and "is negative" in got[2]
+        return
+    keys = [(tuple(item["exp"]), item["pole_order"]) for item in data["entries"]]
+    repeated = next((key for i, key in enumerate(keys) if key in keys[:i]), None)
+    if repeated is not None:  # the oracle kept the last value; a repeat is refused now
+        assert got == ("error", ValueError, f"functional lists the key (exp "
+                       f"{list(repeated[0])}, pole_order {repeated[1]}) more than once")
         return
     values, pole_max, degree_max = want[1]
     L = got[1]

@@ -156,15 +156,27 @@ class LinearFunctional:
         return total
 
     def apply(self, a: AElement):
-        """L(a) for a reduced element, exact on the exact path."""
+        """L(a) for a reduced element, exact on the exact path.
+
+        An exact functional sums the products coeff * value as one running
+        num/den in integers and builds one Fraction at the end; a float one
+        adds them term by term, in the numerator's order.
+        """
         if a.nvars != self.nvars:
             raise DimensionMismatchError("element dimension does not match functional")
         if a.mode is not self.mode:
             raise ValueError(f"cannot apply {self.mode.value} functional to {a.mode.value} element")
-        total = self.zero_scalar()
+        if self.scalar_kind != SCALAR_EXACT:
+            total = 0.0
+            for gamma, coeff in a.numerator.terms.items():
+                total += coeff * self._key_value(gamma, a.pole_order)
+            return total
+        num, den = 0, 1
         for gamma, coeff in a.numerator.terms.items():
-            total += coeff * self._key_value(gamma, a.pole_order)
-        return total
+            value = self._key_value(gamma, a.pole_order)
+            q = coeff.denominator * value.denominator
+            num, den = num * q + coeff.numerator * value.numerator * den, den * q
+        return Fraction(num, den)
 
     __call__ = apply
 

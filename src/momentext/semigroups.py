@@ -17,11 +17,15 @@ algebra, where the inversion x -> x/||x||^2 acts as a *-automorphism
 exchanging x_j with y_j = x_j/||x||^2.
 
 Both directions between (x1, x2) and (z, conj z) go through one closed-form
-helper, ``_binomial_expansion`` of (X + i^s*Y)^p * (X + i^t*Y)^q: s=1, t=3
-on (x1, x2) for ``sg_to_functions``, s=0, t=2 on (z, conj z) for the
+helper, ``_binomial_expansion`` of (X + i^s*Y)^p * (X + i^t*Y)^q, whose
+Gaussian integer coefficients come as (re, im) int pairs: s=1, t=3 on
+(x1, x2) for ``sg_to_functions``, s=0, t=2 on (z, conj z) for the
 polynomial moments that atom recovery reads.  GaussianRational is the only
 exact complex type, and the exact plane ``DiscreteMeasure`` on C = R^2 the
-only exact form of complex atomic data.
+only exact form of complex atomic data.  Its moments s(m, n) come from
+``sequence_from_measure``, the integer-table twin of ``core._moment_table``:
+each atom is cleared once to (a + ib)/q, and each entry is one integer
+Gaussian dot product over the atoms' powers of a + ib and two Fractions.
 
 Positivity of a sequence is positivity of its Hermitian moment matrices
 s(u* v).  The exact check reads the real symmetric block matrix
@@ -180,23 +184,22 @@ def hermitian_embedding(seq: HermitianSequence, window: list[SgElement]) -> list
 # -- translation to the function algebras -----------------------------------
 
 
-def _binomial_expansion(p: int, q: int, s: int,
-                        t: int) -> dict[tuple[int, int], GaussianRational]:
+def _binomial_expansion(p: int, q: int, s: int, t: int) -> dict[tuple[int, int], tuple[int, int]]:
     """Coefficients of (X + i^s*Y)^p * (X + i^t*Y)^q, keyed by (deg X, deg Y).
 
     Choosing Y from j of the first p factors and k of the last q gives the
     integer C(p,j)*C(q,k) in quarter-turn class (s*j + t*k) mod 4 of the
     monomial X^(p+q-j-k) Y^(j+k); the four classes c of a monomial make the
-    coefficient (c0 - c2) + (c1 - c3)*i.  Every monomial of total degree
-    p+q is keyed, including those whose coefficient cancels to zero.
+    Gaussian integer coefficient (c0 - c2) + (c1 - c3)*i, given as the int
+    pair (re, im).  Every monomial of total degree p+q is keyed, including
+    those whose coefficient cancels to zero.
     """
     classes = [[0, 0, 0, 0] for _ in range(p + q + 1)]
     for j in range(p + 1):
         cj = comb(p, j)
         for k in range(q + 1):
             classes[j + k][(s * j + t * k) % 4] += cj * comb(q, k)
-    return {(p + q - d, d): GaussianRational(c[0] - c[2], c[1] - c[3])
-            for d, c in enumerate(classes)}
+    return {(p + q - d, d): (c[0] - c[2], c[1] - c[3]) for d, c in enumerate(classes)}
 
 
 def sg_to_functions(u: SgElement) -> tuple[AElement, AElement]:
@@ -210,8 +213,8 @@ def sg_to_functions(u: SgElement) -> tuple[AElement, AElement]:
     c = max(0, -u.m, -u.n)
     mode = Mode.LAURENT if u.domain is SgDomain.Z2 else Mode.APLUS
     expansion = _binomial_expansion(u.m + c, u.n + c, 1, 3)
-    re_part = Poly(2, {exp: coeff.re for exp, coeff in expansion.items()})
-    im_part = Poly(2, {exp: coeff.im for exp, coeff in expansion.items()})
+    re_part = Poly._over(2, {exp: re for exp, (re, _) in expansion.items() if re}, 1)
+    im_part = Poly._over(2, {exp: im for exp, (_, im) in expansion.items() if im}, 1)
     return a_normalize(re_part, c, mode), a_normalize(im_part, c, mode)
 
 
@@ -221,6 +224,15 @@ def sequence_from_measure(measure: DiscreteMeasure,
 
     The measure is exact, on R^2 = C, without directions.  Its origin mass is
     an atom at 0, refused on windows with negative powers (0^0 = 1 at (0,0)).
+
+    The integer-table twin of ``core._moment_table``: an atom z = (a + ib)/q
+    (q the lcm of its coordinates' denominators, N = a^2 + b^2) adds
+    w * g^(m+c) * conj(g^(n+c)) / (q^(m+n) * N^c) with g = a + ib and
+    c = max(0, -m, -n), from one table of Gaussian integer powers g^e per
+    atom.  Per (m + n, c) the atoms' scales share one denominator, so an
+    entry is one integer Gaussian dot product and two Fractions.  An atom
+    at 0 is g = 0 with q = 1 and N = 0; it meets only c = 0, where
+    0^0 = 1 keeps the value at (0,0).
     """
     if measure.dim != 2 or measure.sphere_atoms:
         raise ValueError("semigroup pipelines need a plain dim-2 measure")
@@ -231,25 +243,39 @@ def sequence_from_measure(measure: DiscreteMeasure,
     domain = window[0].domain
     if any(u.domain is not domain for u in window):
         raise ValueError("window mixes semigroup domains")
-    low = min(0, *(min(u.m, u.n) for u in window))
-    high = max(0, *(max(u.m, u.n) for u in window))
-    atoms = [(weight, GaussianRational(x, y)) for weight, (x, y) in measure.atoms]
+    rows = []
+    for weight, point in measure.atoms:
+        (a, b), q = clear_denominators(point)
+        rows.append((weight, q, a * a + b * b, a, b))
     if measure.origin_mass:
-        if low < 0:
+        if min(0, *(min(u.m, u.n) for u in window)) < 0:
             raise ValueError("an atom at 0 has no moments at negative powers")
-        atoms.append((measure.origin_mass, GaussianRational.zero()))
-    # One table of w * z^e and one of conj(z)^e per atom over the window's
-    # exponents, by a running product from z^low; an atom at 0 has low == 0,
-    # so z^0 == 1 keeps the 0^0 = 1 rule.
-    tables = []
-    for weight, z in atoms:
-        weighted, conj, power = {}, {}, z ** low
-        for e in range(low, high + 1):
-            weighted[e], conj[e], power = weight * power, power.conjugate(), power * z
-        tables.append((weighted, conj))
-    zero = GaussianRational.zero()
-    entries = {(u.m, u.n): sum((weighted[u.m] * conj[u.n] for weighted, conj in tables), zero)
-               for u in window}
+        rows.append((measure.origin_mass, 1, 0, 0, 0))
+    top = max(max(u.m, u.n) + max(0, -u.m, -u.n) for u in window)
+    tables = []  # tables[i][e] = (Re, Im) of (a_i + i*b_i)^e
+    for *_, a, b in rows:
+        table = [(1, 0)]
+        for _ in range(top):
+            re, im = table[-1]
+            table.append((re * a - im * b, re * b + im * a))
+        tables.append(table)
+    groups: dict[tuple[int, int], tuple[list[int], int]] = {}
+    entries = {}
+    for u in window:
+        m, n = u.m, u.n
+        c = max(0, -m, -n)
+        group = groups.get((m + n, c))
+        if group is None:
+            group = groups[(m + n, c)] = clear_denominators(
+                [w * Fraction(q) ** -(m + n) / norm ** c for w, q, norm, _, _ in rows])
+        scales, den = group
+        re = im = 0
+        for k, table in zip(scales, tables):
+            xr, xi = table[m + c]
+            yr, yi = table[n + c]
+            re += k * (xr * yr + xi * yi)
+            im += k * (xi * yr - xr * yi)
+        entries[(m, n)] = GaussianRational(Fraction(re, den), Fraction(im, den))
     return HermitianSequence(domain, entries)
 
 
@@ -305,12 +331,15 @@ def nplus_extension_check(s: HermitianSequence, measure: DiscreteMeasure,
     the extended moment matrix over the window is PSD (exact certificate);
     and independently of the semigroup route, each extended entry agrees
     with the positive functional extend_from_measure produces on the real
-    side, applied to the translated index functions.
+    side, applied to the translated index functions.  An empty window is
+    refused before any of them, as ``sequence_from_measure`` refuses it.
     """
-    if s.domain is not SgDomain.N02:
-        raise ValueError("the input sequence must live on the quarter-plane indices")
     if window is None:
         window = box_window(3, SgDomain.NPLUS)
+    if not window:
+        raise ValueError("window must be nonempty")
+    if s.domain is not SgDomain.N02:
+        raise ValueError("the input sequence must live on the quarter-plane indices")
     if any(u.domain is not SgDomain.NPLUS for u in window):
         raise ValueError("window domain does not match the sequence")
     moment_window = _embedded_window(window)
@@ -452,7 +481,7 @@ def _polynomial_moments_from_sequence(s: HermitianSequence, max_degree: int) -> 
             a, b = gamma
             re = im = 0
             for (_, n), coeff in _binomial_expansion(a, b, 0, 2).items():
-                c = coeff.re.numerator
+                c = coeff[0]
                 re += c * parts[2 * n]
                 im += c * parts[2 * n + 1]
             re, im = ((re, im), (im, -re), (-re, -im), (-im, re))[b % 4]  # times (-i)^b

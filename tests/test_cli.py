@@ -158,6 +158,22 @@ def test_semigroup_nplus_cli(tmp_path, capsys):
     assert "error" in err
 
 
+def test_nplus_extension_refuses_an_empty_window(tmp_path, capsys):
+    measure = write_measure(tmp_path / "m.json", [(Fraction(1), (Fraction(1), Fraction(1)))])
+    mu = DiscreteMeasure(2, ((Fraction(1), (1, 1)),))
+    sequence = str(tmp_path / "n02.json")
+    serialize.dump_json(serialize.sequence_to_dict(
+        sequence_from_measure(mu, box_window(2, SgDomain.N02))), sequence)
+    report = tmp_path / "report.json"
+    for box in ("-1", "-2"):
+        for given in ([], ["--sequence", sequence]):
+            code, out, err = run(capsys, "semigroup", "--pipeline", "nplus-extension",
+                                 "--measure", measure, "--box", box, *given,
+                                 "--out", str(report))
+            assert (code, out, err) == (2, "", "error: window must be nonempty\n"), given
+            assert not report.exists()
+
+
 def test_nplus_cross_path_mismatch_is_a_negative_verdict(tmp_path, capsys, monkeypatch):
     measure = write_measure(tmp_path / "m.json", [(Fraction(1), (Fraction(1), Fraction(1)))])
     translate = semigroups.sg_to_functions
@@ -251,6 +267,13 @@ NPLUS_BOX2_REPORTS = {
     2: "a2d07c4866c8181dcabb838dd2074adabf65993be54551dcad5b3ed4b183aa4b",
     4: "c6c99971894fc9d0afc224d311769c51905b276ed667ca4cbd5dad906ca32779",
 }
+# Box 3 on three atoms, the benchmark's heavy nplus size (seed 1 is pinned in
+# test_heavy_semigroup_reports_are_byte_stable); captured before the complex
+# moments and the cross-path apply moved onto integers.
+NPLUS_BOX3_REPORTS = {
+    2: "96d94bdeee200941a4a1a0589eb56cdd1d964d767fa630994044b2b8925a4766",
+    4: "1d34e3299df842e4753a33d2e666532171862b85220f5bc025cd6da126087b8c",
+}
 BISGAARD_NO_RECOVERY_REPORT = "3e9f85cfb0f9ab79b6e3c83f65cd045ef754e514250aeab788a7c59b042834d9"
 # Box-2 Z2 moments of two atoms with s(0,0) = -1: a NotPSD witness on the
 # 18x18 embedding, captured when that embedding was built from a complex matrix.
@@ -286,6 +309,11 @@ def test_exact_semigroup_reports_are_byte_stable(tmp_path, capsys):
             assert code == 0 and digest == NPLUS_BOX2_REPORTS[seed], seed
         else:  # origin mass has no moments at negative powers
             assert code == 2 and digest is None and "atom at 0" in err, seed
+        if seed in NPLUS_BOX3_REPORTS:
+            assert len(json.loads(Path(measure).read_text())["atoms"]) == 3
+            assert report_digest(capsys, tmp_path, "semigroup", "--pipeline",
+                                 "nplus-extension", "--measure", measure,
+                                 "--box", "3")[:2] == (0, NPLUS_BOX3_REPORTS[seed]), seed
 
     code, out, _ = run(capsys, "gen-examples", "--scenario", "bisgaard-two-atoms",
                        "--dir", str(tmp_path))

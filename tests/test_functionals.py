@@ -155,6 +155,77 @@ def test_apply_lifts_missing_keys():
         L.apply(embed_poly(Poly.variable(2, 0)))
 
 
+def fraction_apply(L, a):
+    """The per-term loop ``apply`` ran before its exact path summed in integers."""
+    total = L.zero_scalar()
+    for gamma, coeff in a.numerator.terms.items():
+        total += coeff * L._key_value(gamma, a.pole_order)
+    return total
+
+
+def test_exact_apply_matches_fraction_loop_on_edge_cases():
+    L = extend_from_measure(two_atom_measure(), 1, 2)
+    x1, x2 = Poly.variable(2, 0), Poly.variable(2, 1)
+    thinned = LinearFunctional(2, Mode.APLUS, SCALAR_EXACT,
+                               {k: v for k, v in L.values.items()
+                                if k not in (((0, 0), 0), ((1, 0), 0))})
+    # 1/2 + (3/7) x1: both keys are missing and served by _lifted_sum
+    a = embed_poly(Poly(2, {(0, 0): Fraction(1, 2), (1, 0): Fraction(3, 7)}))
+    assert all((gamma, 0) not in thinned.values for gamma in a.numerator.terms)
+    assert all(thinned._lifted_sum(gamma, 0, 1) == L.values[(gamma, 0)]
+               for gamma in a.numerator.terms)
+    zero = embed_poly(Poly.zero(2))
+    fractional = a_normalize(Poly(2, {(2, 0): Fraction(-5, 3), (1, 1): Fraction(2, 9),
+                                      (0, 2): Fraction(1, 4)}), 1)
+    for functional in (L, thinned):
+        for element in (a, zero, fractional, embed_poly(x1 * x2 - x2 * x2)):
+            got, want = functional.apply(element), fraction_apply(functional, element)
+            assert type(got) is Fraction and got == want
+            floats = as_float_functional(functional)
+            got, want = floats.apply(element), fraction_apply(floats, element)
+            assert type(got) is float and got.hex() == want.hex()
+    assert thinned.apply(a) == L.apply(a) == Fraction(1, 2) * L.value((0, 0)) \
+        + Fraction(3, 7) * L.value((1, 0))
+    assert L.apply(zero) == 0 and type(L.apply(zero)) is Fraction
+    assert as_float_functional(L).apply(zero).hex() == (0.0).hex()
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(1, 3), laurent=st.booleans(), pole=st.integers(0, 2),
+       degree=st.integers(0, 3), seed=st.integers(0, 10 ** 6))
+def test_exact_apply_matches_fraction_loop(dim, laurent, pole, degree, seed):
+    """Same value and type (same float bits on a float functional), or the
+    same error, on products of basis elements with fractional coefficients,
+    over a full table and one with keys below its top pole removed."""
+    mode = Mode.LAURENT if laurent else Mode.APLUS
+    if mode is Mode.APLUS:
+        degree = max(degree, 2 * pole)
+    rng = random.Random(seed)
+    mu = scenarios.random_measure(rng, dim, allow_origin=not laurent,
+                                  allow_sphere=not laurent)
+    basis = truncated_basis(pole, degree, dim, mode)
+    L = moments_of_measure(mu, basis)
+    values = dict(L.values)
+    for key in rng.sample(sorted(values), len(values) // 3):
+        if key[1] < L.top_pole:
+            del values[key]
+    thinned = LinearFunctional(dim, mode, SCALAR_EXACT, values, L.pole_max, L.degree_max)
+    elements = [embed_poly(Poly.zero(dim), mode)]
+    for _ in range(6):
+        element = elements[0]
+        for _ in range(rng.randint(1, 3)):
+            b = rng.choice(basis) * rng.choice(basis)
+            scale = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+            element = element + b * embed_poly(Poly.constant(dim, scale), mode)
+        elements.append(element)
+    for functional in (L, thinned, as_float_functional(L), as_float_functional(thinned)):
+        for a in elements:
+            got = outcome(lambda: functional.apply(a))
+            want = outcome(lambda: fraction_apply(functional, a))
+            assert type(got) is type(want)
+            assert got.hex() == want.hex() if type(got) is float else got == want
+
+
 def test_domain_overflow_names_the_key():
     mu = two_atom_measure()
     L = extend_from_measure(mu, 0, 2)

@@ -414,7 +414,7 @@ def oracle_monomial_in_z(gamma):
 def monomial_in_z(gamma):
     a, b = gamma
     scale = G(Fraction(1, 2 ** (a + b))) * G(0, -1) ** b
-    return {key: coeff * scale for key, coeff in _binomial_expansion(a, b, 0, 2).items()}
+    return {key: G(*coeff) * scale for key, coeff in _binomial_expansion(a, b, 0, 2).items()}
 
 
 def test_index_functions_match_poly_pair_oracle():
@@ -456,7 +456,7 @@ def oracle_polynomial_moments_from_sequence(s, max_degree):
         a, b = gamma
         total = GaussianRational.zero()
         for (m, n), coeff in _binomial_expansion(a, b, 0, 2).items():
-            total = total + coeff * s.value(m, n)
+            total = total + G(*coeff) * s.value(m, n)
         total = total * Fraction(1, 2 ** (a + b)) * GaussianRational(0, -1) ** b
         if total.im != 0:
             raise ValueError(f"moment of x^{gamma} came out non-real: {total}")
@@ -941,3 +941,32 @@ def test_sequence_tables_match_atom_moment_oracle():
                 for (m, n), value in entries.items():
                     assert value == _atom_moment(used, m, n, GaussianRational.zero()), \
                         (domain, m, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), domain=st.sampled_from(list(SgDomain)),
+       box=st.integers(0, 4), shared=st.booleans(), partial=st.booleans())
+def test_integer_sequence_tables_match_atom_moment_oracle(seed, domain, box, shared, partial):
+    """The Gaussian integer tables against ``_atom_moment`` on random rational
+    atoms, with one denominator shared by every coordinate or one each, on
+    shuffled windows, whole or partial; N02 windows may carry an atom at 0."""
+    rng = random.Random(seed)
+    den = rng.randint(1, 7)
+
+    def coordinate():
+        return Fraction(rng.randint(-6, 6), den if shared else rng.randint(1, 7))
+
+    atoms = []
+    for _ in range(rng.randint(0, 4)):
+        z = G(coordinate(), coordinate())
+        if not z.is_zero():
+            atoms.append((Fraction(rng.randint(1, 7), rng.randint(1, 5)), z))
+    if domain is SgDomain.N02 and rng.random() < 0.5:
+        atoms.append((Fraction(rng.randint(1, 5), rng.randint(1, 3)), G(0)))
+    window = box_window(box, domain)
+    window = rng.sample(window, rng.randint(1, len(window)) if partial else len(window))
+    entries = sequence_from_measure(plane_measure(atoms), window).entries
+    assert list(entries) == [(u.m, u.n) for u in window]
+    for (m, n), value in entries.items():
+        assert type(value.re) is Fraction and type(value.im) is Fraction
+        assert value == _atom_moment(atoms, m, n, GaussianRational.zero()), (m, n)

@@ -1,11 +1,11 @@
 """Exact scalar helpers: rational string parsing and Gaussian rationals.
 
 All exact paths in this package run over ``fractions.Fraction``.  Complex
-moment data additionally needs exact complex rationals a + b*i, including
-inverses so that negative powers of nonzero atoms stay exact; that is what
-``GaussianRational`` provides.  Floats are deliberately refused by the
-coercion helpers: anything float-valued must go through the explicitly
-approximate code paths.
+moment data is stored as ``GaussianRational`` values a + b*i with exact
+rational parts; the code that computes complex moments works on those
+parts directly, so the type has no arithmetic.  Floats are deliberately
+refused by the coercion helpers: anything float-valued must go through the
+explicitly approximate code paths.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ def format_fraction(value: Fraction) -> str:
 
 @dataclass(frozen=True)
 class GaussianRational:
-    """Complex number with exact rational real and imaginary parts."""
+    """Complex number with exact rational real and imaginary parts; a plain value."""
 
     re: Fraction
     im: Fraction
@@ -82,86 +82,6 @@ class GaussianRational:
     def __post_init__(self) -> None:
         object.__setattr__(self, "re", as_fraction(self.re))
         object.__setattr__(self, "im", as_fraction(self.im))
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def of(re: int | Fraction | str = 0, im: int | Fraction | str = 0) -> "GaussianRational":
-        return GaussianRational(as_fraction(re), as_fraction(im))
-
-    @staticmethod
-    def zero() -> "GaussianRational":
-        return GaussianRational(Fraction(0), Fraction(0))
-
-    @staticmethod
-    def one() -> "GaussianRational":
-        return GaussianRational(Fraction(1), Fraction(0))
-
-    # -- predicates --------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _coerce(self, other) -> "GaussianRational | None":
-        if isinstance(other, GaussianRational):
-            return other
-        if is_exact_scalar(other):
-            return GaussianRational(Fraction(other), Fraction(0))
-        return None
-
-    def __add__(self, other) -> "GaussianRational":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "GaussianRational":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other) -> "GaussianRational":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(o.re - self.re, o.im - self.im)
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
-
-    def __mul__(self, other) -> "GaussianRational":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re * o.re - self.im * o.im,
-                                self.re * o.im + self.im * o.re)
-
-    __rmul__ = __mul__
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def abs2(self) -> Fraction:
-        """|z|^2, an exact rational."""
-        return self.re * self.re + self.im * self.im
-
-    def inverse(self) -> "GaussianRational":
-        a2 = self.abs2()
-        if a2 == 0:
-            raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return GaussianRational(self.re / a2, -self.im / a2)
-
-    def __pow__(self, exponent: int) -> "GaussianRational":
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            return power_by_squaring(self.inverse(), -exponent, GaussianRational.one())
-        return power_by_squaring(self, exponent, GaussianRational.one())
 
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))

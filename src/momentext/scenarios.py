@@ -13,10 +13,9 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from .extalg import AElement, Mode, a_normalize
 from .fibres import FibreSpec, Preorder
 from .functionals.core import DiscreteMeasure
-from .polyalg import Poly, exponents_of_degree
+from .polyalg import Poly
 from .semigroups import SgDomain, box_window, sequence_from_measure
 from . import serialize
 
@@ -71,31 +70,6 @@ def random_measure(rng: random.Random, dim: int, max_atoms: int = 4,
     if allow_sphere and rng.random() < 0.5:
         sphere.append((random_fraction(rng, 1, 4, 4), rational_direction(rng, dim)))
     return DiscreteMeasure(dim, tuple(atoms), origin, tuple(sphere))
-
-
-def random_aelement(rng: random.Random, dim: int, max_extra_degree: int = 2,
-                    max_pole: int = 1, mode: Mode = Mode.APLUS) -> AElement:
-    pole = rng.randint(0, max_pole)
-    low = 2 * pole if mode is Mode.APLUS else 0
-    terms = {}
-    for _ in range(rng.randint(1, 4)):
-        degree = rng.randint(low, low + max_extra_degree)
-        exp = rng.choice(exponents_of_degree(dim, degree))
-        terms[exp] = random_fraction(rng, -6, 6, 4, nonzero=True)
-    return a_normalize(Poly(dim, terms), pole, mode)
-
-
-def random_complex_atoms(rng: random.Random, max_atoms: int = 3,
-                         min_atoms: int = 1) -> DiscreteMeasure:
-    """A plane measure of distinct nonzero atoms z = x1 + i*x2, without origin mass."""
-    count = rng.randint(min_atoms, max_atoms)
-    atoms, seen = [], {(0, 0)}
-    while len(atoms) < count:
-        z = (random_fraction(rng, -4, 4, 3), random_fraction(rng, -4, 4, 3))
-        if z not in seen:
-            seen.add(z)
-            atoms.append((random_fraction(rng, 1, 6, 3), z))
-    return DiscreteMeasure(2, tuple(atoms))
 
 
 # -- scenario writers --------------------------------------------------------

@@ -20,8 +20,9 @@ Both directions between (x1, x2) and (z, conj z) go through one closed-form
 helper, ``_binomial_expansion`` of (X + i^s*Y)^p * (X + i^t*Y)^q, whose
 Gaussian integer coefficients come as (re, im) int pairs: s=1, t=3 on
 (x1, x2) for ``sg_to_functions``, s=0, t=2 on (z, conj z) for the
-polynomial moments that atom recovery reads.  GaussianRational is the only
-exact complex type, and the exact plane ``DiscreteMeasure`` on C = R^2 the
+polynomial moments that atom recovery reads.  GaussianRational is a plain
+exact value, read as its (re, im) parts: no exact path here does complex
+arithmetic on it.  The exact plane ``DiscreteMeasure`` on C = R^2 is the
 only exact form of complex atomic data.  Its moments s(m, n) come from
 ``sequence_from_measure``, the integer-table twin of ``core._moment_table``:
 each atom is cleared once to (a + ib)/q, and each entry is one integer
@@ -279,26 +280,14 @@ def sequence_from_measure(measure: DiscreteMeasure,
     return HermitianSequence(domain, entries)
 
 
-def _atom_moment(atoms, m: int, n: int, zero):
-    """Sum of w * z^m * conj(z)^n over (w, z) atoms, from ``zero`` up.
-
-    The float evaluator behind ``sequence_residual_float``, and the test
-    oracle of the exact tables in ``sequence_from_measure``.  Generic in
-    the scalar: GaussianRational atoms sum exactly (an atom at 0
-    contributes only at (0,0), by 0^0 = 1), complex atoms in floats.
-    """
-    total = zero
-    for weight, z in atoms:
-        total = total + weight * (z ** m) * (z.conjugate() ** n)
-    return total
-
-
 def sequence_residual_float(atoms, origin_mass: float,
                             seq: HermitianSequence) -> float:
-    """Largest |s_hat - s| over the stored window, for float atom lists."""
+    """Largest |s_hat - s| over the stored window, for float (w, z) atom lists."""
     worst = 0.0
     for (m, n), value in seq.entries.items():
-        total = _atom_moment(atoms, m, n, 0.0 + 0.0j)
+        total = 0.0 + 0.0j
+        for weight, z in atoms:
+            total = total + weight * (z ** m) * (z.conjugate() ** n)
         if m == 0 and n == 0:
             total += origin_mass
         worst = max(worst, abs(total - complex(value)))
@@ -332,7 +321,8 @@ def nplus_extension_check(s: HermitianSequence, measure: DiscreteMeasure,
     and independently of the semigroup route, each extended entry agrees
     with the positive functional extend_from_measure produces on the real
     side, applied to the translated index functions.  An empty window is
-    refused before any of them, as ``sequence_from_measure`` refuses it.
+    refused before any of them, as ``sequence_from_measure`` refuses it, and
+    so is mass at the origin, whatever the window.
     """
     if window is None:
         window = box_window(3, SgDomain.NPLUS)
@@ -342,6 +332,8 @@ def nplus_extension_check(s: HermitianSequence, measure: DiscreteMeasure,
         raise ValueError("the input sequence must live on the quarter-plane indices")
     if any(u.domain is not SgDomain.NPLUS for u in window):
         raise ValueError("window domain does not match the sequence")
+    if measure.origin_mass != 0:
+        raise ValueError("atoms at 0 cannot feed the punctured-plane extension")
     moment_window = _embedded_window(window)
     closure_keys = {(u.m, u.n) for u in window} | {g[:2] for g, _ in moment_window.classes}
     target_keys = sorted(closure_keys | set(s.entries.keys()))
@@ -358,8 +350,6 @@ def nplus_extension_check(s: HermitianSequence, measure: DiscreteMeasure,
     # window (p, D) stores every key up to pole 2p >= P and degree 2D >= T.
     pole = max(max(0, -m, -n) for (m, n) in target_keys)
     top_degree = max(m + n + 2 * max(0, -m, -n) for (m, n) in target_keys)
-    if measure.origin_mass != 0:
-        raise ValueError("atoms at 0 cannot feed the punctured-plane extension")
     half_pole = (pole + 1) // 2
     L = extend_from_measure(measure, half_pole, max(2 * half_pole, (top_degree + 1) // 2))
     cross_bad = []

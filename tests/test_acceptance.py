@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from momentext.extalg import (Character, Mode, a_normalize, embed_poly,
+from momentext.extalg import (AElement, Character, Mode, a_normalize, embed_poly,
                               generator_f, truncated_basis)
 from momentext.fibres import (FibreSpec, Preorder, fibre_generators,
                               fibre_ideal_generators, fibre_partition_check,
@@ -26,15 +26,40 @@ from momentext.functionals.feasibility import extension_feasibility
 from momentext.functionals.psd import hamburger_check, psd_check_exact
 from momentext.functionals.recovery import (IndeterminateRankError,
                                             recover_atoms)
-from momentext.polyalg import Poly
-from momentext.scenarios import (random_aelement, random_complex_atoms,
-                                 random_measure, random_point,
+from momentext.polyalg import Poly, exponents_of_degree
+from momentext.scalars import GaussianRational
+from momentext.scenarios import (random_fraction, random_measure, random_point,
                                  rational_direction)
 from momentext.semigroups import (HermitianSequence, SgDomain, SgElement,
                                   bisgaard_check, box_window,
                                   laurent_relations_check,
                                   nplus_extension_check, sequence_from_measure,
                                   sg_to_functions)
+
+
+def random_aelement(rng: random.Random, dim: int, max_extra_degree: int = 2,
+                    max_pole: int = 1, mode: Mode = Mode.APLUS) -> AElement:
+    pole = rng.randint(0, max_pole)
+    low = 2 * pole if mode is Mode.APLUS else 0
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        degree = rng.randint(low, low + max_extra_degree)
+        exp = rng.choice(exponents_of_degree(dim, degree))
+        terms[exp] = random_fraction(rng, -6, 6, 4, nonzero=True)
+    return a_normalize(Poly(dim, terms), pole, mode)
+
+
+def random_complex_atoms(rng: random.Random, max_atoms: int = 3,
+                         min_atoms: int = 1) -> DiscreteMeasure:
+    """A plane measure of distinct nonzero atoms z = x1 + i*x2, without origin mass."""
+    count = rng.randint(min_atoms, max_atoms)
+    atoms, seen = [], {(0, 0)}
+    while len(atoms) < count:
+        z = (random_fraction(rng, -4, 4, 3), random_fraction(rng, -4, 4, 3))
+        if z not in seen:
+            seen.add(z)
+            atoms.append((random_fraction(rng, 1, 6, 3), z))
+    return DiscreteMeasure(2, tuple(atoms))
 
 
 def _pass(criterion: int, detail: str, elapsed: float, limit: float) -> None:
@@ -299,7 +324,8 @@ def test_criterion_9_negative_controls():
     seq = sequence_from_measure(DiscreteMeasure(2, ((Fraction(1), (2, 1)),)),
                                 box_window(2, SgDomain.Z2))
     tampered = dict(seq.entries)
-    tampered[(1, 0)] = tampered[(1, 0)] + tampered[(1, 0)]
+    z = tampered[(1, 0)]
+    tampered[(1, 0)] = GaussianRational(z.re + z.re, z.im + z.im)
     broken = bisgaard_check(HermitianSequence(SgDomain.Z2, tampered))
     assert not broken.hermitian_ok
     assert broken.psd is None and broken.matrix_box is None  # no matrix was built

@@ -307,8 +307,8 @@ def test_exact_semigroup_reports_are_byte_stable(tmp_path, capsys):
                                           "--box", "2")
         if seed in NPLUS_BOX2_REPORTS:
             assert code == 0 and digest == NPLUS_BOX2_REPORTS[seed], seed
-        else:  # origin mass has no moments at negative powers
-            assert code == 2 and digest is None and "atom at 0" in err, seed
+        else:  # origin mass cannot feed the punctured-plane extension
+            assert code == 2 and digest is None and "atoms at 0 cannot feed" in err, seed
         if seed in NPLUS_BOX3_REPORTS:
             assert len(json.loads(Path(measure).read_text())["atoms"]) == 3
             assert report_digest(capsys, tmp_path, "semigroup", "--pipeline",
@@ -323,7 +323,7 @@ def test_exact_semigroup_reports_are_byte_stable(tmp_path, capsys):
         (0, BISGAARD_NO_RECOVERY_REPORT)
     mu = DiscreteMeasure(2, ((Fraction(1), (1, 1)), (Fraction(1, 2), (2, -1))))
     notpsd = sequence_from_measure(mu, box_window(2, SgDomain.Z2))
-    notpsd.entries[(0, 0)] = GaussianRational.of(-1)
+    notpsd.entries[(0, 0)] = GaussianRational(-1, 0)
     serialize.dump_json(serialize.sequence_to_dict(notpsd), tmp_path / "notpsd.json")
     assert report_digest(capsys, tmp_path, "semigroup", "--pipeline", "bisgaard",
                          "--sequence", str(tmp_path / "notpsd.json"))[:2] == \
@@ -708,6 +708,29 @@ def test_nplus_extension_with_a_sequence_builds_no_quarter_plane_sequence(
     domains.clear()
     assert run(capsys, *argv, "--sequence", sequence)[0] == 0
     assert domains == [SgDomain.NPLUS]
+
+
+def test_nplus_extension_refuses_origin_mass_first(tmp_path, capsys, monkeypatch):
+    """Mass at the origin is one input error on every box, with or without
+    given quarter-plane data, before the extension does any work."""
+    code, out, _ = run(capsys, "gen-examples", "--scenario", "two-atoms-origin",
+                       "--dir", str(tmp_path))
+    measure = json.loads(out)["files"]["measure"]
+    sequence = str(tmp_path / "n02.json")
+    serialize.dump_json(serialize.sequence_to_dict(sequence_from_measure(
+        serialize.measure_from_dict(serialize.load_json(measure)),
+        box_window(3, SgDomain.N02))), sequence)
+
+    def no_work(*args):
+        raise AssertionError("the extension ran before the origin-mass refusal")
+
+    for name in ("_embedded_window", "psd_check_cleared", "extend_from_measure"):
+        monkeypatch.setattr(semigroups, name, no_work)
+    for box in range(4):
+        for given_data in ([], ["--sequence", sequence]):
+            assert run(capsys, "semigroup", "--pipeline", "nplus-extension",
+                       "--measure", measure, "--box", str(box), *given_data) == \
+                (2, "", "error: atoms at 0 cannot feed the punctured-plane extension\n")
 
 
 @pytest.mark.parametrize("package",["momentext", "momentext.functionals"])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from momentext.functionals.core import DiscreteMeasure
 from momentext.scalars import (GaussianRational, as_fraction, clear_denominators,
                                format_fraction, is_exact_scalar)
+from test_semigroups import G
 
 
 def test_as_fraction_accepts_exact_inputs():
@@ -86,53 +87,69 @@ def test_format_fraction():
 
 
 def test_gaussian_product():
-    a = GaussianRational.of(1, 2)
-    b = GaussianRational.of(3, -1)
-    assert a * b == GaussianRational.of(5, 5)
+    a = G(1, 2)
+    b = G(3, -1)
+    assert a * b == G(5, 5)
 
 
 def test_gaussian_conjugate_and_abs2():
-    z = GaussianRational.of(1, 2)
-    assert z.conjugate() == GaussianRational.of(1, -2)
+    z = G(1, 2)
+    assert z.conjugate() == G(1, -2)
     assert z.abs2() == Fraction(5)
-    assert z * z.conjugate() == GaussianRational.of(5, 0)
+    assert z * z.conjugate() == G(5, 0)
 
 
 def test_gaussian_inverse():
-    z = GaussianRational.of(1, 1)
-    assert z.inverse() == GaussianRational.of(Fraction(1, 2), Fraction(-1, 2))
-    assert z * z.inverse() == GaussianRational.one()
+    z = G(1, 1)
+    assert z.inverse() == G(Fraction(1, 2), Fraction(-1, 2))
+    assert z * z.inverse() == G(1)
     with pytest.raises(ZeroDivisionError):
-        GaussianRational.zero().inverse()
+        G(0).inverse()
 
 
 def test_gaussian_negative_powers():
-    z = GaussianRational.of(1, 1)
+    z = G(1, 1)
     # (1+i)^2 = 2i, so (1+i)^-2 = 1/(2i) = -i/2
-    assert z ** -2 == GaussianRational.of(0, Fraction(-1, 2))
-    assert z ** 0 == GaussianRational.one()
-    assert z ** 3 == GaussianRational.of(-2, 2)
+    assert z ** -2 == G(0, Fraction(-1, 2))
+    assert z ** 0 == G(1)
+    assert z ** 3 == G(-2, 2)
 
 
 def test_gaussian_power_refuses_bool_exponents():
-    z = GaussianRational.of(1, 1)
+    z = G(1, 1)
     for exponent in (True, False):
         with pytest.raises(TypeError, match="bool"):
             z ** exponent
 
 
 def test_gaussian_mixed_scalar_arithmetic():
-    z = GaussianRational.of(2, -1)
-    assert z + 1 == GaussianRational.of(3, -1)
-    assert 2 * z == GaussianRational.of(4, -2)
-    assert z - Fraction(1, 2) == GaussianRational.of(Fraction(3, 2), -1)
-    assert -z == GaussianRational.of(-2, 1)
+    z = G(2, -1)
+    assert z + 1 == G(3, -1)
+    assert 2 * z == G(4, -2)
+    assert z - Fraction(1, 2) == G(Fraction(3, 2), -1)
+    assert -z == G(-2, 1)
 
 
 def test_gaussian_complex_coercion():
-    assert complex(GaussianRational.of(Fraction(1, 2), -3)) == complex(0.5, -3.0)
+    assert complex(GaussianRational(Fraction(1, 2), -3)) == complex(0.5, -3.0)
 
 
 def test_gaussian_exactness_guard():
     with pytest.raises((TypeError, ValueError)):
         GaussianRational(0.5, Fraction(0))
+
+
+def test_gaussian_rational_is_a_plain_exact_value():
+    z = GaussianRational("1/2", -3)
+    assert (z.re, z.im) == (Fraction(1, 2), Fraction(-3))
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    assert GaussianRational(Fraction(4, 6), 0) == GaussianRational("2/3", Fraction(0))
+    for re, im in ((0.5, 0), (0, 0.5), (True, 0), (0, False)):
+        with pytest.raises(TypeError):
+            GaussianRational(re, im)
+    assert complex(z) == complex(0.5, -3.0)
+    assert (str(z), str(GaussianRational(2, Fraction(1, 3)))) == ("1/2-3i", "2+1/3i")
+    for operation in (lambda: z + z, lambda: z + 1, lambda: 2 * z, lambda: z * z,
+                      lambda: z ** 2, lambda: -z):
+        with pytest.raises(TypeError):
+            operation()

@@ -27,11 +27,10 @@ origin.  So s is prime in the factorial ring Q[x] and divides a product
 only through a factor: a product of two elements with poles is reduced as
 it stands, and a pole-free factor is divided by s no more often than the
 other factor's pole.  For d = 1, s = x1^2 is not prime and products are
-normalized.  In a sum with unequal poles the lifted summand is divisible
-by s and the other is not, so the sum is reduced.  And since s is
-homogeneous, s divides a polynomial exactly when it divides each of its
-homogeneous components (``semigroups.inversion_automorphism`` reduces
-component by component).  ``a_normalize`` remains the public reducer and
+normalized, as sums are in every d.  And since s is homogeneous, s
+divides a polynomial exactly when it divides each of its homogeneous
+components (``semigroups.inversion_automorphism`` reduces component by
+component).  ``a_normalize`` remains the public reducer and
 the reference the shortcuts are tested against.  It divides through
 ``divide_out_norm_squared``, which clears the numerator once and divides
 in integers; ``divide_by_norm_squared`` is one step of that division.
@@ -198,12 +197,8 @@ def embed_poly(p: Poly, mode: Mode = Mode.APLUS) -> AElement:
 
 
 def a_add(a: AElement, b: AElement) -> AElement:
-    """Reduced a + b; only equal poles go through ``a_normalize``.
-
-    With poles m_a > m_b, s = ||x||^2 does not divide the reduced N_a but
-    divides N_b * s^(m_a - m_b), so the sum is nonzero and reduced, any d.
-    Only the operand below the top pole is lifted.
-    """
+    """Reduced a + b: the operand below the top pole is lifted to it and
+    the sum goes through ``a_normalize``."""
     _check_compatible(a, b)
     m = max(a.pole_order, b.pole_order)
     na, nb = a.numerator, b.numerator
@@ -211,9 +206,7 @@ def a_add(a: AElement, b: AElement) -> AElement:
         na = na * norm_squared_power(a.nvars, m - a.pole_order)
     if b.pole_order < m:
         nb = nb * norm_squared_power(a.nvars, m - b.pole_order)
-    if a.pole_order == b.pole_order:
-        return a_normalize(na + nb, m, a.mode)
-    return AElement._trusted(na + nb, m, a.mode)
+    return a_normalize(na + nb, m, a.mode)
 
 
 def a_mul(a: AElement, b: AElement) -> AElement:

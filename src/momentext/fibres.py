@@ -11,7 +11,8 @@ ideal a positive functional on the fibre must annihilate.
 ``t_positivity_check`` audits the positivity a functional must satisfy
 relative to a preorder: for every squarefree product of generators, the
 localizing matrix M_g[alpha][beta] = L(g * x^(alpha+beta)) has to be PSD.
-With exact rational data the verdicts carry exact certificates.
+One ``MomentWindow`` serves every g; ``cleared`` reads L(g * class) once
+per class for the exact kernel, whose verdicts carry exact certificates.
 
 ``fibre_partition_check`` buckets sample points by their exact values of
 h and audits that the fibres are disjoint.  It evaluates in integers:
@@ -34,9 +35,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .functionals.core import LinearFunctional, MomentWindow, SCALAR_EXACT
-from .functionals.psd import PsdVerdict, psd_check_exact
-from .polyalg import (ClearedPoint, ClearedPoly, DimensionMismatchError,
-                      Exponent, Poly, check_point_dimension, exponents_up_to_degree)
+from .functionals.psd import PsdVerdict, psd_check_cleared
+from .polyalg import (ClearedPoint, ClearedPoly, DimensionMismatchError, Poly,
+                      check_point_dimension, exponents_up_to_degree)
 from .scalars import as_fraction
 
 
@@ -216,7 +217,7 @@ def t_positivity_check(L: LinearFunctional, preorder: Preorder,
         raise ValueError("t_positivity_check runs on the exact path")
     if L.nvars != preorder.dim:
         raise DimensionMismatchError("functional dimension does not match preorder")
-    monos = exponents_up_to_degree(preorder.dim, degree)
+    window = MomentWindow([(a, 0) for a in exponents_up_to_degree(preorder.dim, degree)])
     verdicts: dict[tuple[int, ...], PsdVerdict] = {}
     k = len(preorder.generators)
     for mask in range(1 << k):
@@ -225,17 +226,9 @@ def t_positivity_check(L: LinearFunctional, preorder: Preorder,
         for flag, g in zip(pattern, preorder.generators):
             if flag:
                 product = product * g
-        matrix = _localizing_matrix(L, product, monos)
-        verdicts[pattern] = psd_check_exact(matrix)
+        verdicts[pattern] = psd_check_cleared(*window.cleared(
+            lambda key: L.apply_poly(product * Poly.monomial(preorder.dim, key[0]))))
     return TPositivityReport(verdicts, degree)
-
-
-def _localizing_matrix(L: LinearFunctional, g: Poly,
-                       monos: list[Exponent]) -> list[list[Fraction]]:
-    """M_g[i][j] = L(g * x^(alpha_i + alpha_j)), one evaluation per class."""
-    def localized(key):
-        return L.apply_poly(g * Poly.monomial(g.nvars, key[0]))
-    return MomentWindow([(a, 0) for a in monos]).matrix(localized)
 
 
 def functional_annihilates_ideal(L: LinearFunctional, ideal_gens: list[Poly],

@@ -19,9 +19,7 @@ mass at the origin, and optional weighted unit directions (limits into the
 origin).  The origin-mass evaluation is pinned to the direction (1,0,...,0)
 so that results are reproducible; any unit direction gives the same values
 on polynomial keys.  Exact moment rectangles are built in one pass over
-integer power tables (``_moment_table``); the per-key evaluator
-``_key_value_of_measure`` is the float path of recovered measures and the
-test oracle of the tables.
+integer power tables (``_moment_table``).
 """
 
 from __future__ import annotations
@@ -60,8 +58,9 @@ class InconsistentFunctionalError(ValueError):
 class LinearFunctional:
     """Explicit values of a linear functional on monomial fraction keys.
 
-    The public constructor checks every key, coerces every value and
-    refuses a negative declared ``pole_max`` or ``degree_max``, in one pass.
+    The public constructor checks every key (int exponents and pole orders,
+    bools refused), coerces every value and refuses a negative declared
+    ``pole_max`` or ``degree_max``, in one pass.
     ``LinearFunctional._trusted`` takes an exact table the caller has just
     built, with tuple keys that fit ``nvars`` and ``mode``, Fraction values,
     and ``pole_max`` and ``degree_max`` the largest stored pole and degree.
@@ -84,10 +83,13 @@ class LinearFunctional:
         aplus = self.mode is Mode.APLUS
         top_pole = top_degree = -1
         clean: dict[Key, Fraction | float] = {}
+        ints = (int,) * self.nvars
         for (gamma, m), value in self.values.items():
             gamma = tuple(gamma)
             if len(gamma) != self.nvars:
                 raise DimensionMismatchError(f"key exponent {gamma} has wrong length")
+            if type(m) is not int or tuple(map(type, gamma)) != ints:
+                raise ValueError(f"key {(gamma, m)} must hold ints, not floats or bools")
             if m < 0:
                 raise ValueError("pole order in key must be >= 0")
             if min(gamma, default=0) < 0:
@@ -312,40 +314,6 @@ class DiscreteMeasure:
     def total_mass(self):
         return (sum(w for w, _ in self.atoms) + self.origin_mass
                 + sum(w for w, _ in self.sphere_atoms))
-
-
-def _key_value_of_measure(measure: DiscreteMeasure, gamma: Exponent, m: int):
-    """Integral of x^gamma / ||x||^(2m) against a measure, one key at a time.
-
-    The float path (``polynomial_moment_residual`` of a recovered measure)
-    and the test oracle of ``_moment_table``, which builds exact rectangles.
-    Generic in the scalar: an exact measure gives a Fraction, a float one a
-    float.  Each point atom multiplies its weight by each coordinate power
-    in turn, then divides by ||p||^(2m) when m > 0.
-    Directions (and the origin mass, which is a direction pinned to e1) see
-    only the |gamma| == 2m keys, where the fraction is homogeneous of degree
-    zero with radial limit t^gamma.  An empty sum is the int 0.
-    """
-    total = 0
-    for weight, point in measure.atoms:
-        value = weight
-        for base, power in zip(point, gamma):
-            if power:
-                value *= base ** power
-        if m:
-            value /= Fraction(sum(c * c for c in point)) ** m
-        total += value
-    degree_matches = sum(gamma) == 2 * m
-    if degree_matches:
-        if measure.origin_mass and all(g == 0 for g in gamma[1:]):
-            total += measure.origin_mass
-        for weight, direction in measure.sphere_atoms:
-            value = Fraction(1)
-            for base, power in zip(direction, gamma):
-                if power:
-                    value *= base ** power
-            total += weight * value
-    return total
 
 
 def moments_of_measure(measure: DiscreteMeasure, basis: list[AElement]) -> LinearFunctional:

@@ -20,8 +20,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..polyalg import Exponent, exponents_up_to_degree
-from .core import (DiscreteMeasure, LinearFunctional, MomentWindow,
-                   _key_value_of_measure)
+from .core import DiscreteMeasure, LinearFunctional, MomentWindow
 from .errors import IndeterminateRankError, RecoveryFailedError
 
 if TYPE_CHECKING:  # numpy is imported where it is used, not with the package
@@ -149,9 +148,23 @@ def _greedy_pivots(W: np.ndarray, rank: int) -> list[int] | None:
 
 def polynomial_moment_residual(measure: DiscreteMeasure, L: LinearFunctional,
                                max_degree: int) -> float:
-    """Largest absolute gap between measure moments and L, degree <= max_degree."""
+    """Largest absolute gap between measure moments and L, degree <= max_degree.
+
+    Moments are summed atom by atom from the int 0, so a float measure keeps
+    its bits; the origin and direction masses enter at gamma = 0 only.
+    """
     worst = 0.0
     for gamma in exponents_up_to_degree(L.nvars, max_degree):
-        gap = abs(_key_value_of_measure(measure, gamma, 0) - float(L.value(gamma)))
-        worst = max(worst, gap)
+        total = 0
+        for weight, point in measure.atoms:
+            value = weight
+            for base, power in zip(point, gamma):
+                if power:
+                    value *= base ** power
+            total += value
+        if not any(gamma):
+            total += measure.origin_mass
+            for weight, _ in measure.sphere_atoms:
+                total += weight
+        worst = max(worst, abs(total - float(L.value(gamma))))
     return worst

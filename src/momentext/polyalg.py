@@ -87,10 +87,9 @@ class Poly:
 
     A product lists its terms in first-occurrence order, self outer and
     other inner, zeros dropped after, so float sums over its terms are
-    reproducible.  When one factor is a single term the product makes no
-    sums and multiplies Fractions directly; otherwise both factors are
-    cleared to integers over one denominator and the product is formed
-    in ints, with one Fraction per result term.
+    reproducible.  Both factors are cleared to integers over one
+    denominator and the product is formed in ints, with one Fraction per
+    result term.
     """
 
     nvars: int
@@ -229,11 +228,6 @@ class Poly:
                 return Poly._trusted(self.nvars, {})
             return Poly._trusted(self.nvars, {e: c * scalar for e, c in self.terms.items()})
         _check_same_nvars(self, other)
-        if len(self.terms) < 2 or len(other.terms) < 2:
-            # a product by one term makes no sums, so no zeros
-            return Poly._trusted(self.nvars, {tuple(map(add, e1, e2)): c1 * c2
-                                              for e1, c1 in self.terms.items()
-                                              for e2, c2 in other.terms.items()})
         a, da = integer_terms(self)
         b, db = integer_terms(other)
         return Poly._over(self.nvars, integer_product(a, b), da * db)

@@ -290,6 +290,12 @@ def test_sum_matches_normalized_sum(pair):
         got = a_add(x, y)
         assert got == want
         assert_reduced(got)
+        if x.pole_order != y.pole_order:
+            # an unequal-pole sum is reduced as it stands
+            lifted = (x.numerator * norm_squared_power(a.nvars, m - x.pole_order)
+                      + y.numerator * norm_squared_power(a.nvars, m - y.pole_order))
+            assert (got.pole_order, list(got.numerator.terms.items())) == \
+                (m, list(lifted.terms.items()))
 
 
 def test_shortcut_cases_by_hand():

@@ -11,8 +11,9 @@ from momentext.fibres import (FibreSpec, PartitionReport, Preorder, fibre_genera
                               fibre_ideal_generators, fibre_partition_check,
                               functional_annihilates_ideal, kT_membership,
                               sphere_fibre_reduction, t_positivity_check)
-from momentext.functionals.core import DiscreteMeasure, polynomial_moments
-from momentext.polyalg import DimensionMismatchError, Poly
+from momentext.functionals.core import DiscreteMeasure, MomentWindow, polynomial_moments
+from momentext.functionals.psd import psd_check_exact
+from momentext.polyalg import DimensionMismatchError, Poly, exponents_up_to_degree
 from test_polyalg import fraction_eval
 
 
@@ -245,11 +246,43 @@ def test_t_positivity_rejects_point_outside_strip():
         for i in range(len(bad.witness)) for j in range(len(bad.witness)))
 
 
+def _localizing_matrix(L, g, monos):
+    """M_g[i][j] = L(g * x^(alpha_i + alpha_j)) as a Fraction matrix, one
+    evaluation per class: the oracle of ``t_positivity_check``'s cleared read."""
+    def localized(key):
+        return L.apply_poly(g * Poly.monomial(g.nvars, key[0]))
+    return MomentWindow([(a, 0) for a in monos]).matrix(localized)
+
+
 def _strip_localizer(L, preorder, degree):
-    from momentext.fibres import _localizing_matrix
-    from momentext.polyalg import exponents_up_to_degree
     monos = exponents_up_to_degree(2, degree)
     return _localizing_matrix(L, preorder.generators[1], monos)
+
+
+STRIP_MEASURES = {
+    "inside": DiscreteMeasure(2, atoms=(
+        (Fraction(1), (Fraction(1, 2), Fraction(1))),
+        (Fraction(2, 3), (Fraction(1, 4), Fraction(-1))))),
+    "off-strip point": DiscreteMeasure(2, atoms=((Fraction(1), (Fraction(2), Fraction(0))),)),
+}
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("name", sorted(STRIP_MEASURES))
+def test_t_positivity_verdicts_match_the_fraction_matrix_route(name, degree):
+    strip = strip_preorder()
+    x1, one = strip.generators[0], Poly.constant(2, 1)
+    products = {(0, 0): one, (1, 0): x1, (0, 1): strip.generators[1],
+                (1, 1): x1 * strip.generators[1]}
+    L = polynomial_moments(STRIP_MEASURES[name], 2 * degree + 2)
+    report = t_positivity_check(L, strip, degree)
+    assert list(report.verdicts) == list(products)
+    monos = exponents_up_to_degree(2, degree)
+    for pattern, verdict in report.verdicts.items():
+        matrix = _localizing_matrix(L, products[pattern], monos)
+        assert verdict == psd_check_exact(matrix)
+        assert verdict.verify(matrix)
+    assert report.positive == (name == "inside")
 
 
 def test_annihilation_detects_fibre_support():

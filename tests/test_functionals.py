@@ -15,8 +15,7 @@ from momentext.functionals import psd
 from momentext.functionals.core import (DiscreteMeasure, DomainOverflowError,
                                         InconsistentFunctionalError,
                                         LinearFunctional, MomentWindow,
-                                        SCALAR_EXACT, SCALAR_FLOAT,
-                                        _key_value_of_measure, _moment_table,
+                                        SCALAR_EXACT, SCALAR_FLOAT, _moment_table,
                                         cs_chain_check, extend_from_measure,
                                         gram_matrix, moments_of_measure,
                                         polynomial_moments)
@@ -244,6 +243,16 @@ def test_negative_key_exponents_rejected():
         LinearFunctional(2, Mode.APLUS, SCALAR_EXACT, {((-1, 1), 0): Fraction(5)})
     with pytest.raises(ValueError, match="negative"):
         LinearFunctional(1, Mode.LAURENT, SCALAR_FLOAT, {((-2,), 1): 1.0})
+
+
+@pytest.mark.parametrize("key", [((1.0, 0), 0), ((True, 0), 0), ((1, 0), 1.0), ((1, 0), True),
+                                 ((Fraction(1), 0), 0)])
+def test_key_exponents_and_pole_orders_must_be_ints(key):
+    # such keys would be written as "exp": [1.0, 0] or "pole_order": true,
+    # which the loader refuses
+    for kind, value in ((SCALAR_EXACT, Fraction(1)), (SCALAR_FLOAT, 1.0)):
+        with pytest.raises(ValueError, match="must hold ints"):
+            LinearFunctional(2, Mode.LAURENT, kind, {key: value})
 
 
 def test_stored_extents_ignore_the_declared_maxima():
@@ -620,23 +629,28 @@ def test_gram_refuses_non_monomial_basis():
     assert gram_matrix(L, []) == []
 
 
-def test_window_localizing_matrix_matches_loop():
-    from momentext.fibres import _localizing_matrix
+def test_window_localizing_matrix_matches_loop(monkeypatch):
+    from momentext import fibres
     x1, one = Poly.variable(2, 0), Poly.constant(2, 1)
+    strip = fibres.Preorder(2, (x1, one - x1))
+    # the generator products in the order t_positivity_check visits its patterns
     strip_localizers = [one, x1, one - x1, x1 * (one - x1)]
     inside = DiscreteMeasure(2, atoms=(
         (Fraction(1), (Fraction(1, 2), Fraction(1))),
         (Fraction(2, 3), (Fraction(1, 4), Fraction(-1)))))
     outside = DiscreteMeasure(2, atoms=((Fraction(1), (Fraction(2), Fraction(0))),))
     monos = exponents_up_to_degree(2, 2)
+    cleared = []
+    monkeypatch.setattr(fibres, "psd_check_cleared",
+                        lambda N, delta: cleared.append((N, delta)) or psd.psd_check_cleared(N, delta))
     for mu in (inside, outside):
         L = polynomial_moments(mu, 6)
-        for g in strip_localizers:
-            assert same_entries(_localizing_matrix(L, g, monos),
-                                oracle_localizing(L, g, monos))
+        cleared.clear()
+        fibres.t_positivity_check(L, strip, 2)
+        assert cleared == [psd._int_rows(oracle_localizing(L, g, monos)) for g in strip_localizers]
     short = polynomial_moments(inside, 4)
     with pytest.raises(DomainOverflowError) as got:
-        _localizing_matrix(short, x1, monos)
+        fibres.t_positivity_check(short, strip, 2)
     with pytest.raises(DomainOverflowError) as err:
         oracle_localizing(short, x1, monos)
     assert got.value.key == err.value.key
@@ -680,6 +694,39 @@ def test_window_gram_property(dim, pole, extra, laurent, seed):
 # Integer, negative and mixed-denominator coordinates.
 COORDINATES = st.one_of(st.integers(-6, 6).map(Fraction),
                         st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)))
+
+
+def _key_value_of_measure(measure: DiscreteMeasure, gamma, m: int):
+    """Integral of x^gamma / ||x||^(2m) against a measure, one key at a time:
+    the oracle of ``_moment_table``.
+
+    Generic in the scalar: an exact measure gives a Fraction, a float one a
+    float.  Each point atom multiplies its weight by each coordinate power
+    in turn, then divides by ||p||^(2m) when m > 0.
+    Directions (and the origin mass, which is a direction pinned to e1) see
+    only the |gamma| == 2m keys, where the fraction is homogeneous of degree
+    zero with radial limit t^gamma.  An empty sum is the int 0.
+    """
+    total = 0
+    for weight, point in measure.atoms:
+        value = weight
+        for base, power in zip(point, gamma):
+            if power:
+                value *= base ** power
+        if m:
+            value /= Fraction(sum(c * c for c in point)) ** m
+        total += value
+    degree_matches = sum(gamma) == 2 * m
+    if degree_matches:
+        if measure.origin_mass and all(g == 0 for g in gamma[1:]):
+            total += measure.origin_mass
+        for weight, direction in measure.sphere_atoms:
+            value = Fraction(1)
+            for base, power in zip(direction, gamma):
+                if power:
+                    value *= base ** power
+            total += weight * value
+    return total
 
 
 @settings(max_examples=60, deadline=None)

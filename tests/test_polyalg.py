@@ -405,9 +405,8 @@ def test_arithmetic_stores_no_zero_and_matches_filtered_terms(pair, scalar, k, t
 
 @st.composite
 def product_operands(draw) -> tuple[Poly, Poly]:
-    """Factors for both product paths: a single term on either side (no
-    sums), general pairs, and (u + v, u - v), whose cross terms cancel after
-    clearing to integers."""
+    """Factors: a single term on either side (no sums), general pairs, and
+    (u + v, u - v), whose cross terms cancel after clearing to integers."""
     d = draw(st.integers(1, 4))
     kind = draw(st.sampled_from(["single left", "single right", "general", "cancelling"]))
     if kind.startswith("single"):
@@ -425,6 +424,16 @@ def test_integer_content_product_matches_fraction_product(pair):
     p, q = pair
     assert_same_poly(p * q, validated_product(p, q))
     assert_same_poly(q * p, validated_product(q, p))
+    if len(p.terms) < 2 or len(q.terms) < 2:
+        assert_same_poly(p * q, single_term_product(p, q))
+        assert_same_poly(q * p, single_term_product(q, p))
+
+
+def single_term_product(p: Poly, q: Poly) -> Poly:
+    """A product by a single term in Fractions: it makes no sums, so no zeros."""
+    return Poly._trusted(p.nvars, {tuple(a + b for a, b in zip(e1, e2)): c1 * c2
+                                   for e1, c1 in p.terms.items()
+                                   for e2, c2 in q.terms.items()})
 
 
 def divide_out_by_rescan(p: Poly, limit: int) -> tuple[Poly, int]:

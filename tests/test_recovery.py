@@ -184,6 +184,15 @@ def test_moment_residual_is_bit_identical_to_float_oracle():
                 assert got == oracle_moment_residual(rec, L, 2 * degree)
 
 
+def test_moment_residual_counts_origin_and_direction_mass_at_gamma_zero():
+    mu = DiscreteMeasure(2, atoms=((Fraction(1, 3), (Fraction(1), Fraction(-2))),
+                                   (Fraction(2), (Fraction(1, 2), Fraction(3, 4)))),
+                         origin_mass=Fraction(5, 7),
+                         sphere_atoms=((Fraction(3, 2), (Fraction(3, 5), Fraction(4, 5))),))
+    got = polynomial_moment_residual(mu, polynomial_moments(mu, 4), 4)
+    assert type(got) is float and got == 0.0
+
+
 def line_moments(atoms, top):
     """Exact moments s_0..s_top of (weight, point) atoms on the line, signed weights allowed."""
     return LinearFunctional(1, Mode.APLUS, SCALAR_EXACT,

@@ -28,7 +28,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from operator import add, getitem, mul, neg
+from operator import add, getitem, gt, mul, neg
 
 from ..extalg import AElement, Mode, truncated_basis
 from ..polyalg import (DimensionMismatchError, Exponent, Poly,
@@ -54,13 +54,41 @@ class InconsistentFunctionalError(ValueError):
     """Stored values contradict the reduction relation or basic positivity."""
 
 
+def _clean_extents(values: dict, nvars: int, aplus: bool, scalar: type) -> tuple[int, int] | None:
+    """(top pole, top degree) of a table whose keys all pass the
+    constructor's checks and whose values are all exactly ``scalar``, found
+    a column at a time; None for any other table.  (-1, -1) when empty."""
+    if type(values) is not dict:
+        return None
+    if not values:
+        return -1, -1
+    keys = values.keys()
+    if set(map(type, keys)) != {tuple} or set(map(len, keys)) != {2}:
+        return None
+    gammas, poles = zip(*keys)
+    if set(map(type, gammas)) != {tuple} or set(map(len, gammas)) != {nvars} \
+            or set(map(type, poles)) != {int} or set(map(type, values.values())) != {scalar}:
+        return None
+    entries = list(chain.from_iterable(gammas))
+    if not set(map(type, entries)) <= {int} or min(entries, default=0) < 0 or min(poles) < 0:
+        return None
+    degrees = list(map(sum, gammas))
+    if aplus and any(map(gt, map(add, poles, poles), degrees)):  # |gamma| < 2m
+        return None
+    return max(poles), max(degrees)
+
+
 @dataclass
 class LinearFunctional:
     """Explicit values of a linear functional on monomial fraction keys.
 
     The public constructor checks every key (int exponents and pole orders,
-    bools refused), coerces every value and refuses a negative declared
-    ``pole_max`` or ``degree_max``, in one pass.
+    bools refused), coerces every value and refuses a declared ``pole_max``
+    or ``degree_max`` that is not an int or is negative.  A clean table
+    (tuple keys of plain ints that fit ``nvars`` and ``mode``, every value
+    exactly a Fraction, or a float on the float kind) is checked a column
+    at a time (``_clean_extents``); any other table goes key by key, which
+    names the first faulty key and coerces the values.
     ``LinearFunctional._trusted`` takes an exact table the caller has just
     built, with tuple keys that fit ``nvars`` and ``mode``, Fraction values,
     and ``pole_max`` and ``degree_max`` the largest stored pole and degree.
@@ -81,6 +109,25 @@ class LinearFunctional:
             raise ValueError(f"unknown scalar kind {self.scalar_kind!r}")
         exact = self.scalar_kind == SCALAR_EXACT
         aplus = self.mode is Mode.APLUS
+        extents = _clean_extents(self.values, self.nvars, aplus, Fraction if exact else float)
+        if extents is not None:
+            clean, (top_pole, top_degree) = dict(self.values), extents
+        else:
+            clean, top_pole, top_degree = self._checked_keys(exact, aplus)
+        for name in ("pole_max", "degree_max"):
+            declared = getattr(self, name)
+            if isinstance(declared, bool) or not isinstance(declared, int):
+                raise ValueError(f"{name} must be an integer, not {declared!r}")
+            if declared < 0:
+                raise ValueError(f"declared {name} {declared} is negative")
+        self.values = clean
+        self.pole_max = max(self.pole_max, top_pole)
+        self.degree_max = max(self.degree_max, top_degree)
+        self.top_pole, self.top_degree = top_pole, top_degree
+
+    def _checked_keys(self, exact: bool, aplus: bool) -> tuple[dict, int, int]:
+        """(values, top pole, top degree), every key checked and every value
+        coerced in turn; raises at the first faulty key."""
         top_pole = top_degree = -1
         clean: dict[Key, Fraction | float] = {}
         ints = (int,) * self.nvars
@@ -105,14 +152,7 @@ class LinearFunctional:
                 top_pole = m
             if degree > top_degree:
                 top_degree = degree
-        if self.pole_max < 0:
-            raise ValueError(f"declared pole_max {self.pole_max} is negative")
-        if self.degree_max < 0:
-            raise ValueError(f"declared degree_max {self.degree_max} is negative")
-        self.values = clean
-        self.pole_max = max(self.pole_max, top_pole)
-        self.degree_max = max(self.degree_max, top_degree)
-        self.top_pole, self.top_degree = top_pole, top_degree
+        return clean, top_pole, top_degree
 
     @classmethod
     def _trusted(cls, nvars: int, mode: Mode, values: dict[Key, Fraction],

@@ -11,18 +11,27 @@ so identical inputs serialize byte-identically.
 Plain values, which are all the reports hold (dicts with str keys, lists,
 tuples, and values of type str, int, float, bool or None), are written
 directly: on Python 3.10 and 3.11 json's C encoder runs only without
-``indent``.  Everything else, a cycle included, goes to ``json.dumps``.  Load
-functions read every exact rational with one parser, ``_rational``, check
-the shape of what they read and raise ValueError on anything malformed (a
-list where an object belongs, a string where a list belongs, a non-integer
-exponent, a key listed twice), so bad input is reported as an input error
-instead of turning into data.
+``indent``.  Everything else, a cycle included, goes to ``json.dumps``.  A
+list of records on one key set is written a column at a time: a column of
+one leaf type, or of nonempty lists of one leaf type, is formatted with
+one ``map`` and ``str.join``, any other column value by value.
+
+Load functions read every exact rational with one parser, ``_rational``,
+check the shape of what they read and raise ValueError on anything
+malformed (a list where an object belongs, a string where a list belongs,
+a non-integer exponent, a key listed twice), so bad input is reported as
+an input error instead of turning into data.  An exact functional's
+entries are read a column at a time when every field has its canonical
+JSON type; otherwise, and to name a fault, entry by entry and field by
+field.  The error text and the order in which faults are found are the
+same either way.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import neg
 from pathlib import Path
@@ -226,22 +235,23 @@ def _entry(item, kind: str) -> tuple:
     return (_exponent(item["exp"]), _integer(item["pole_order"], "pole_order")), value
 
 
-def _canonical_entry(item) -> tuple | None:
-    """(key, value) of an exact entry of canonical shape, else None.
+def _exact_columns(entries: list) -> dict | None:
+    """The key -> value table of exact entries, read a column at a time.
 
-    Canonical: a string value, a list of int exponents and an int pole
-    order.  Only the value can then fail, with ``_entry``'s error; every
-    other entry goes to ``_entry``.
+    When every entry is an object with a string value, a list of int
+    exponents and an int pole order (JSON types checked over whole
+    columns), only a value text can be at fault: ``_rational`` parses them
+    in order and raises ``_entry``'s error at the first bad one.  Any other
+    table gives None, and ``_entry`` reads it field by field.
     """
-    if type(item) is not dict:
+    if not set(map(type, entries)) <= {dict}:
         return None
-    text, exp, m = item.get("value"), item.get("exp"), item.get("pole_order")
-    if type(text) is not str or type(exp) is not list or type(m) is not int:
+    texts, exps, poles = (list(map(dict.get, entries, repeat(field)))
+                          for field in ("value", "exp", "pole_order"))
+    if not (set(map(type, texts)) <= {str} and set(map(type, exps)) <= {list}
+            and set(map(type, poles)) <= {int} and set(map(type, chain.from_iterable(exps))) <= {int}):
         return None
-    for e in exp:
-        if type(e) is not int:
-            return None
-    return (tuple(exp), m), _rational(text)
+    return dict(zip(zip(map(tuple, exps), poles), map(_rational, texts)))
 
 
 def functional_from_dict(data: dict) -> LinearFunctional:
@@ -249,15 +259,14 @@ def functional_from_dict(data: dict) -> LinearFunctional:
     kind = data["scalar_kind"]
     if kind not in (SCALAR_EXACT, SCALAR_FLOAT):
         raise ValueError(f"unknown scalar kind {kind!r}")
-    values = {}
-    exact = kind == SCALAR_EXACT
-    for item in _array(data["entries"], "entries"):
-        key, value = (exact and _canonical_entry(item)) or _entry(item, kind)
-        values[key] = value
+    entries = _array(data["entries"], "entries")
+    values = _exact_columns(entries) if kind == SCALAR_EXACT else None
+    if values is None:
+        values = dict(_entry(item, kind) for item in entries)
     L = LinearFunctional(_integer(data["nvars"], "nvars"), Mode(data["mode"]), kind, values,
                          pole_max=_integer(data.get("pole_max", 0), "pole_max"),
                          degree_max=_integer(data.get("degree_max", 0), "degree_max"))
-    _refuse_repeats(data["entries"], len(values), lambda item: f"(exp {item['exp']}, "
+    _refuse_repeats(entries, len(values), lambda item: f"(exp {item['exp']}, "
                     f"pole_order {item['pole_order']})", "functional lists the key")
     return L
 
@@ -423,17 +432,43 @@ def _write(head: str, value, pad: str, out: list) -> None:
 
 def _write_records(head: str, sep: str, records: list, pad: str, out: list) -> None:
     """List items that are dicts on one set of str keys (functional entries,
-    polynomial terms, atoms): the keys are sorted and quoted once for all."""
+    polynomial terms, atoms), written a column at a time: the keys are sorted
+    and quoted once for all, and each column's texts come from
+    ``_column_texts``.  The texts are lazy and joined record by record, so a
+    value that cannot be written fails where the record-by-record walk fails."""
     inner = pad + "  "
-    fields = [(key, ("," if i else "{") + inner + encode_basestring_ascii(key) + ": ")
-              for i, key in enumerate(sorted(records[0]))]
-    close = pad + "}"
-    for record in records:
-        out.append(head)
-        for key, field in fields:
-            _write(field, record[key], inner, out)
-        out.append(close)
-        head = sep
+    parts, opening = [], "{"
+    for key in sorted(records[0]):
+        lead, texts, close = _column_texts([record[key] for record in records], inner)
+        parts += [repeat(opening + inner + encode_basestring_ascii(key) + ": " + lead), texts]
+        opening = close + ","
+    parts.append(repeat(close + pad + "}"))
+    out.append(head + sep.join(map("".join, zip(*parts))))
+
+
+def _column_texts(column: list, pad: str) -> tuple:
+    """(lead, texts, close): the text of each value of a record column is
+    lead + text + close.  A column of one leaf type, or of nonempty lists
+    of one leaf type, is formatted with one map per column; any other
+    column goes through ``_write`` value by value."""
+    kinds = set(map(type, column))
+    if len(kinds) == 1:
+        text = _LEAF_TEXT.get(*kinds)
+        if text is not None:
+            return "", map(text, column), ""
+    if kinds <= {list, tuple} and all(column):
+        items = set(map(type, chain.from_iterable(column)))
+        text = _LEAF_TEXT.get(*items) if len(items) == 1 else None
+        if text is not None:
+            inner = pad + "  "
+            return "[" + inner, map(("," + inner).join, map(map, repeat(text), column)), pad + "]"
+    return "", map(_value_text, column, repeat(pad)), ""
+
+
+def _value_text(value, pad: str) -> str:
+    out: list[str] = []
+    _write("", value, pad, out)
+    return "".join(out)
 
 
 def json_text(data) -> str:

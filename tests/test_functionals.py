@@ -19,6 +19,7 @@ from momentext.functionals.core import (DiscreteMeasure, DomainOverflowError,
                                         cs_chain_check, extend_from_measure,
                                         gram_matrix, moments_of_measure,
                                         polynomial_moments)
+from momentext.scalars import as_fraction
 from momentext.polyalg import (DimensionMismatchError, Poly, exponents_of_degree,
                                exponents_up_to_degree, grlex_key,
                                norm_squared, norm_squared_power)
@@ -266,6 +267,103 @@ def test_stored_extents_ignore_the_declared_maxima():
     assert (L.pole_max, L.degree_max, L.top_pole, L.top_degree) == (1, 4, 1, 4)
     empty = LinearFunctional(1, Mode.LAURENT, SCALAR_FLOAT, {}, degree_max=3)
     assert (empty.pole_max, empty.degree_max, empty.top_pole, empty.top_degree) == (0, 3, -1, -1)
+
+
+def oracle_construction(nvars, mode, kind, values, pole_max, degree_max) -> tuple:
+    """(values, top_pole, top_degree, pole_max, degree_max) as the
+    constructor built them key by key, before it checked clean tables a
+    column at a time."""
+    top_pole = top_degree = -1
+    clean = {}
+    for (gamma, m), value in values.items():
+        gamma = tuple(gamma)
+        if len(gamma) != nvars:
+            raise DimensionMismatchError(f"key exponent {gamma} has wrong length")
+        if type(m) is not int or any(type(e) is not int for e in gamma):
+            raise ValueError(f"key {(gamma, m)} must hold ints, not floats or bools")
+        if m < 0:
+            raise ValueError("pole order in key must be >= 0")
+        if any(e < 0 for e in gamma):
+            raise ValueError(f"key exponent {gamma} has a negative entry")
+        if mode is Mode.APLUS and sum(gamma) < 2 * m:
+            raise ValueError(f"key {(gamma, m)} lies outside the bounded-generator algebra")
+        clean[(gamma, m)] = as_fraction(value) if kind == SCALAR_EXACT else float(value)
+        top_pole, top_degree = max(top_pole, m), max(top_degree, sum(gamma))
+    for name, declared in (("pole_max", pole_max), ("degree_max", degree_max)):
+        if isinstance(declared, bool) or not isinstance(declared, int):
+            raise ValueError(f"{name} must be an integer, not {declared!r}")
+        if declared < 0:
+            raise ValueError(f"declared {name} {declared} is negative")
+    return clean, top_pole, top_degree, max(pole_max, top_pole), max(degree_max, top_degree)
+
+
+class Exponents(tuple):
+    """An exponent sequence or key that is not exactly a tuple (a list cannot
+    be a dict key)."""
+
+
+class Rational(Fraction):
+    pass
+
+
+KEY_FAULTS = ["entry", "length", "exponents", "key", "pole", "value"]
+
+
+@st.composite
+def key_tables(draw):
+    """Constructor arguments: a clean table of 0-8 keys, and in half the
+    draws one or two of its keys with one fault each (an odd exponent
+    entry, length, exponent or key type, pole order or value), with odd
+    declared maxima too."""
+    nvars = draw(st.integers(0, 3))
+    mode = draw(st.sampled_from([Mode.APLUS, Mode.LAURENT]))
+    kind = draw(st.sampled_from([SCALAR_EXACT, SCALAR_FLOAT]))
+    odd = draw(st.booleans())
+    values = (st.fractions(max_denominator=9) if kind == SCALAR_EXACT
+              else st.floats(allow_nan=False))
+    odd_values = st.sampled_from([3, -1, True, 0.5, "1/2", " 3 ", "x", Fraction(2, 3),
+                                  Rational(1, 3), 2.0])
+    count = draw(st.integers(0, 8))
+    faults = dict.fromkeys(range(count))
+    if odd and count:
+        for at in draw(st.lists(st.integers(0, count - 1), min_size=1, max_size=2)):
+            faults[at] = draw(st.sampled_from(KEY_FAULTS))
+    table = {}
+    for fault in faults.values():
+        gamma = draw(st.lists(st.integers(0, 4), min_size=nvars, max_size=nvars))
+        if fault == "entry" and gamma:
+            gamma[draw(st.integers(0, nvars - 1))] = draw(st.sampled_from([-1, -2, True, False,
+                                                                           1.0, 2.5]))
+        elif fault == "length":
+            gamma = gamma[1:] if gamma and draw(st.booleans()) else gamma + [0]
+        gamma = Exponents(gamma) if fault == "exponents" else tuple(gamma)
+        top = int(sum(gamma)) // 2 if mode is Mode.APLUS else 3
+        m = draw(st.integers(0, max(top, 0)))
+        if fault == "pole":  # past the top: outside the bounded-generator algebra on Aplus
+            m = draw(st.sampled_from([-1, top + 1, top + 2, True, 1.0]))
+        key = Exponents((gamma, m)) if fault == "key" else (gamma, m)
+        table[key] = draw(odd_values if fault == "value" else values)
+    maxima = st.integers(0, 6)
+    if odd:
+        maxima = st.one_of(maxima, maxima, maxima, st.sampled_from([-1, -3, 1.5, 2.0, True, "2"]))
+    return nvars, mode, kind, table, draw(maxima), draw(maxima)
+
+
+def constructed(*args) -> tuple:
+    L = LinearFunctional(*args)
+    return L.values, L.top_pole, L.top_degree, L.pole_max, L.degree_max
+
+
+@settings(max_examples=500, deadline=None)
+@given(args=key_tables())
+def test_constructor_column_check_matches_key_by_key_loop(args):
+    want = outcome(lambda: oracle_construction(*args))
+    got = outcome(lambda: constructed(*args))
+    assert got == want
+    if isinstance(want[0], dict):  # built: the same items in the same order, of the same types
+        assert list(got[0].items()) == list(want[0].items())
+        assert list(map(type, got[0])) == list(map(type, want[0]))
+        assert list(map(type, got[0].values())) == list(map(type, want[0].values()))
 
 
 # float.hex of the Gram entries below, captured before ||x||^(2t) had one

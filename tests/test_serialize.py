@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import enum
+import functools
 import json
 from fractions import Fraction
 
@@ -366,6 +367,32 @@ def _drop(item: dict, field: str) -> dict:
     return {k: v for k, v in item.items() if k != field}
 
 
+ENTRY_FAULTS = ["exp", "pole_order", "value", "object", "length", "negative", "pole",
+                "exp type", "pole type"]
+
+
+def plant_fault(draw, item: dict, fault: str | None):
+    """A copy of the well-formed entry ``item`` with one of ENTRY_FAULTS
+    planted, or ``item`` itself when ``fault`` is None."""
+    exp, d = item["exp"], len(item["exp"])
+    if fault in ("exp", "pole_order", "value"):
+        return _drop(item, fault)
+    if fault == "object":
+        return [exp]
+    item = dict(item)
+    if fault == "length":
+        item["exp"] = exp + [0]
+    elif fault == "negative":
+        item["exp"] = [-1] + exp[1:]
+    elif fault == "pole":
+        item["pole_order"] = draw(st.sampled_from([-1, sum(exp) // 2 + 1]))
+    elif fault == "exp type":
+        item["exp"] = draw(st.sampled_from([[1.0] * d, [True] * d, "1", ["1"] * d]))
+    elif fault == "pole type":
+        item["pole_order"] = draw(st.sampled_from(["1", 1.0, False, None]))
+    return item
+
+
 @st.composite
 def functional_documents(draw):
     """Functional files, mostly well formed, some with one or more faults."""
@@ -375,30 +402,14 @@ def functional_documents(draw):
     kind = draw(st.sampled_from([SCALAR_EXACT] * 4 + [SCALAR_FLOAT]))
     odd_values = st.one_of(st.sampled_from(VALUE_TEXTS),
                            st.sampled_from([5, -2, 0.5, True, None, [1], {"p": 1}]))
-    faults = [None] * 12 + faulty * ["exp", "pole_order", "value", "object", "length",
-                                     "negative", "pole", "exp type", "pole type"]
+    faults = [None] * 12 + faulty * ENTRY_FAULTS
     entries = []
     for _ in range(draw(st.integers(0, 8))):
         exp = draw(st.lists(st.integers(0, 4), min_size=d, max_size=d))
         odd = faulty and draw(st.integers(0, 3)) == 0
         item = {"exp": exp, "pole_order": draw(st.integers(0, sum(exp) // 2)),
                 "value": draw(odd_values if odd else RATIONALS.map(scalar_to_json))}
-        fault = draw(st.sampled_from(faults))
-        if fault in ("exp", "pole_order", "value"):
-            item = _drop(item, fault)
-        elif fault == "object":
-            item = [exp]
-        elif fault == "length":
-            item["exp"] = exp + [0]
-        elif fault == "negative":
-            item["exp"] = [-1] + exp[1:]
-        elif fault == "pole":
-            item["pole_order"] = draw(st.sampled_from([-1, sum(exp) // 2 + 1]))
-        elif fault == "exp type":
-            item["exp"] = draw(st.sampled_from([[1.0] * d, [True] * d, "1", ["1"] * d]))
-        elif fault == "pole type":
-            item["pole_order"] = draw(st.sampled_from(["1", 1.0, False, None]))
-        entries.append(item)
+        entries.append(plant_fault(draw, item, draw(st.sampled_from(faults))))
     data = {"nvars": d, "mode": mode, "scalar_kind": kind, "entries": entries,
             "pole_max": draw(st.integers(-1, 4)), "degree_max": draw(st.integers(-1, 9))}
     fields = ["nvars", "mode", "scalar_kind", "entries", "pole_max", "degree_max"]
@@ -453,6 +464,75 @@ def test_each_value_text_loads_as_before(text):
         assert got[0] == "ok" and list(got[1].values.items()) == list(want[1][0].items())
     else:
         assert got == want
+
+
+@functools.cache
+def wide_document(kind: str) -> dict:
+    """The benchmark's wide window (d = 3, pole 2, degree 5) of a four-atom
+    measure, as ``extend`` writes it: 1230 entries, float values on the
+    float kind."""
+    mu = DiscreteMeasure(3, atoms=tuple(
+        (Fraction(w), tuple(Fraction(c, 3) for c in point))
+        for w, point in ((1, (1, -2, 4)), (2, (-3, 1, 1)), (5, (2, 0, -1)), (3, (0, 5, 2)))))
+    data = json.loads(json_text(functional_to_dict(extend_from_measure(mu, 2, 5))))
+    assert len(data["entries"]) == 1230
+    if kind == SCALAR_FLOAT:
+        data["entries"] = [{**item, "value": float(Fraction(item["value"]))}
+                           for item in data["entries"]]
+    return {**data, "scalar_kind": kind}
+
+
+# a value text or JSON value planted in one entry; "repeat" copies another entry's key
+WIDE_FAULTS = ENTRY_FAULTS + ["1/0", "\u0663", " 1", "+1", "1_0", 0.5, True, "repeat"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_planted_faults_in_a_wide_table_load_as_the_field_by_field_loader(data):
+    document = wide_document(data.draw(st.sampled_from([SCALAR_EXACT] * 3 + [SCALAR_FLOAT])))
+    base = document["entries"]
+    entries = list(base)
+    for fault in data.draw(st.lists(st.sampled_from(WIDE_FAULTS), max_size=2)):
+        at = data.draw(st.integers(0, len(base) - 1))
+        if fault == "repeat":
+            twin = base[data.draw(st.integers(0, len(base) - 1).filter(lambda i: i != at))]
+            entries[at] = {**base[at], "exp": twin["exp"], "pole_order": twin["pole_order"]}
+        elif fault in ENTRY_FAULTS:
+            entries[at] = plant_fault(data.draw, base[at], fault)
+        else:
+            entries[at] = {**base[at], "value": fault}
+    document = {**document, "entries": entries}
+    want = outcome(oracle_functional_from_dict, document)
+    got = outcome(functional_from_dict, document)
+    if want[0] == "error":
+        assert got == want
+        return
+    keys = [(tuple(item["exp"]), item["pole_order"]) for item in entries]
+    if len(set(keys)) < len(keys):
+        first = next(key for i, key in enumerate(keys) if key in keys[:i])
+        assert got == ("error", ValueError, f"functional lists the key (exp {list(first[0])}, "
+                       f"pole_order {first[1]}) more than once")
+        return
+    values, pole_max, degree_max = want[1]
+    L = got[1]
+    assert list(L.values.items()) == list(values.items())
+    assert [type(v) for v in L.values.values()] == [type(v) for v in values.values()]
+    assert (L.pole_max, L.degree_max) == (pole_max, degree_max)
+
+
+@pytest.mark.parametrize("field, declared", [("pole_max", 1.5), ("degree_max", True),
+                                             ("pole_max", 2.0), ("degree_max", "3")])
+def test_declared_maxima_that_cannot_be_read_back_are_refused(field, declared):
+    values = {((0,), 0): Fraction(1)}
+    data = json.loads(json_text(functional_to_dict(
+        LinearFunctional(1, Mode.APLUS, SCALAR_EXACT, values, pole_max=2, degree_max=3))))
+    assert functional_from_dict(data).values == values
+    data[field] = declared
+    with pytest.raises(ValueError) as loaded:
+        functional_from_dict(data)
+    with pytest.raises(ValueError) as built:
+        LinearFunctional(1, Mode.APLUS, SCALAR_EXACT, values, **{field: declared})
+    assert str(built.value) == str(loaded.value) == f"{field} must be an integer, not {declared!r}"
 
 
 def test_negative_declared_bounds_are_refused():
@@ -546,6 +626,40 @@ def test_json_text_refuses_as_json_dumps_does_at_any_depth(value):
     assert written(json_text, value) == written(dumps_text, value)
 
 
+# one type per column, as in functional entries, polynomial terms and atoms
+COLUMN_KINDS = st.sampled_from([
+    st.none(), st.booleans(), JSON_INTS, JSON_FLOATS, JSON_TEXTS, JSON_FLOATS.map(numpy.float64),
+    st.sampled_from(list(Level)), JSON_TEXTS.map(Text), st.lists(JSON_INTS, min_size=1, max_size=4),
+    st.lists(JSON_TEXTS, min_size=1, max_size=3), st.lists(st.booleans(), min_size=1, max_size=3),
+    st.lists(JSON_FLOATS, min_size=1, max_size=3).map(tuple)])
+ODD_COLUMN_VALUES = st.one_of(
+    st.just([]), st.just(()), st.lists(st.one_of(JSON_INTS, st.booleans()), min_size=1, max_size=3),
+    st.lists(JSON_INTS, min_size=1, max_size=3).map(tuple), st.lists(JSON_LEAVES, max_size=2),
+    JSON_LEAVES, keyed(JSON_LEAVES))
+
+
+@st.composite
+def column_records(draw):
+    """1-40 dicts on one key set whose fields each hold one type, with at
+    most one odd value per column."""
+    count = draw(st.integers(1, 40))
+    rows: list[dict] = [{} for _ in range(count)]
+    for key in draw(st.lists(JSON_TEXTS, min_size=1, max_size=4, unique=True)):
+        column = draw(st.lists(draw(COLUMN_KINDS), min_size=count, max_size=count))
+        if draw(st.booleans()):
+            column[draw(st.integers(0, count - 1))] = draw(ODD_COLUMN_VALUES)
+        for row, value in zip(rows, column):
+            row[key] = value
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=column_records(), nested=st.booleans())
+def test_json_text_writes_record_columns_as_json_dumps_does(rows, nested):
+    value = {"rows": [rows, 1]} if nested else rows
+    assert written(json_text, value) == written(dumps_text, value)
+
+
 def _circular_list():
     items: list = [1]
     items.append(items)
@@ -572,6 +686,8 @@ REFUSED = {
     "str-and-int-keys": {"a": 1, 2: 3}, "none-and-int-keys": {None: 1, 0: 2},
     "tuple-key": {(1, 2): 3}, "fraction-key": {Fraction(1, 2): 1},
     "set-in-record": [{"a": 1}, {"a": {1, 2}}], "int-past-str-digits": 10 ** 5000,
+    # json meets the Fraction first, record by record, though its column comes second
+    "fraction-before-long-int-in-records": [{"a": 1, "b": Fraction(1, 2)}, {"a": 10 ** 5000, "b": 2}],
     "circular-list": _circular_list(), "circular-record": _circular_record(),
     "self-listing-record": _self_listing_record(),
 }

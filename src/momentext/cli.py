@@ -254,6 +254,7 @@ def cmd_recover_atoms(args) -> int:
     from .functionals.recovery import polynomial_moment_residual, recover_atoms
 
     L = serialize.functional_from_dict(serialize.load_json(args.input))
+    L.validate(1e-9)
     degree = args.degree if args.degree is not None else max(L.top_degree // 2, 1)
     if 2 * degree > L.top_degree:
         # the moment matrix reads L(x^gamma) for |gamma| <= 2 degree

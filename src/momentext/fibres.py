@@ -95,11 +95,8 @@ def fibre_generators(preorder: Preorder, spec: FibreSpec) -> Preorder:
     """Generators of the fibre: T plus the pairs +-(h_j - lambda_j)."""
     if spec.dim != preorder.dim:
         raise DimensionMismatchError("fibre spec dimension does not match preorder")
-    extra = []
-    for h, lam in zip(spec.bounded, spec.value):
-        diff = h - Poly.constant(preorder.dim, lam)
-        extra.extend([diff, -diff])
-    return Preorder(preorder.dim, preorder.generators + tuple(extra))
+    extra = tuple(g for diff in fibre_ideal_generators(spec) for g in (diff, -diff))
+    return Preorder(preorder.dim, preorder.generators + extra)
 
 
 def fibre_ideal_generators(spec: FibreSpec) -> list[Poly]:

@@ -6,20 +6,12 @@ The names below load with their module on first access (PEP 562), so
 importing the package runs none of its modules.
 """
 
-from .. import _lazy_exports
+from .. import _EXPORTS as _PACKAGE_EXPORTS, _lazy_exports
 
-# exported name -> defining module
-_EXPORTS = {name: module for module, names in (
-    ("core", ("CsChainReport", "DiscreteMeasure", "DomainOverflowError",
-              "InconsistentFunctionalError", "Key", "LinearFunctional", "SCALAR_EXACT",
-              "SCALAR_FLOAT", "cs_chain_check", "extend_from_measure", "gram_matrix",
-              "moments_of_measure", "polynomial_moments")),
-    ("errors", ("IndeterminateRankError", "RecoveryFailedError")),
-    ("feasibility", ("FeasibilityResult", "extension_feasibility")),
-    ("psd", ("FloatPsdVerdict", "PsdVerdict", "hamburger_check", "psd_check_exact",
-             "psd_check_float")),
-    ("recovery", ("polynomial_moment_residual", "recover_atoms")),
-) for name in names}
+# exported name -> defining module: the package's names from this layer, and Key
+_EXPORTS = {name: module.removeprefix("functionals.")
+            for name, module in _PACKAGE_EXPORTS.items() if module.startswith("functionals.")}
+_EXPORTS["Key"] = "core"
 
 __all__ = list(_EXPORTS)
 

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import contextlib
 import copy
-import hashlib
 import importlib
 import io
 import json
@@ -23,9 +22,8 @@ from momentext import semigroups, serialize
 from momentext.cli import build_parser, main
 from momentext.extalg import Mode, truncated_basis
 from momentext.functionals.core import (DiscreteMeasure, LinearFunctional, SCALAR_EXACT,
-                                        moments_of_measure, polynomial_moments)
+                                        SCALAR_FLOAT, moments_of_measure, polynomial_moments)
 from momentext.functionals.recovery import IndeterminateRankError, RecoveryFailedError
-from momentext.scalars import GaussianRational
 from momentext.scenarios import SCENARIOS
 from momentext.semigroups import SgDomain, box_window, sequence_from_measure
 
@@ -260,100 +258,6 @@ def test_laurent_relations_cli_deterministic(tmp_path, capsys):
     assert json.loads(a)["passed"] is True
 
 
-# SHA-256 of exact-only report bytes; no float enters these reports, so the
-# digests do not depend on the BLAS build.
-NPLUS_BOX2_REPORTS = {
-    1: "a9fff5d72b6341ed016e6c6f33148c147a7b0aea8154f8b0143309f83e9aa1cb",
-    2: "a2d07c4866c8181dcabb838dd2074adabf65993be54551dcad5b3ed4b183aa4b",
-    4: "c6c99971894fc9d0afc224d311769c51905b276ed667ca4cbd5dad906ca32779",
-}
-# Box 3 on three atoms, the benchmark's heavy nplus size (seed 1 is pinned in
-# test_heavy_semigroup_reports_are_byte_stable); captured before the complex
-# moments and the cross-path apply moved onto integers.
-NPLUS_BOX3_REPORTS = {
-    2: "96d94bdeee200941a4a1a0589eb56cdd1d964d767fa630994044b2b8925a4766",
-    4: "1d34e3299df842e4753a33d2e666532171862b85220f5bc025cd6da126087b8c",
-}
-BISGAARD_NO_RECOVERY_REPORT = "3e9f85cfb0f9ab79b6e3c83f65cd045ef754e514250aeab788a7c59b042834d9"
-# Box-2 Z2 moments of two atoms with s(0,0) = -1: a NotPSD witness on the
-# 18x18 embedding, captured when that embedding was built from a complex matrix.
-BISGAARD_NOTPSD_REPORT = "58b1ed35ed167fe007074894a8b9dbaf541b13b38df9e16186fb1688c903d497"
-# The laurent-relations report records its --seed; without that key every
-# passing seed dumps the same identities and counts.
-LAURENT_REPORTS = {
-    0: "fcb35aacfe6d0db75e8afeeb7a15556405dc05c075e79e2b22be6d4a09db4e2f",
-    1: "01602c2921e431e49e21f10ba977b166f8eac8343474d90bd64f28e01c09f4f9",
-    2: "f0622b57858da83ef4eb6b8ac7d47c725934351d292d4af53c03407fd3a8a9c8",
-}
-LAURENT_REPORT_WITHOUT_SEED = "885cda0002407b404cbebe28d520604174558684229a8e0df04aa418897ee14b"
-
-
-def report_digest(capsys, tmp_path, *argv):
-    out = tmp_path / "report.json"
-    if out.exists():
-        out.unlink()
-    code, _, err = run(capsys, *argv, "--out", str(out))
-    digest = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None
-    return code, digest, err
-
-
-def test_exact_semigroup_reports_are_byte_stable(tmp_path, capsys):
-    for seed in range(6):
-        code, out, _ = run(capsys, "gen-examples", "--scenario", "random-measure",
-                           "--seed", str(seed), "--dir", str(tmp_path))
-        measure = json.loads(out)["files"]["measure"]
-        code, digest, err = report_digest(capsys, tmp_path, "semigroup", "--pipeline",
-                                          "nplus-extension", "--measure", measure,
-                                          "--box", "2")
-        if seed in NPLUS_BOX2_REPORTS:
-            assert code == 0 and digest == NPLUS_BOX2_REPORTS[seed], seed
-        else:  # origin mass cannot feed the punctured-plane extension
-            assert code == 2 and digest is None and "atoms at 0 cannot feed" in err, seed
-        if seed in NPLUS_BOX3_REPORTS:
-            assert len(json.loads(Path(measure).read_text())["atoms"]) == 3
-            assert report_digest(capsys, tmp_path, "semigroup", "--pipeline",
-                                 "nplus-extension", "--measure", measure,
-                                 "--box", "3")[:2] == (0, NPLUS_BOX3_REPORTS[seed]), seed
-
-    code, out, _ = run(capsys, "gen-examples", "--scenario", "bisgaard-two-atoms",
-                       "--dir", str(tmp_path))
-    sequence = json.loads(out)["files"]["sequence"]
-    assert report_digest(capsys, tmp_path, "semigroup", "--pipeline", "bisgaard",
-                         "--sequence", sequence, "--no-recovery")[:2] == \
-        (0, BISGAARD_NO_RECOVERY_REPORT)
-    mu = DiscreteMeasure(2, ((Fraction(1), (1, 1)), (Fraction(1, 2), (2, -1))))
-    notpsd = sequence_from_measure(mu, box_window(2, SgDomain.Z2))
-    notpsd.entries[(0, 0)] = GaussianRational(-1, 0)
-    serialize.dump_json(serialize.sequence_to_dict(notpsd), tmp_path / "notpsd.json")
-    assert report_digest(capsys, tmp_path, "semigroup", "--pipeline", "bisgaard",
-                         "--sequence", str(tmp_path / "notpsd.json"))[:2] == \
-        (1, BISGAARD_NOTPSD_REPORT)
-    assert report_digest(capsys, tmp_path, "semigroup", "--pipeline",
-                         "laurent-relations", "--seed", "0")[:2] == (0, LAURENT_REPORTS[0])
-
-
-# Captured before the Hermitian matrices moved onto MomentWindow, the
-# inversion onto one normalization and the cross path onto its half window.
-NPLUS_BOX3_SEED1_REPORT = "3ee5d0c5586d083f269497cf186132709f3d9c2322676cfe35769c4a7dded3af"
-
-
-def test_heavy_semigroup_reports_are_byte_stable(tmp_path, capsys):
-    code, out, _ = run(capsys, "gen-examples", "--scenario", "random-measure",
-                       "--seed", "1", "--dir", str(tmp_path))
-    measure = json.loads(out)["files"]["measure"]
-    assert report_digest(capsys, tmp_path, "semigroup", "--pipeline", "nplus-extension",
-                         "--measure", measure, "--box", "3")[:2] == \
-        (0, NPLUS_BOX3_SEED1_REPORT)
-    for seed, digest in LAURENT_REPORTS.items():
-        assert report_digest(capsys, tmp_path, "semigroup", "--pipeline",
-                             "laurent-relations", "--seed", str(seed))[:2] == (0, digest)
-        # the seed is the only key the report gained
-        report = json.loads((tmp_path / "report.json").read_text())
-        assert report.pop("seed") == seed
-        payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
-        assert hashlib.sha256(payload.encode()).hexdigest() == LAURENT_REPORT_WITHOUT_SEED
-
-
 def test_recover_atoms_failure_modes(tmp_path, capsys):
     # non-atomic data: Lebesgue moments on [0,1] embedded as a plane measure
     # supported on the x2 = 0 slice fail flatness
@@ -361,9 +265,6 @@ def test_recover_atoms_failure_modes(tmp_path, capsys):
     for k in range(7):
         for l in range(7 - k):
             values[((k, l), 0)] = Fraction(1, k + 1) if l == 0 else Fraction(0)
-    from momentext.extalg import Mode
-    from momentext.functionals.core import (LinearFunctional, SCALAR_EXACT,
-                                            SCALAR_FLOAT)
     L = LinearFunctional(2, Mode.APLUS, SCALAR_EXACT, values)
     path = tmp_path / "lebesgue.json"
     serialize.dump_json(serialize.functional_to_dict(L), path)
@@ -454,79 +355,19 @@ def test_negative_exponent_is_an_input_error(tmp_path, capsys):
     assert code == 2 and out == "" and "negative" in err
 
 
-# Captured before the moment rectangle moved onto integer power tables.
-# The d=3 measure mixes integer, negative and mixed-denominator coordinates
-# with an origin mass and an exact rational direction.
-EXTEND_D3_APLUS_REPORT = "64f15d1dc2e03619afd697fd89af7c6d17d6da230de0c51deedc66b8df921658"
-EXTEND_D2_LAURENT_REPORT = "3a3b78ebceeef63098a9a7f81673ff40e5fbd153a05bc7ee0d05489a9fc6f111"
-
-
-def test_extend_reports_are_byte_stable(tmp_path, capsys):
-    F = Fraction
-    d3 = DiscreteMeasure(3, atoms=(
-        (F(1, 2), (F(1), F(-2, 3), F(3, 5))),
-        (F(3), (F(-2), F(0), F(1))),
-        (F(2, 7), (F(1, 4), F(1, 2), F(-1)))),
-        origin_mass=F(1, 3), sphere_atoms=((F(5, 4), (F(2, 3), F(-1, 3), F(2, 3))),))
-    path = tmp_path / "d3.json"
-    serialize.dump_json(serialize.measure_to_dict(d3), path)
-    assert report_digest(capsys, tmp_path, "extend", str(path), "-M", "1", "-D", "3")[:2] == \
-        (0, EXTEND_D3_APLUS_REPORT)
-
-    laurent = write_measure(tmp_path / "d2.json",
-                            [(F(1), (F(1, 2), F(-3))), (F(2, 3), (F(-2), F(5, 4))),
-                             (F(4), (F(0), F(1)))])
-    assert report_digest(capsys, tmp_path, "extend", laurent, "-M", "1", "-D", "3",
-                         "--mode", "laurent")[:2] == (0, EXTEND_D2_LAURENT_REPORT)
-
-
-# SHA-256 of psd-check outputs on a d=3 functional over the (pole 2, degree 5)
-# window, captured before the integer relation check and the one-pass loader:
-# the PSD and NotPSD report bytes, and the stderr text (exit 2) of a
-# functional whose value at one key breaks four reduction relations.
-PSD_CHECK_D3_PSD_REPORT = "1696d9c120603a4e29e7eef42cdd2284f57e7e0e70b573bbc9c3ced5d3048304"
-PSD_CHECK_D3_NOTPSD_REPORT = "5ab774202365d4144830ef1173e20883089c12a4672eb9daa708263ca89dfeb7"
-PSD_CHECK_D3_RELATION_ERROR = "1b77e542d35d640dd5a9c7239af82396aa0d1ffd78b24d8b6613dfb82d4a32f5"
-
-
-def d3_wide_functionals() -> tuple[LinearFunctional, LinearFunctional, LinearFunctional]:
-    """A measure's moments on the (2, 5) window, the same minus a far atom's
-    moments (NotPSD: the far point is outside the 4-atom support), and the
-    moments with the value at (x1 x2 x3)^2 / ||x||^2 off by 1/7."""
+def d3_wide_functional() -> LinearFunctional:
+    """A measure's moments on the (2, 5) window in d = 3 (1230 keys)."""
     F = Fraction
     mu = DiscreteMeasure(3, atoms=(
         (F(1, 2), (F(1), F(-2, 3), F(1, 3))),
         (F(2), (F(-1), F(0), F(2))),
         (F(3, 4), (F(1, 2), F(1), F(-1))),
         (F(1), (F(2), F(1, 3), F(1, 2)))), origin_mass=F(1, 4))
-    basis = truncated_basis(2, 5, 3, Mode.APLUS)
-    L = moments_of_measure(mu, basis)
-    far = moments_of_measure(DiscreteMeasure(3, atoms=((F(1, 100), (F(5), F(-7), F(3))),)),
-                             basis)
-    signed = {k: v - far.values[k] for k, v in L.values.items()}
-    broken = dict(L.values)
-    broken[((2, 2, 2), 1)] += F(1, 7)
-    return L, *(LinearFunctional(3, Mode.APLUS, SCALAR_EXACT, values, L.pole_max,
-                                 L.degree_max) for values in (signed, broken))
-
-
-def test_psd_check_reports_are_byte_stable(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)  # reports name the input path
-    expected = [(0, PSD_CHECK_D3_PSD_REPORT), (1, PSD_CHECK_D3_NOTPSD_REPORT)]
-    L, signed, broken = d3_wide_functionals()
-    for name, functional, (code, digest) in zip(("L.json", "signed.json"), (L, signed),
-                                                expected):
-        serialize.dump_json(serialize.functional_to_dict(functional), name)
-        assert report_digest(capsys, tmp_path, "psd-check", name)[:2] == (code, digest)
-    serialize.dump_json(serialize.functional_to_dict(broken), "broken.json")
-    code, digest, err = report_digest(capsys, tmp_path, "psd-check", "broken.json")
-    assert (code, digest) == (2, None)
-    assert err.startswith("error: reduction relation violated at keys [((0, 2, 2), 0), ")
-    assert hashlib.sha256(err.encode()).hexdigest() == PSD_CHECK_D3_RELATION_ERROR
+    return moments_of_measure(mu, truncated_basis(2, 5, 3, Mode.APLUS))
 
 
 def test_psd_check_refuses_a_window_beyond_the_stored_keys(tmp_path, capsys):
-    L, _, _ = d3_wide_functionals()
+    L = d3_wide_functional()
     data = serialize.functional_to_dict(L)
     path = tmp_path / "inflated.json"
     # keys stop at degree 10, so the default window (pole 2, degree 12) of
@@ -833,7 +674,6 @@ def test_out_of_range_flags_are_usage_errors(tmp_path, capsys, command, flag):
 
 
 def test_in_range_flags_keep_their_values():
-    from momentext.cli import build_parser
     args = build_parser().parse_args(["feasibility", "f.json", "-M", "0", "-D", "2",
                                       "--tol", "0", "--max-iters", "1"])
     assert (args.tol, args.max_iters) == (0.0, 1)
@@ -861,7 +701,7 @@ def test_a_missing_field_is_named(tmp_path, capsys):
 def wide_document(tmp_path, drop=(), **fields) -> str:
     """The d=3 (2, 5)-window moments as a file, minus the keys in ``drop``
     and with the top-level ``fields`` replaced."""
-    data = serialize.functional_to_dict(d3_wide_functionals()[0])
+    data = serialize.functional_to_dict(d3_wide_functional())
     data["entries"] = [e for e in data["entries"] if (e["exp"], e["pole_order"]) not in drop]
     path = tmp_path / "wide.json"
     serialize.dump_json({**data, **fields}, path)

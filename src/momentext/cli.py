@@ -46,27 +46,34 @@ def _emit(report: dict, summary: list[str], out: str | None) -> None:
 
 
 def _refuse_unstored_window(L: LinearFunctional, pole: int, degree: int) -> None:
-    """Refuse, for d >= 2, a window whose Gram matrix reads past every stored key.
+    """Refuse a window whose Gram matrix reads past every stored key.
 
-    With d >= 2 no monomial is divisible by ||x||^2, so the Gram entry of
-    x1^degree / ||x||^(2 pole) squared is the unreduced key (2 degree e1,
-    2 pole); past the stored maxima neither it nor a lift of it is stored,
-    and the Gram matrix could only end in DomainOverflowError after
-    building the whole window.  In one variable product keys reduce.
+    A corner product of the basis, its top element squared or in Laurent
+    mode 1 / ||x||^(4 pole), reduced in one variable as ``MomentWindow``
+    reduces product keys, that lies past the largest stored pole or degree
+    is not stored and has no stored lift: the Gram matrix could only end in
+    DomainOverflowError, after building the whole window or running out of
+    memory.
     """
-    if L.nvars < 2:
-        return
-    if 2 * pole > L.top_pole or 2 * degree > L.top_degree:
+    from .extalg import Mode
+    from .functionals.core import MomentWindow
+
+    if L.nvars == 1 and (min(pole, degree) < 0 or (L.mode is Mode.APLUS and degree < 2 * pole)):
+        return  # truncated_basis refuses the window itself
+    top, read_pole = MomentWindow.reduce(((2 * degree,) + (0,) * (L.nvars - 1), 2 * pole))
+    if L.mode is Mode.LAURENT:
+        read_pole = 2 * pole  # the corner 1 / ||x||^(4 pole)
+    if read_pole > L.top_pole or sum(top) > L.top_degree:
         raise ValueError(f"window (pole {pole}, degree {degree}) reads keys up to pole "
-                         f"{2 * pole} and degree {2 * degree}, but the stored keys stop "
+                         f"{read_pole} and degree {sum(top)}, but the stored keys stop "
                          f"at pole {L.top_pole} and degree {L.top_degree}")
 
 
 def cmd_psd_check(args) -> int:
     from . import serialize
     from .extalg import truncated_basis
-    from .functionals.core import SCALAR_EXACT, gram_matrix
-    from .functionals.psd import hamburger_check, psd_check_exact, psd_check_float
+    from .functionals.core import SCALAR_EXACT, MomentWindow, gram_matrix
+    from .functionals.psd import hamburger_check, psd_check_cleared, psd_check_float
 
     if args.univariate:
         moments = serialize.moments_from_dict(serialize.load_json(args.input))
@@ -86,11 +93,12 @@ def cmd_psd_check(args) -> int:
     degree = args.degree if args.degree is not None else max(L.degree_max // 2, 2 * pole)
     _refuse_unstored_window(L, pole, degree)
     basis = truncated_basis(pole, degree, L.nvars, L.mode)
-    G = gram_matrix(L, basis)
     if scalar == "exact":
-        verdict = psd_check_exact(G)
+        window = MomentWindow.of_basis(basis)
+        verdict = psd_check_cleared(*window.cleared(lambda key: L._key_value(*key)))
     else:
-        verdict = psd_check_float([[float(x) for x in row] for row in G], args.tol)
+        verdict = psd_check_float([[float(x) for x in row] for row in gram_matrix(L, basis)],
+                                  args.tol)
     report = {"command": "psd-check", "univariate": False, "input": args.input,
               "config": {"pole_order": pole, "degree": degree, "scalar": scalar,
                          "tol": args.tol},

@@ -10,9 +10,9 @@ ties them together.  ``apply`` evaluates an element against the stored
 keys.  When the element's own pole order is not stored, it lifts the key
 by ||x||^(2t) for t = 1, 2, ... and takes the first lift whose keys are
 all stored.  ``check_reduction_relations`` audits consistency with the
-t = 1 lift, in integers on an exact functional.  ``apply`` and the float
-audit read ||x||^(2t) from ``polyalg.norm_squared_power``, in its fixed
-term order, so float sums are reproducible.
+t = 1 lift, in integers on packed keys on an exact functional.  ``apply``
+and the float audit read ||x||^(2t) from ``polyalg.norm_squared_power``,
+in its fixed term order, so float sums are reproducible.
 
 Measures here are finite atomic ones: weighted nonzero points, optional
 mass at the origin, and optional weighted unit directions (limits into the
@@ -253,8 +253,10 @@ class LinearFunctional:
         stored order.  An exact functional ignores ``tol`` and compares in
         integers: a running num/den over the lifted values, tested as
         num * value.denominator == value.numerator * den, with no Fraction
-        built and no gcd taken.  A float one compares ``_lifted_sum``
-        within ``tol``.
+        built and no gcd taken; keys are packed into ints p, as in
+        ``MomentWindow``, with digits m, gamma_1, ..., gamma_d wide enough for
+        top_degree + 2, so the lifts are p + step_k and never carry.  A float
+        one compares ``_lifted_sum`` within ``tol``.
         """
         if self.scalar_kind != SCALAR_EXACT:
             bad = []
@@ -263,14 +265,20 @@ class LinearFunctional:
                 if total is not None and abs(total - value) > tol:
                     bad.append((gamma, m))
             return bad
-        values = self.values
-        coordinates = range(self.nvars)
+        values, d = self.values, self.nvars
+        width = (self.top_degree + 2).bit_length()
+        packed = []
+        for gamma, p in values:  # the pole order is the top digit
+            for g in gamma:
+                p = (p << width) + g
+            packed.append(p)
+        steps = [(1 << width * d) + (2 << width * (d - 1 - k)) for k in range(d)]
+        lookup = dict(zip(packed, values.values()))
         bad = []
-        for key, value in values.items():
-            gamma, m = key
+        for key, p, value in zip(values, packed, values.values()):
             num, den = 0, 1
-            for k in coordinates:
-                lifted = values.get((gamma[:k] + (gamma[k] + 2,) + gamma[k + 1:], m + 1))
+            for step in steps:
+                lifted = lookup.get(p + step)
                 if lifted is None:
                     break
                 q = lifted.denominator
@@ -563,7 +571,8 @@ def gram_matrix(L: LinearFunctional, basis: list[AElement]) -> list[list]:
     """G[i][j] = L(b_i * b_j) on a monomial basis.  Missing keys raise DomainOverflowError.
 
     Basis elements must be coefficient-1 monomial fractions (as
-    ``truncated_basis`` returns); anything else raises ValueError.
+    ``truncated_basis`` returns); anything else raises ValueError.  The
+    exact ``psd-check`` reads the same window through ``cleared`` instead.
     """
     window = MomentWindow.of_basis(basis)
     if basis and basis[0].nvars != L.nvars:

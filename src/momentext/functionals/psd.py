@@ -5,8 +5,10 @@ with symmetric largest-diagonal pivoting.  One elimination has two entry
 points: ``psd_check_exact`` takes the matrix and clears it entry by entry
 (``_int_rows``); ``psd_check_cleared`` takes it already cleared, as
 (N, delta) with G = N / delta, which ``MomentWindow.cleared`` builds with
-one coercion per moment class.  Both refuse an asymmetric N, as ``verify``
-refuses an asymmetric matrix.  The elimination holds each Schur
+one coercion per moment class; every exact moment matrix of the program,
+the ``psd-check`` Gram matrix included, takes that entry.  Both refuse an
+asymmetric N, as ``verify`` refuses an asymmetric matrix.  The elimination
+holds each Schur
 complement as one symmetric integer matrix N over one common denominator
 delta > 0 and touches only its upper triangle: a pivot step sets N[i][j]
 to pivot*N[i][j] - N[k][i]*N[k][j] and delta to delta*pivot, then divides

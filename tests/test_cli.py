@@ -19,10 +19,12 @@ from hypothesis import strategies as st
 
 import momentext
 from momentext import semigroups, serialize
-from momentext.cli import build_parser, main
+from momentext.cli import _refuse_unstored_window, build_parser, main
 from momentext.extalg import Mode, truncated_basis
-from momentext.functionals.core import (DiscreteMeasure, LinearFunctional, SCALAR_EXACT,
-                                        SCALAR_FLOAT, moments_of_measure, polynomial_moments)
+from momentext.functionals.core import (DiscreteMeasure, DomainOverflowError,
+                                        LinearFunctional, SCALAR_EXACT, SCALAR_FLOAT,
+                                        _moment_table, gram_matrix, moments_of_measure,
+                                        polynomial_moments)
 from momentext.functionals.recovery import IndeterminateRankError, RecoveryFailedError
 from momentext.scenarios import SCENARIOS
 from momentext.semigroups import SgDomain, box_window, sequence_from_measure
@@ -386,13 +388,74 @@ def test_psd_check_refuses_a_window_beyond_the_stored_keys(tmp_path, capsys):
     serialize.dump_json({**data, "degree_max": -7}, path)
     code, out, err = run(capsys, "psd-check", str(path))
     assert (code, out) == (2, "") and "declared degree_max -7 is negative" in err
-    # one variable: keys x^(2k) / |x|^(2m) reduce, so the window is the
-    # Gram matrix's to judge
+    # one variable: product keys reduce, so the corner 1/|x|^4 of the default
+    # Laurent window (pole 1, degree 2) is read past the stored pole 0
     line = LinearFunctional(1, Mode.LAURENT, SCALAR_EXACT,
                             {((k,), 0): Fraction(1, k + 1) for k in range(5)})
     serialize.dump_json({**serialize.functional_to_dict(line), "pole_max": 2}, path)
     code, _, err = run(capsys, "psd-check", str(path), "--scalar", "exact")
-    assert code == 2 and "functional has no value" in err
+    assert code == 2 and err == ("error: window (pole 1, degree 2) reads keys up to pole 2 "
+                                 "and degree 0, but the stored keys stop at pole 0 and degree 4\n")
+
+
+def test_exact_psd_check_reads_unstored_classes_through_their_lifts(tmp_path, capsys):
+    """With pole 2 dropped, every Gram class of the Laurent (1, 3) window in
+    two variables is read by its lift, and the verdict is the full table's."""
+    mu = DiscreteMeasure(2, atoms=((Fraction(1), (Fraction(1), Fraction(2))),
+                                   (Fraction(1, 2), (Fraction(-1), Fraction(1, 3)))))
+    full = _moment_table(mu, 3, 8, Mode.LAURENT)
+    reports = []
+    for values in (full, {key: v for key, v in full.items() if key[1] != 2}):
+        path = tmp_path / f"L{len(reports)}.json"
+        serialize.dump_json(serialize.functional_to_dict(
+            LinearFunctional(2, Mode.LAURENT, SCALAR_EXACT, values)), path)
+        code, out, _ = run(capsys, "psd-check", str(path), "-M", "1", "-D", "3")
+        reports.append((code, {k: v for k, v in json.loads(out).items() if k != "input"}))
+    assert reports[0] == reports[1] and reports[0][0] == 0
+
+
+def gram_outcome(L, pole: int, degree: int):
+    """What the window's Gram matrix comes to without the refusal."""
+    try:
+        basis = truncated_basis(pole, degree, L.nvars, L.mode)
+        gram_matrix(L, basis)
+    except (ValueError, DomainOverflowError) as err:
+        return type(err)
+    return "built"
+
+
+@settings(max_examples=200, deadline=None)
+@given(laurent=st.booleans(), data=st.data())
+def test_one_variable_windows_are_refused_only_where_the_gram_matrix_fails(laurent, data):
+    """In one variable the refusal bounds the window by the reduced corner
+    keys of its Gram matrix, so it refuses only windows whose Gram matrix
+    would end in DomainOverflowError; the rest behave as they did."""
+    mode = Mode.LAURENT if laurent else Mode.APLUS
+    candidates = [((g,), m) for m in range(4) for g in range(7) if laurent or g >= 2 * m]
+    keys = data.draw(st.lists(st.sampled_from(candidates), unique=True, max_size=12), label="keys")
+    L = LinearFunctional(1, mode, SCALAR_EXACT,
+                         {key: Fraction(1, 1 + sum(key[0]) + key[1]) for key in keys})
+    pole, degree = data.draw(st.integers(-1, 3), label="pole"), data.draw(st.integers(-1, 8),
+                                                                        label="degree")
+    try:
+        _refuse_unstored_window(L, pole, degree)
+    except ValueError as err:
+        assert str(err).startswith(f"window (pole {pole}, degree {degree}) reads keys up to")
+        assert gram_outcome(L, pole, degree) is DomainOverflowError
+
+
+def test_one_variable_refusal_covers_both_corners():
+    line = {((k,), 0): Fraction(1, k + 1) for k in range(5)}
+    aplus = LinearFunctional(1, Mode.APLUS, SCALAR_EXACT, line)
+    poles = {((g,), m): Fraction(1, 2 + g + m) for g in (0, 1) for m in (1, 2)}
+    laurent = LinearFunctional(1, Mode.LAURENT, SCALAR_EXACT, {**line, **poles})
+    for L, pole, degree in ((aplus, 0, 2), (aplus, 3, 8), (laurent, 1, 4), (laurent, 0, 2)):
+        _refuse_unstored_window(L, pole, degree)  # the corners are stored
+        assert gram_outcome(L, pole, degree) == "built"
+    for L, pole, degree in ((aplus, 0, 3), (aplus, 2, 7), (laurent, 2, 4), (laurent, 1, 5)):
+        with pytest.raises(ValueError, match="reads keys up to"):
+            _refuse_unstored_window(L, pole, degree)
+        assert gram_outcome(L, pole, degree) is DomainOverflowError
 
 
 def test_the_parser_is_built_once(monkeypatch, capsys, tmp_path):
@@ -740,6 +803,16 @@ NEGATIVE_EXPONENT = {"nvars": 2, "mode": "Aplus", "scalar_kind": "exact_rational
                  "error: window (pole 2, degree 100) reads keys up to pole 4 and degree 200, "
                  "but the stored keys stop at pole 4 and degree 10",
                  id="declared-degree-past-the-stored-keys"),
+    *[pytest.param(lambda tmp, mode=mode: {
+                       "nvars": 1, "mode": mode, "scalar_kind": "exact_rational",
+                       "degree_max": 40000, "entries": [
+                           {"exp": [k], "pole_order": 0, "value": v}
+                           for k, v in enumerate(["1", "1/2", "1/3"])]},
+                   ["psd-check", "{input}"],
+                   "error: window (pole 0, degree 20000) reads keys up to pole 0 and degree "
+                   "40000, but the stored keys stop at pole 0 and degree 2",
+                   id=f"one-variable-declared-degree-past-the-stored-keys-{mode}")
+      for mode in ("Aplus", "Laurent")],
     pytest.param(lambda tmp: {k: v for k, v in float_functional(1.0).items()
                               if k != "scalar_kind"},
                  ["psd-check", "{input}"], "error: functional has no 'scalar_kind' field",

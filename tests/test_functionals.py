@@ -926,3 +926,133 @@ def test_integer_relation_check_matches_fraction_oracle(dim, laurent, pole, degr
              (tuple(map(add, key[0], e)) for e in norm_squared_power(dim, 1).terms)]
     if all(lift in L.values for lift in lifts):
         assert key in bad
+
+
+def oracle_tuple_audit(L: LinearFunctional) -> list:
+    """The exact relation check on tuple keys: each of the d lifts of a key
+    is built as a tuple and looked up, with the same integer comparison."""
+    values = L.values
+    bad = []
+    for key, value in values.items():
+        gamma, m = key
+        num, den = 0, 1
+        for k in range(L.nvars):
+            lifted = values.get((gamma[:k] + (gamma[k] + 2,) + gamma[k + 1:], m + 1))
+            if lifted is None:
+                break
+            q = lifted.denominator
+            num, den = num * q + lifted.numerator * den, den * q
+        else:
+            if num * value.denominator != value.numerator * den:
+                bad.append(key)
+    return bad
+
+
+@st.composite
+def audit_tables(draw):
+    """Exact functionals for the relation audit: a measure's moments on the
+    keys m <= pole, |gamma| <= degree (every relation holds, and x_k^degree
+    puts an exponent at the top degree), in a shuffled stored order, with
+    some keys dropped (partial lifts) and some values bumped (planted
+    violations); now and then the empty table."""
+    dim, laurent = draw(st.integers(1, 4), label="dim"), draw(st.booleans(), label="laurent")
+    mode = Mode.LAURENT if laurent else Mode.APLUS
+    pole = draw(st.integers(0, 2), label="pole")
+    degree = draw(st.integers(0, 6 if dim < 4 else 3), label="degree")
+    if mode is Mode.APLUS:
+        degree = max(degree, 2 * pole)
+    rng = random.Random(draw(st.integers(0, 2 ** 32), label="seed"))
+    mu = scenarios.random_measure(rng, dim, allow_origin=not laurent, allow_sphere=not laurent)
+    values = _moment_table(mu, pole, degree, mode)
+    keys = list(values)
+    rng.shuffle(keys)
+    dropped = set(keys[:draw(st.integers(0, len(keys) // 3), label="dropped")])
+    bumped = set(draw(st.lists(st.sampled_from(keys), max_size=8), label="bumped"))
+    table = {key: values[key] + (Fraction(1, rng.randint(1, 10 ** 9)) if key in bumped else 0)
+             for key in keys if key not in dropped}
+    if draw(st.integers(0, 19), label="empty") == 0:
+        table = {}
+    return LinearFunctional(dim, mode, SCALAR_EXACT, table)
+
+
+@settings(max_examples=300, deadline=None)
+@given(audit_tables())
+def test_packed_relation_audit_matches_tuple_loop(L):
+    bad = L.check_reduction_relations()
+    assert bad == oracle_tuple_audit(L)
+    if not bad:
+        return
+    with pytest.raises(InconsistentFunctionalError) as err:
+        L.validate()
+    assert str(err.value) == (f"reduction relation violated at keys {sorted(bad)[:5]}"
+                              + ("..." if len(bad) > 5 else ""))
+
+
+def test_packed_relation_audit_at_the_digit_edge():
+    """A lift can put top_degree + 2 in a digit: at top degree 6 that is 8,
+    which needs 4 bits where 6 needs 3.  In 3-bit digits the lift (8, 1) of
+    x^6 would carry onto the stored key (0, 2); it is not stored, so the
+    relation of x^6 is not compared."""
+    L = LinearFunctional(1, Mode.LAURENT, SCALAR_EXACT,
+                         {((6,), 0): Fraction(1), ((0,), 2): Fraction(2)})
+    assert L.check_reduction_relations() == oracle_tuple_audit(L) == []
+
+
+@st.composite
+def gram_windows(draw):
+    """A window and an exact functional of unrelated random values on the keys
+    up to one pole order and two degrees past its Gram matrix's; keys of one
+    pole order below the top are dropped, so reading them takes a lift, and
+    now and then a key is dropped together with its lift, or at the top."""
+    dim, laurent = draw(st.integers(1, 3), label="dim"), draw(st.booleans(), label="laurent")
+    mode = Mode.LAURENT if laurent else Mode.APLUS
+    pole = draw(st.integers(0, 2), label="pole")
+    degree = draw(st.integers(2 * pole if mode is Mode.APLUS else 0, 2 * pole + 2), label="degree")
+    if dim == 3:
+        pole, degree = min(pole, 1), min(degree, 3)
+    basis = truncated_basis(pole, degree, dim, mode)
+    rng = random.Random(draw(st.integers(0, 2 ** 32), label="seed"))
+    atom = DiscreteMeasure(dim, ((Fraction(1), (Fraction(1),) * dim),))
+    keys = list(_moment_table(atom, 2 * pole + 1, 2 * degree + 2, mode))
+    values = {key: Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for key in keys}
+    level = draw(st.integers(0, 2 * pole), label="lifted level")
+    lifted = [key for key in keys if key[1] == level]
+    for key in rng.sample(lifted, draw(st.integers(0, len(lifted)), label="lifted")):
+        del values[key]
+    for key in draw(st.lists(st.sampled_from(keys), max_size=2), label="missing"):
+        values.pop(key, None)
+        for k in range(dim):
+            values.pop((key[0][:k] + (key[0][k] + 2,) + key[0][k + 1:], key[1] + 1), None)
+    return LinearFunctional(dim, mode, SCALAR_EXACT, values), basis
+
+
+@settings(max_examples=200, deadline=None)
+@given(gram_windows())
+def test_window_read_matches_int_rows_of_the_gram_matrix(inputs):
+    """psd-check's exact read, one coerced value per class, is the cleared
+    Gram matrix, and a key missing from both fails at the same key."""
+    L, basis = inputs
+    got = outcome(lambda: MomentWindow.of_basis(basis).cleared(lambda key: L._key_value(*key)))
+    assert got == outcome(lambda: psd._int_rows(gram_matrix(L, basis)))
+    assert got[0] is DomainOverflowError or isinstance(got[1], int)
+
+
+def test_window_read_lifts_and_fails_as_the_gram_matrix():
+    """Every class of the Laurent (1, 3) window in two variables sits at
+    pole 2; with pole 2 dropped each is read by its lift, and a missing lift
+    fails at the same key on both paths."""
+    basis = truncated_basis(1, 3, 2, Mode.LAURENT)
+    window = MomentWindow.of_basis(basis)
+    full = _moment_table(two_atom_measure(), 3, 8, Mode.LAURENT)
+    lifted = {key: v for key, v in full.items() if key[1] != 2}
+    assert not set(window.classes) & set(lifted)
+    L = LinearFunctional(2, Mode.LAURENT, SCALAR_EXACT, lifted)
+    assert window.cleared(lambda key: L._key_value(*key)) == \
+        psd._int_rows(gram_matrix(L, basis)) == psd._int_rows(window.matrix(full.__getitem__))
+    del lifted[((6, 0), 3)]
+    broken = LinearFunctional(2, Mode.LAURENT, SCALAR_EXACT, lifted)
+    with pytest.raises(DomainOverflowError) as got:
+        window.cleared(lambda key: broken._key_value(*key))
+    with pytest.raises(DomainOverflowError) as want:
+        gram_matrix(broken, basis)
+    assert got.value.key == want.value.key == ((4, 0), 2)

@@ -25,11 +25,11 @@ _EXPORTS = {name: module for module, names in (
                           "InconsistentFunctionalError", "LinearFunctional", "SCALAR_EXACT",
                           "SCALAR_FLOAT", "cs_chain_check", "extend_from_measure",
                           "gram_matrix", "moments_of_measure", "polynomial_moments")),
-    ("functionals.errors", ("IndeterminateRankError", "RecoveryFailedError")),
     ("functionals.feasibility", ("FeasibilityResult", "extension_feasibility")),
     ("functionals.psd", ("FloatPsdVerdict", "PsdVerdict", "hamburger_check",
                          "psd_check_exact", "psd_check_float")),
-    ("functionals.recovery", ("polynomial_moment_residual", "recover_atoms")),
+    ("functionals.recovery", ("IndeterminateRankError", "RecoveryFailedError",
+                              "polynomial_moment_residual", "recover_atoms")),
     ("polyalg", ("DimensionMismatchError", "Poly", "divide_by_norm_squared",
                  "exponents_of_degree", "exponents_up_to_degree", "norm_squared")),
     ("scalars", ("GaussianRational", "as_fraction", "format_fraction")),

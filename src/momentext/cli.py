@@ -1,26 +1,27 @@
 """Command line front end.
 
 Exit codes: 0 for success / a positive verdict, 1 for a negative verdict,
-2 for usage or input errors, 3 for unresolved or indeterminate outcomes.
-Reports are JSON with sorted keys; a fixed command line (including --seed)
-produces byte-identical report bytes.  With --out the report goes to a
-file and a short human summary to stdout; without it the report itself is
-the stdout payload and the summary moves to stderr.
+2 for usage or input errors and for running out of memory (one stderr
+line naming the subcommand and its window flags --pole-order, --degree,
+--box), 3 for unresolved or indeterminate outcomes, and 4 for an internal
+error, which gives no verdict and prints its traceback.  Reports are JSON
+with sorted keys; a fixed command line (including --seed) produces
+byte-identical report bytes.  With --out the report goes to a file and a
+short human summary to stdout; without it the report itself is the stdout
+payload and the summary moves to stderr.
 
-Each subcommand imports the modules it runs when it runs, so a process
-loads only its own subcommand's layers.
+Each subcommand returns its exit code, report and summary lines, and
+``main`` alone writes them.  Each imports the modules it runs when it
+runs, so a process loads only its own subcommand's layers.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
-
-from .functionals.errors import IndeterminateRankError, RecoveryFailedError
 
 if TYPE_CHECKING:
     from .functionals.core import LinearFunctional
@@ -29,6 +30,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_UNRESOLVED = 3
+EXIT_INTERNAL = 4
 
 
 def _emit(report: dict, summary: list[str], out: str | None) -> None:
@@ -42,6 +44,10 @@ def _emit(report: dict, summary: list[str], out: str | None) -> None:
         print(line, file=sys.stdout if out else sys.stderr)
 
 
+def _verdict(positive: bool) -> int:
+    return EXIT_OK if positive else EXIT_NEGATIVE
+
+
 # -- psd-check ----------------------------------------------------------------
 
 
@@ -53,12 +59,13 @@ def _refuse_unstored_window(L: LinearFunctional, pole: int, degree: int) -> None
     reduces product keys, that lies past the largest stored pole or degree
     is not stored and has no stored lift: the Gram matrix could only end in
     DomainOverflowError, after building the whole window or running out of
-    memory.
+    memory.  A negative or empty window is left to ``truncated_basis``,
+    which names that fault.
     """
     from .extalg import Mode
     from .functionals.core import MomentWindow
 
-    if L.nvars == 1 and (min(pole, degree) < 0 or (L.mode is Mode.APLUS and degree < 2 * pole)):
+    if min(pole, degree) < 0 or (L.mode is Mode.APLUS and degree < 2 * pole):
         return  # truncated_basis refuses the window itself
     top, read_pole = MomentWindow.reduce(((2 * degree,) + (0,) * (L.nvars - 1), 2 * pole))
     if L.mode is Mode.LAURENT:
@@ -69,10 +76,10 @@ def _refuse_unstored_window(L: LinearFunctional, pole: int, degree: int) -> None
                          f"at pole {L.top_pole} and degree {L.top_degree}")
 
 
-def cmd_psd_check(args) -> int:
+def cmd_psd_check(args) -> tuple[int, dict, list[str]]:
     from . import serialize
     from .extalg import truncated_basis
-    from .functionals.core import SCALAR_EXACT, MomentWindow, gram_matrix
+    from .functionals.core import SCALAR_EXACT, MomentWindow
     from .functionals.psd import hamburger_check, psd_check_cleared, psd_check_float
 
     if args.univariate:
@@ -80,8 +87,7 @@ def cmd_psd_check(args) -> int:
         verdict = hamburger_check(moments)
         report = {"command": "psd-check", "univariate": True,
                   "input": args.input, "verdict": serialize.verdict_to_dict(verdict)}
-        _emit(report, [f"hankel verdict: {verdict.outcome}"], args.out)
-        return EXIT_OK if verdict.is_psd else EXIT_NEGATIVE
+        return _verdict(verdict.is_psd), report, [f"hankel verdict: {verdict.outcome}"]
 
     L = serialize.functional_from_dict(serialize.load_json(args.input))
     exact = L.scalar_kind == SCALAR_EXACT
@@ -93,25 +99,26 @@ def cmd_psd_check(args) -> int:
     degree = args.degree if args.degree is not None else max(L.degree_max // 2, 2 * pole)
     _refuse_unstored_window(L, pole, degree)
     basis = truncated_basis(pole, degree, L.nvars, L.mode)
+    window = MomentWindow.of_basis(basis)
     if scalar == "exact":
-        window = MomentWindow.of_basis(basis)
         verdict = psd_check_cleared(*window.cleared(lambda key: L._key_value(*key)))
     else:
-        verdict = psd_check_float([[float(x) for x in row] for row in gram_matrix(L, basis)],
+        # zero + value sums as L.apply does, so a stored float -0.0 reads as 0.0
+        zero = L.zero_scalar()
+        verdict = psd_check_float(window.matrix(lambda key: float(zero + L._key_value(*key))),
                                   args.tol)
     report = {"command": "psd-check", "univariate": False, "input": args.input,
               "config": {"pole_order": pole, "degree": degree, "scalar": scalar,
                          "tol": args.tol},
               "basis_size": len(basis), "verdict": serialize.verdict_to_dict(verdict)}
-    _emit(report, [f"gram matrix on {len(basis)} basis elements: {verdict.outcome}"],
-          args.out)
-    return EXIT_OK if verdict.is_psd else EXIT_NEGATIVE
+    return (_verdict(verdict.is_psd), report,
+            [f"gram matrix on {len(basis)} basis elements: {verdict.outcome}"])
 
 
 # -- extend -------------------------------------------------------------------
 
 
-def cmd_extend(args) -> int:
+def cmd_extend(args) -> tuple[int, dict, list[str]]:
     from . import serialize
     from .extalg import Mode, truncated_basis
     from .functionals.core import moments_of_measure
@@ -121,15 +128,14 @@ def cmd_extend(args) -> int:
     basis = truncated_basis(args.pole_order, args.degree, measure.dim, mode)
     L = moments_of_measure(measure, basis)
     report = serialize.functional_to_dict(L)
-    _emit(report, [f"extended to {len(L.values)} stored keys "
-                   f"(pole <= {L.pole_max}, degree <= {L.degree_max})"], args.out)
-    return EXIT_OK
+    return EXIT_OK, report, [f"extended to {len(L.values)} stored keys "
+                             f"(pole <= {L.pole_max}, degree <= {L.degree_max})"]
 
 
 # -- feasibility ----------------------------------------------------------------
 
 
-def cmd_feasibility(args) -> int:
+def cmd_feasibility(args) -> tuple[int, dict, list[str]]:
     from . import serialize
     from .functionals.feasibility import extension_feasibility
 
@@ -145,19 +151,16 @@ def cmd_feasibility(args) -> int:
         report["fixed_key_residual"] = result.fixed_key_residual
         report["certificate"] = serialize.verdict_to_dict(result.certificate)
         report["functional"] = serialize.functional_to_dict(result.functional)
-        _emit(report, [f"feasible after {result.iterations} iterations "
-                       f"(gap {result.gap:.3e})"], args.out)
-        return EXIT_OK
-    _emit(report, [f"unresolved after {result.iterations} iterations "
-                   f"(gap {result.gap:.3e}); this is not an infeasibility proof"],
-          args.out)
-    return EXIT_UNRESOLVED
+        return EXIT_OK, report, [f"feasible after {result.iterations} iterations "
+                                 f"(gap {result.gap:.3e})"]
+    return EXIT_UNRESOLVED, report, [f"unresolved after {result.iterations} iterations "
+                                     f"(gap {result.gap:.3e}); this is not an infeasibility proof"]
 
 
 # -- fibres ---------------------------------------------------------------------
 
 
-def cmd_fibres(args) -> int:
+def cmd_fibres(args) -> tuple[int, dict, list[str]]:
     from . import serialize
     from .fibres import fibre_generators, fibre_ideal_generators, fibre_partition_check
     from .serialize import scalar_to_json
@@ -186,14 +189,13 @@ def cmd_fibres(args) -> int:
                   "ideal_generators": [str(g) for g in ideal]}}
     summary = [f"{len(buckets)} fibres over {sum(b['count'] for b in buckets)} samples "
                f"({len(report_data.outside)} outside), disjoint: {report_data.disjoint}"]
-    _emit(report, summary, args.out)
-    return EXIT_OK if report_data.disjoint else EXIT_NEGATIVE
+    return _verdict(report_data.disjoint), report, summary
 
 
 # -- semigroup -------------------------------------------------------------------
 
 
-def cmd_semigroup(args) -> int:
+def cmd_semigroup(args) -> tuple[int, dict, list[str]]:
     from . import serialize
     from .semigroups import (SgDomain, bisgaard_check, box_window,
                              laurent_relations_check, nplus_extension_check,
@@ -206,9 +208,8 @@ def cmd_semigroup(args) -> int:
                   "multiplicative_pairs": result.multiplicative_pairs,
                   "multiplicative_failures": result.multiplicative_failures,
                   "passed": result.passed}
-        _emit(report, [f"laurent relations: {'pass' if result.passed else 'FAIL'}"],
-              args.out)
-        return EXIT_OK if result.passed else EXIT_NEGATIVE
+        return (_verdict(result.passed), report,
+                [f"laurent relations: {'pass' if result.passed else 'FAIL'}"])
 
     if args.pipeline == "nplus-extension":
         if not args.measure:
@@ -226,10 +227,9 @@ def cmd_semigroup(args) -> int:
                   "cross_path_ok": result.cross_path_ok,
                   "cross_path_mismatches": [list(k) for k in result.cross_path_mismatches],
                   "passed": result.passed}
-        _emit(report, [f"extension audit: restriction {result.restriction_ok}, "
-                       f"psd {result.psd.outcome}, cross-path {result.cross_path_ok}"],
-              args.out)
-        return EXIT_OK if result.passed else EXIT_NEGATIVE
+        return _verdict(result.passed), report, [
+            f"extension audit: restriction {result.restriction_ok}, "
+            f"psd {result.psd.outcome}, cross-path {result.cross_path_ok}"]
 
     # bisgaard, the last of the parser's choices
     if not args.sequence:
@@ -248,18 +248,17 @@ def cmd_semigroup(args) -> int:
               "passed": result.passed}
     lines = [f"laurent positivity: {'pass' if result.passed else 'FAIL'}"
              + (f" ({result.recovery_error})" if result.recovery_error else "")]
-    _emit(report, lines, args.out)
-    if result.passed:
-        return EXIT_OK
-    return EXIT_UNRESOLVED if result.recovery_unresolved else EXIT_NEGATIVE
+    code = EXIT_UNRESOLVED if result.recovery_unresolved else _verdict(result.passed)
+    return code, report, lines
 
 
 # -- recover-atoms ----------------------------------------------------------------
 
 
-def cmd_recover_atoms(args) -> int:
+def cmd_recover_atoms(args) -> tuple[int, dict, list[str]]:
     from . import serialize
-    from .functionals.recovery import polynomial_moment_residual, recover_atoms
+    from .functionals.recovery import (IndeterminateRankError, RecoveryFailedError,
+                                       polynomial_moment_residual, recover_atoms)
 
     L = serialize.functional_from_dict(serialize.load_json(args.input))
     L.validate(1e-9)
@@ -276,14 +275,12 @@ def cmd_recover_atoms(args) -> int:
                   "status": "indeterminate-rank",
                   "singular_values": err.singular_values,
                   "band": list(err.band), "message": str(err)}
-        _emit(report, [f"indeterminate rank: {err}"], args.out)
-        return EXIT_UNRESOLVED
+        return EXIT_UNRESOLVED, report, [f"indeterminate rank: {err}"]
     except RecoveryFailedError as err:
         report = {"command": "recover-atoms", "input": args.input,
                   "status": "recovery-failed", "residual": err.residual,
                   "message": str(err)}
-        _emit(report, [f"recovery failed: {err}"], args.out)
-        return EXIT_NEGATIVE
+        return EXIT_NEGATIVE, report, [f"recovery failed: {err}"]
     residual = polynomial_moment_residual(measure, L, 2 * degree)
     report = {"command": "recover-atoms", "input": args.input,
               "config": {"degree": degree, "rank_tol": args.rank_tol,
@@ -291,16 +288,15 @@ def cmd_recover_atoms(args) -> int:
               "status": "recovered",
               "measure": serialize.measure_to_dict(measure),
               "moment_residual": residual}
-    _emit(report, [f"recovered {len(measure.atoms)} atoms "
-                   f"(origin mass {float(measure.origin_mass):.3g}, "
-                   f"residual {residual:.3e})"], args.out)
-    return EXIT_OK
+    return EXIT_OK, report, [f"recovered {len(measure.atoms)} atoms "
+                             f"(origin mass {float(measure.origin_mass):.3g}, "
+                             f"residual {residual:.3e})"]
 
 
 # -- gen-examples ------------------------------------------------------------------
 
 
-def cmd_gen_examples(args) -> int:
+def cmd_gen_examples(args) -> tuple[int, dict, list[str]]:
     from .scenarios import SCENARIOS
 
     writer = SCENARIOS.get(args.scenario)
@@ -310,8 +306,7 @@ def cmd_gen_examples(args) -> int:
     files = writer(Path(args.dir), seed=args.seed)
     report = {"command": "gen-examples", "scenario": args.scenario,
               "seed": args.seed, "files": files}
-    _emit(report, [f"wrote {len(files)} file(s) to {args.dir}"], args.out)
-    return EXIT_OK
+    return EXIT_OK, report, [f"wrote {len(files)} file(s) to {args.dir}"]
 
 
 # -- parser -------------------------------------------------------------------------
@@ -422,17 +417,24 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
-    except IndeterminateRankError as err:
-        print(f"indeterminate: {err}", file=sys.stderr)
-        return EXIT_UNRESOLVED
-    except RecoveryFailedError as err:
-        print(f"recovery failed: {err}", file=sys.stderr)
-        return EXIT_NEGATIVE
+        code, report, summary = args.func(args)
+        _emit(report, summary, args.out)
+        return code
     # OverflowError: an exact value past float range reaching a float path
-    except (ValueError, KeyError, OverflowError, OSError, json.JSONDecodeError) as err:
+    except (ValueError, KeyError, OverflowError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError:
+        pass  # reported below, once the traceback's frames have let their memory go
+    except Exception:
+        import traceback
+        traceback.print_exc()
+        return EXIT_INTERNAL
+    flags = "".join(f" --{dest.replace('_', '-')} {getattr(args, dest)}"
+                    for dest in ("pole_order", "degree", "box")
+                    if getattr(args, dest, None) is not None)
+    print(f"error: out of memory in {args.subcommand}{flags}", file=sys.stderr)
+    return EXIT_INPUT
 
 
 def entry() -> None:

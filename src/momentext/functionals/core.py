@@ -571,8 +571,8 @@ def gram_matrix(L: LinearFunctional, basis: list[AElement]) -> list[list]:
     """G[i][j] = L(b_i * b_j) on a monomial basis.  Missing keys raise DomainOverflowError.
 
     Basis elements must be coefficient-1 monomial fractions (as
-    ``truncated_basis`` returns); anything else raises ValueError.  The
-    exact ``psd-check`` reads the same window through ``cleared`` instead.
+    ``truncated_basis`` returns); anything else raises ValueError.
+    ``psd-check`` reads the same window through ``MomentWindow`` itself.
     """
     window = MomentWindow.of_basis(basis)
     if basis and basis[0].nvars != L.nvars:

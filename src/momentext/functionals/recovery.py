@@ -21,10 +21,26 @@ from typing import TYPE_CHECKING
 
 from ..polyalg import Exponent, exponents_up_to_degree
 from .core import DiscreteMeasure, LinearFunctional, MomentWindow
-from .errors import IndeterminateRankError, RecoveryFailedError
 
 if TYPE_CHECKING:  # numpy is imported where it is used, not with the package
     import numpy as np
+
+
+class IndeterminateRankError(RuntimeError):
+    """The singular spectrum does not support a clean rank decision."""
+
+    def __init__(self, message: str, singular_values, band: tuple[float, float]):
+        super().__init__(message)
+        self.singular_values = list(map(float, singular_values))
+        self.band = band
+
+
+class RecoveryFailedError(RuntimeError):
+    """Recovery ran but could not produce a moment-matching measure."""
+
+    def __init__(self, message: str, residual: float | None = None):
+        super().__init__(message)
+        self.residual = residual
 
 
 def recover_atoms(L: LinearFunctional, dim: int, degree: int,

@@ -25,7 +25,9 @@ from momentext.functionals.core import (DiscreteMeasure, DomainOverflowError,
                                         LinearFunctional, SCALAR_EXACT, SCALAR_FLOAT,
                                         _moment_table, gram_matrix, moments_of_measure,
                                         polynomial_moments)
+from momentext.functionals import psd
 from momentext.functionals.recovery import IndeterminateRankError, RecoveryFailedError
+from momentext.polyalg import exponents_up_to_degree
 from momentext.scenarios import SCENARIOS
 from momentext.semigroups import SgDomain, box_window, sequence_from_measure
 
@@ -414,6 +416,59 @@ def test_exact_psd_check_reads_unstored_classes_through_their_lifts(tmp_path, ca
     assert reports[0] == reports[1] and reports[0][0] == 0
 
 
+TINY = Fraction(-1, 10 ** 400)  # an exact value that rounds to -0.0
+
+
+def float_psd_check_matrices(path, values, degree):
+    """The matrix the float ``psd-check -M 0 -D degree`` hands psd_check_float
+    and its report's verdict, and the same from psd_check_float over
+    ``gram_matrix``, for moments ``values`` (one per exponent, in order)."""
+    nvars = len(values[0][0])
+    exact = isinstance(values[0][1], Fraction)
+    document = {"nvars": nvars, "mode": "Aplus",
+                "scalar_kind": "exact_rational" if exact else "float",
+                "entries": [{"exp": list(exp), "pole_order": 0,
+                             "value": serialize.scalar_to_json(v) if exact else v}
+                            for exp, v in values]}
+    serialize.dump_json(document, path)
+    seen, real = [], psd.psd_check_float
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stderr(io.StringIO()) as err, \
+            contextlib.redirect_stdout(io.StringIO()) as out:
+        patch.setattr(psd, "psd_check_float", lambda m, tol: seen.append(m) or real(m, tol))
+        code = main(["psd-check", str(path), "-M", "0", "-D", str(degree), "--scalar", "float"])
+    L = serialize.functional_from_dict(document)
+    oracle = [[float(x) for x in row] for row in gram_matrix(L, truncated_basis(0, degree, nvars))]
+    assert code in (0, 1), err.getvalue()
+    report = json.loads(out.getvalue())["verdict"]
+    assert code == (0 if report["outcome"] == "PSD" else 1)
+    return (([[x.hex() for x in row] for row in seen[0]], report),
+            ([[x.hex() for x in row] for row in oracle],
+             serialize.verdict_to_dict(real(oracle, 1e-9))))
+
+
+def test_float_psd_check_reads_zero_signs_as_gram_matrix_does(tmp_path):
+    # a stored float -0.0 sums to 0.0 with the zero scalar; an exact value
+    # that rounds to -0.0 stays -0.0
+    for value, entry in ((-0.0, "0x0.0p+0"), (TINY, "-0x0.0p+0")):
+        one = Fraction(1) if isinstance(value, Fraction) else 1.0
+        got, want = float_psd_check_matrices(
+            tmp_path / "L.json", [((0,), one), ((1,), value), ((2,), one)], 1)
+        assert got == want and got[0][0][1] == entry
+
+
+@settings(max_examples=60, deadline=None)
+@given(nvars=st.integers(1, 2), degree=st.integers(1, 2), exact=st.booleans(), data=st.data())
+def test_float_psd_check_matches_psd_check_float_over_gram_matrix(tmp_path_factory, nvars,
+                                                                  degree, exact, data):
+    values = st.one_of(st.sampled_from([TINY, Fraction(0)]), st.fractions(-5, 5)) if exact \
+        else st.one_of(st.sampled_from([-0.0, 0.0]), st.floats(-5, 5))
+    one, *rest = exponents_up_to_degree(nvars, 2 * degree)  # L(1) >= 0 is checked at load
+    moments = [(one, Fraction(1) if exact else 1.0)] + [(exp, data.draw(values)) for exp in rest]
+    path = tmp_path_factory.mktemp("float") / "L.json"
+    got, want = float_psd_check_matrices(path, moments, degree)
+    assert got == want
+
+
 def gram_outcome(L, pole: int, degree: int):
     """What the window's Gram matrix comes to without the refusal."""
     try:
@@ -458,6 +513,30 @@ def test_one_variable_refusal_covers_both_corners():
         assert gram_outcome(L, pole, degree) is DomainOverflowError
 
 
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_a_negative_or_empty_window_is_named_as_such(tmp_path, capsys, nvars, mode):
+    # for d >= 2 an empty window whose 2*pole passed the stored pole once
+    # read as one past the stored keys; truncated_basis's text now comes first
+    point = tuple(Fraction(k + 1, 2) for k in range(nvars))
+    L = moments_of_measure(DiscreteMeasure(nvars, atoms=((Fraction(1), point),)),
+                           truncated_basis(1, 2, nvars, mode))
+    path = tmp_path / "L.json"
+    serialize.dump_json(serialize.functional_to_dict(L), path)
+    refused = 0
+    for pole in range(-1, 4):
+        for degree in range(-1, 6):
+            try:
+                truncated_basis(pole, degree, nvars, mode)
+                continue
+            except ValueError as err:
+                text = f"error: {err}\n"
+            refused += 1
+            assert run(capsys, "psd-check", str(path), "-M", str(pole), "-D", str(degree)) == \
+                (2, "", text), (pole, degree)
+    assert refused == (23 if mode is Mode.APLUS else 11)
+
+
 def test_the_parser_is_built_once(monkeypatch, capsys, tmp_path):
     from momentext import cli
     cli._parser.cache_clear()
@@ -486,9 +565,7 @@ def test_importing_the_package_leaves_numpy_unloaded():
     # only themselves, the rest comes with the subcommand that runs it
     heavy = {"numpy", "multiprocessing", "concurrent.futures.process"}
     for module, own in [("momentext", {"momentext"}),
-                        ("momentext.cli", {"momentext", "momentext.cli",
-                                           "momentext.functionals",
-                                           "momentext.functionals.errors"})]:
+                        ("momentext.cli", {"momentext", "momentext.cli"})]:
         loaded = loaded_modules(f"import {module}")
         assert not heavy & set(loaded), module
         assert {m for m in loaded if m.split(".")[0] == "momentext"} == own
@@ -656,20 +733,27 @@ def test_lazy_exports_are_the_defining_modules_objects(package):
     assert not hasattr(pkg, "_trusted")
 
 
-def test_recovery_errors_keep_their_identity_and_exit_codes(tmp_path, capsys, monkeypatch):
-    from momentext.functionals import errors, feasibility, recovery
-    assert (recovery.IndeterminateRankError, recovery.RecoveryFailedError) == \
-        (errors.IndeterminateRankError, errors.RecoveryFailedError)
+def test_a_crash_is_no_verdict(tmp_path, capsys, monkeypatch):
+    # an exception no subcommand owns once escaped main, and Python exited 1,
+    # the negative-verdict code; now it exits 4 and running out of memory 2
+    from momentext.functionals import feasibility
     path = tmp_path / "input.json"
     path.write_text(json.dumps(float_functional(1.0)))
-    for error, code, text in [
-            (IndeterminateRankError("rank undecided", [1e-4], (1e-5, 1e-3)), 3,
-             "indeterminate: rank undecided\n"),
-            (RecoveryFailedError("atoms miss", 1.0), 1, "recovery failed: atoms miss\n")]:
-        def fail(*args, **kwargs):
-            raise error
-        monkeypatch.setattr(feasibility, "extension_feasibility", fail)
-        assert run(capsys, "feasibility", str(path), "-M", "0", "-D", "2") == (code, "", text)
+    out = tmp_path / "report.json"
+    argv = ["feasibility", str(path), "-M", "0", "-D", "2", "--out", str(out)]
+
+    def crash(*args, **kwargs):
+        raise RuntimeError("kernel fault")
+    monkeypatch.setattr(feasibility, "extension_feasibility", crash)
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout, out.exists()) == (4, "", False)
+    assert err.startswith("Traceback") and err.endswith("RuntimeError: kernel fault\n")
+
+    def exhaust(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(feasibility, "extension_feasibility", exhaust)
+    assert run(capsys, *argv) == (2, "", "error: out of memory in feasibility --pole-order 0 --degree 2\n")
+    assert not out.exists()
 
 
 def float_functional(value, degree=2):
@@ -771,9 +855,9 @@ def wide_document(tmp_path, drop=(), **fields) -> str:
     return str(path)
 
 
-def run_limited(argv) -> subprocess.CompletedProcess:
-    """``python -m momentext argv`` in 1.5 GB of address space and 10 s."""
-    limit = 1536 * 2 ** 20
+def run_limited(argv, megabytes=1536) -> subprocess.CompletedProcess:
+    """``python -m momentext argv`` in ``megabytes`` of address space and 10 s."""
+    limit = megabytes * 2 ** 20
     env = dict(os.environ, PYTHONPATH=str(Path(momentext.__file__).parents[1]),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     return subprocess.run([sys.executable, "-m", "momentext", *argv],
@@ -862,6 +946,15 @@ def test_known_malformed_inputs_exit_2_with_one_error_line(tmp_path, document, c
                      {"exp": [0, 2], "pole_order": 1, "value": 0.25}]},
                  ["psd-check", "{input}"],
                  "reduction relation violated at keys [((0, 0), 0)]", id="float-relation"),
+    # the loader's fault comes before validate's
+    pytest.param({"nvars": 2, "mode": "Aplus", "scalar_kind": "float", "entries": [
+                     {"exp": [0, 0], "pole_order": 0, "value": 1.0},
+                     {"exp": [2, 0], "pole_order": 1, "value": 0.25},
+                     {"exp": [0, 2], "pole_order": 1, "value": 0.25},
+                     {"exp": [0, 2], "pole_order": 1, "value": 0.25}]},
+                 ["psd-check", "{input}"],
+                 "functional lists the key (exp [0, 2], pole_order 1) more than once",
+                 id="repeated-key-and-float-relation"),
     pytest.param(float_functional(1.0), ["psd-check", "{input}", "--scalar", "exact"],
                  "cannot run the exact check on float-valued input", id="exact-on-float"),
     pytest.param(float_functional(1.0), ["semigroup", "--pipeline", "bisgaard"],
@@ -881,6 +974,21 @@ def test_recovery_degree_defaults_to_the_stored_keys(tmp_path):
     report = json.loads(proc.stdout)
     assert (report["status"], report["config"]["degree"]) == ("recovered", 5)
     assert len(report["measure"]["atoms"]) == 4
+
+
+# Any measure extends to any window, so only memory bounds these flags; in
+# 1.5 GB the same runs took 10-19 s to fail, in 256 MB they take about 1 s.
+@pytest.mark.parametrize("command,line", [
+    (["extend", "{measure}", "-M", "0", "-D", "3000"], "extend --pole-order 0 --degree 3000"),
+    (["semigroup", "--pipeline", "nplus-extension", "--measure", "{measure}", "--box", "100"],
+     "semigroup --box 100")])
+def test_a_window_past_memory_exits_2_naming_its_flags(tmp_path, command, line):
+    F = Fraction
+    measure = write_measure(tmp_path / "measure.json", [(F(2), (F(9, 2), F(-1, 2))),
+                                                        (F(8), (F(6, 7), F(-3, 2)))])
+    proc = run_limited([arg.format(measure=measure) for arg in command], megabytes=256)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (2, "", f"error: out of memory in {line}\n")
 
 
 # -- fuzzed command lines ------------------------------------------------------------
@@ -979,7 +1087,8 @@ def fuzz_inputs(tmp_path_factory):
 @given(command=st.sampled_from(sorted(COMMANDS)), data=st.data())
 def test_fuzzed_command_lines_exit_with_a_code(fuzz_inputs, command, data):
     # malformed files and flags must come back as exit codes 0-3 (argparse's
-    # usage exit is 2), never as an exception out of main
+    # usage exit is 2), never as an exception out of main, and a verdict
+    # (0 or 1) only with its report: the fuzz passes no --out
     work, docs = fuzz_inputs
 
     def write(kind):
@@ -997,3 +1106,6 @@ def test_fuzzed_command_lines_exit_with_a_code(fuzz_inputs, command, data):
             code = stop.code
     assert code in (0, 1, 2, 3), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    if code in (0, 1):
+        report = out.getvalue()
+        assert report == json.dumps(json.loads(report), indent=2, sort_keys=True) + "\n", argv

@@ -90,6 +90,8 @@ def hand_made() -> tuple[dict[str, bytes], dict[str, list[str]]]:
         "extend.d2-laurent": "extend d2.json -M 1 -D 3 --mode laurent",
         **{f"psd-check.{name}": f"psd-check {name}.json" for name in ("L", "signed", "broken")},
         "psd-check.hankel": "psd-check --univariate hankel.json",
+        # empty, and past the stored pole 4: emptiness is the fault named
+        "psd-check.L-empty-window": "psd-check L.json -M 3 -D 5",
         "recover-atoms.broken": "recover-atoms broken.json"})
     return files, {name: line.split() for name, line in argvs.items()}
 
@@ -199,6 +201,9 @@ def test_refusals_name_the_fault(corpus):
     for seed in (0, 3, 5):  # origin mass cannot feed the punctured-plane extension
         result = results[f"nplus-extension.box2.seed{seed}"]
         assert (result.code, result.stdout) == (2, "") and "atoms at 0 cannot feed" in result.stderr
+    empty = results["psd-check.L-empty-window"]
+    assert (empty.code, empty.stdout, empty.stderr) == \
+        (2, "", "error: degree 5 < 2*pole_order 6: empty window\n")
     refused = results["psd-check.broken"]
     assert refused.stderr.startswith("error: reduction relation violated at keys [((0, 2, 2), 0), ")
     # recover-atoms once recovered atoms from this functional, which breaks

@@ -3,8 +3,9 @@
 Exit codes: 0 for success / a positive verdict, 1 for a negative verdict,
 2 for usage or input errors and for running out of memory (one stderr
 line naming the subcommand and its window flags --pole-order, --degree,
---box), 3 for unresolved or indeterminate outcomes, and 4 for an internal
-error, which gives no verdict and prints its traceback.  Reports are JSON
+and the nplus-extension pipeline's --box), 3 for unresolved or
+indeterminate outcomes, and 4 for an internal error, which gives no
+verdict and prints its traceback.  Reports are JSON
 with sorted keys; a fixed command line (including --seed) produces
 byte-identical report bytes.  With --out the report goes to a file and a
 short human summary to stdout; without it the report itself is the stdout
@@ -101,7 +102,7 @@ def cmd_psd_check(args) -> tuple[int, dict, list[str]]:
     basis = truncated_basis(pole, degree, L.nvars, L.mode)
     window = MomentWindow.of_basis(basis)
     if scalar == "exact":
-        verdict = psd_check_cleared(*window.cleared(lambda key: L._key_value(*key)))
+        verdict = psd_check_cleared(*window.cleared(lambda key: L._stored_value(*key)))
     else:
         # zero + value sums as L.apply does, so a stored float -0.0 reads as 0.0
         zero = L.zero_scalar()
@@ -128,7 +129,7 @@ def cmd_extend(args) -> tuple[int, dict, list[str]]:
     basis = truncated_basis(args.pole_order, args.degree, measure.dim, mode)
     L = moments_of_measure(measure, basis)
     report = serialize.functional_to_dict(L)
-    return EXIT_OK, report, [f"extended to {len(L.values)} stored keys "
+    return EXIT_OK, report, [f"extended to {len(L._stored)} stored keys "
                              f"(pole <= {L.pole_max}, degree <= {L.degree_max})"]
 
 
@@ -430,9 +431,11 @@ def main(argv=None) -> int:
         import traceback
         traceback.print_exc()
         return EXIT_INTERNAL
+    # --box has a default, but only nplus-extension sizes its window by it
+    dests = ["pole_order", "degree"] + (
+        ["box"] if getattr(args, "pipeline", None) == "nplus-extension" else [])
     flags = "".join(f" --{dest.replace('_', '-')} {getattr(args, dest)}"
-                    for dest in ("pole_order", "degree", "box")
-                    if getattr(args, dest, None) is not None)
+                    for dest in dests if getattr(args, dest, None) is not None)
     print(f"error: out of memory in {args.subcommand}{flags}", file=sys.stderr)
     return EXIT_INPUT
 

@@ -38,7 +38,7 @@ from .functionals.core import LinearFunctional, MomentWindow, SCALAR_EXACT
 from .functionals.psd import PsdVerdict, psd_check_cleared
 from .polyalg import (ClearedPoint, ClearedPoly, DimensionMismatchError, Poly,
                       check_point_dimension, exponents_up_to_degree)
-from .scalars import as_fraction
+from .scalars import as_fraction, as_pair
 
 
 @dataclass(frozen=True)
@@ -224,7 +224,7 @@ def t_positivity_check(L: LinearFunctional, preorder: Preorder,
             if flag:
                 product = product * g
         verdicts[pattern] = psd_check_cleared(*window.cleared(
-            lambda key: L.apply_poly(product * Poly.monomial(preorder.dim, key[0]))))
+            lambda key: as_pair(L.apply_poly(product * Poly.monomial(preorder.dim, key[0])))))
     return TPositivityReport(verdicts, degree)
 
 

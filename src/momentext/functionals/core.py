@@ -1,7 +1,8 @@
 """Linear functionals on the truncated algebras, and the measures behind them.
 
 A functional is stored as explicit values on keys (gamma, m), one key per
-basis fraction x^gamma / ||x||^(2m).  Keys are redundant on purpose: the
+basis fraction x^gamma / ||x||^(2m), an exact value as one reduced integer
+pair (numerator, denominator > 0).  Keys are redundant on purpose: the
 same function admits many representatives, and the reduction relation
 
     sum_k values[(gamma + 2*e_k, m + 1)] == values[(gamma, m)]
@@ -19,7 +20,7 @@ mass at the origin, and optional weighted unit directions (limits into the
 origin).  The origin-mass evaluation is pinned to the direction (1,0,...,0)
 so that results are reproducible; any unit direction gives the same values
 on polynomial keys.  Exact moment rectangles are built in one pass over
-integer power tables (``_moment_table``).
+integer power tables (``_moment_table``), as reduced pairs.
 """
 
 from __future__ import annotations
@@ -28,12 +29,13 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from math import gcd, lcm
 from operator import add, getitem, gt, mul, neg
 
 from ..extalg import AElement, Mode, truncated_basis
 from ..polyalg import (DimensionMismatchError, Exponent, Poly,
                        exponents_of_degree, norm_squared_power)
-from ..scalars import as_fraction, clear_denominators, is_exact_scalar
+from ..scalars import as_pair, clear_denominators, is_exact_scalar
 
 Key = tuple[Exponent, int]
 
@@ -88,13 +90,17 @@ class LinearFunctional:
     (tuple keys of plain ints that fit ``nvars`` and ``mode``, every value
     exactly a Fraction, or a float on the float kind) is checked a column
     at a time (``_clean_extents``); any other table goes key by key, which
-    names the first faulty key and coerces the values.
-    ``LinearFunctional._trusted`` takes an exact table the caller has just
-    built, with tuple keys that fit ``nvars`` and ``mode``, Fraction values,
-    and ``pole_max`` and ``degree_max`` the largest stored pole and degree.
-    Either way the largest stored pole and degree (-1 for none), which the
-    declared maxima may exceed, are kept as ``top_pole`` and ``top_degree``:
-    ``_key_value`` stops its lifts at ``top_pole``, as no key past it is stored.
+    names the first faulty key and coerces the values.  An exact value is
+    stored as one reduced pair (numerator, denominator > 0), which reads,
+    lifts and the audit use; ``values`` is a Fraction copy built on its
+    first read, ``value`` and ``_key_value`` build one Fraction a read, and
+    ``float_value`` none.  ``_of_stored`` runs the constructor on a table of
+    reduced pairs, and ``_trusted`` takes one the caller has just built,
+    with tuple keys that fit ``nvars`` and ``mode``, and ``pole_max`` and
+    ``degree_max`` the largest stored pole and degree.  Either way the
+    largest stored pole and degree (-1 for none), which the declared maxima
+    may exceed, are kept as ``top_pole`` and ``top_degree``: ``_key_value``
+    stops its lifts at ``top_pole``, as no key past it is stored.
     """
 
     nvars: int
@@ -104,34 +110,45 @@ class LinearFunctional:
     pole_max: int = 0
     degree_max: int = 0
 
-    def __post_init__(self) -> None:
+    def __getattr__(self, name: str):
+        if name != "values" or "_stored" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.values = {key: Fraction(*pair) for key, pair in self._stored.items()}
+        return self.values
+
+    def __post_init__(self, scalar: type = Fraction) -> None:
+        """Check and store ``values``, whose clean exact values are ``scalar``s."""
+        table = self.__dict__.pop("values")
         if self.scalar_kind not in (SCALAR_EXACT, SCALAR_FLOAT):
             raise ValueError(f"unknown scalar kind {self.scalar_kind!r}")
         exact = self.scalar_kind == SCALAR_EXACT
-        aplus = self.mode is Mode.APLUS
-        extents = _clean_extents(self.values, self.nvars, aplus, Fraction if exact else float)
+        scalar = scalar if exact else float
+        coerce = as_pair if scalar is Fraction else scalar  # a pair or a float is kept as it is
+        extents = _clean_extents(table, self.nvars, self.mode is Mode.APLUS, scalar)
         if extents is not None:
-            clean, (top_pole, top_degree) = dict(self.values), extents
+            stored, (top_pole, top_degree) = dict(zip(table, map(coerce, table.values()))), extents
         else:
-            clean, top_pole, top_degree = self._checked_keys(exact, aplus)
+            stored, top_pole, top_degree = self._checked_keys(table, coerce)
         for name in ("pole_max", "degree_max"):
             declared = getattr(self, name)
             if isinstance(declared, bool) or not isinstance(declared, int):
                 raise ValueError(f"{name} must be an integer, not {declared!r}")
             if declared < 0:
                 raise ValueError(f"declared {name} {declared} is negative")
-        self.values = clean
+        self._stored = stored
+        if not exact:
+            self.values = stored
         self.pole_max = max(self.pole_max, top_pole)
         self.degree_max = max(self.degree_max, top_degree)
         self.top_pole, self.top_degree = top_pole, top_degree
 
-    def _checked_keys(self, exact: bool, aplus: bool) -> tuple[dict, int, int]:
+    def _checked_keys(self, table: dict, coerce) -> tuple[dict, int, int]:
         """(values, top pole, top degree), every key checked and every value
         coerced in turn; raises at the first faulty key."""
         top_pole = top_degree = -1
-        clean: dict[Key, Fraction | float] = {}
+        clean = {}
         ints = (int,) * self.nvars
-        for (gamma, m), value in self.values.items():
+        for (gamma, m), value in table.items():
             gamma = tuple(gamma)
             if len(gamma) != self.nvars:
                 raise DimensionMismatchError(f"key exponent {gamma} has wrong length")
@@ -142,12 +159,9 @@ class LinearFunctional:
             if min(gamma, default=0) < 0:
                 raise ValueError(f"key exponent {gamma} has a negative entry")
             degree = sum(gamma)
-            if aplus and degree < 2 * m:
+            if self.mode is Mode.APLUS and degree < 2 * m:
                 raise ValueError(f"key {(gamma, m)} lies outside the bounded-generator algebra")
-            if exact:
-                clean[(gamma, m)] = as_fraction(value)
-            else:
-                clean[(gamma, m)] = float(value)
+            clean[(gamma, m)] = coerce(value)
             if m > top_pole:
                 top_pole = m
             if degree > top_degree:
@@ -155,11 +169,21 @@ class LinearFunctional:
         return clean, top_pole, top_degree
 
     @classmethod
-    def _trusted(cls, nvars: int, mode: Mode, values: dict[Key, Fraction],
-                 pole_max: int, degree_max: int) -> "LinearFunctional":
-        """An exact functional on a canonical key table; nothing is checked."""
+    def _of_stored(cls, nvars: int, mode: Mode, scalar_kind: str, values: dict,
+                   pole_max: int = 0, degree_max: int = 0) -> "LinearFunctional":
+        """The constructor on values in the stored form: reduced pairs on the exact kind."""
         f = object.__new__(cls)
-        f.__dict__.update(nvars=nvars, mode=mode, scalar_kind=SCALAR_EXACT, values=values,
+        f.__dict__.update(nvars=nvars, mode=mode, scalar_kind=scalar_kind, values=values,
+                          pole_max=pole_max, degree_max=degree_max)
+        f.__post_init__(tuple)
+        return f
+
+    @classmethod
+    def _trusted(cls, nvars: int, mode: Mode, pairs: dict[Key, tuple[int, int]],
+                 pole_max: int, degree_max: int) -> "LinearFunctional":
+        """An exact functional on a canonical table of reduced pairs; nothing is checked."""
+        f = object.__new__(cls)
+        f.__dict__.update(nvars=nvars, mode=mode, scalar_kind=SCALAR_EXACT, _stored=pairs,
                           pole_max=pole_max, degree_max=degree_max,
                           top_pole=pole_max, top_degree=degree_max)
         return f
@@ -169,40 +193,61 @@ class LinearFunctional:
 
     def value(self, gamma: Exponent, m: int = 0):
         key = (tuple(gamma), m)
-        if key not in self.values:
+        if key not in self._stored:
             raise DomainOverflowError(key)
-        return self.values[key]
+        value = self._stored[key]
+        return Fraction(*value) if self.scalar_kind == SCALAR_EXACT else value
+
+    def float_value(self, gamma: Exponent, m: int = 0) -> float:
+        """``float(value(gamma, m))``: an exact pair is divided in ints, as
+        ``float`` divides a Fraction, with no Fraction built."""
+        key = (tuple(gamma), m)
+        if key not in self._stored:
+            raise DomainOverflowError(key)
+        value = self._stored[key]
+        return value[0] / value[1] if self.scalar_kind == SCALAR_EXACT else value
 
     def _key_value(self, gamma: Exponent, m: int):
         """Value for x^gamma / ||x||^(2m), lifting by ||x||^2 powers if needed."""
-        key = (gamma, m)
-        if key in self.values:
-            return self.values[key]
+        value = self._stored_value(gamma, m)
+        return Fraction(*value) if self.scalar_kind == SCALAR_EXACT else value
+
+    def _stored_value(self, gamma: Exponent, m: int):
+        """``_key_value`` in the stored form: a reduced pair on an exact functional."""
+        value = self._stored.get((gamma, m))
+        if value is not None:
+            return value
         for lift in range(1, self.top_pole - m + 1):
-            total = self._lifted_sum(gamma, m, lift)
-            if total is not None:
-                return total
-        raise DomainOverflowError(key)
+            value = self._lifted_sum(gamma, m, lift)
+            if value is not None:
+                return value
+        raise DomainOverflowError((gamma, m))
 
     def _lifted_sum(self, gamma: Exponent, m: int, lift: int):
-        """L(x^gamma ||x||^(2 lift) / ||x||^(2(m + lift))) from the stored keys.
+        """L(x^gamma ||x||^(2 lift) / ||x||^(2(m + lift))) from the stored keys,
+        a reduced pair on an exact functional.
 
         None when some lifted key is not stored.
         """
-        total = self.zero_scalar()
+        exact = self.scalar_kind == SCALAR_EXACT
+        total, num, den = 0.0, 0, 1
         for exp, coeff in norm_squared_power(self.nvars, lift).terms.items():
-            lifted = (tuple(map(add, gamma, exp)), m + lift)
-            if lifted not in self.values:
+            value = self._stored.get((tuple(map(add, gamma, exp)), m + lift))
+            if value is None:
                 return None
-            total += coeff * self.values[lifted]
-        return total
+            if exact:  # coeff is an integer, a multinomial coefficient
+                num, den = num * value[1] + coeff.numerator * value[0] * den, den * value[1]
+            else:
+                total += coeff * value
+        g = gcd(num, den)
+        return (num // g, den // g) if exact else total
 
     def apply(self, a: AElement):
         """L(a) for a reduced element, exact on the exact path.
 
         An exact functional sums the products coeff * value as one running
-        num/den in integers and builds one Fraction at the end; a float one
-        adds them term by term, in the numerator's order.
+        num/den in integers over the stored pairs and builds one Fraction at
+        the end; a float one adds them term by term, in the numerator's order.
         """
         if a.nvars != self.nvars:
             raise DimensionMismatchError("element dimension does not match functional")
@@ -215,9 +260,9 @@ class LinearFunctional:
             return total
         num, den = 0, 1
         for gamma, coeff in a.numerator.terms.items():
-            value = self._key_value(gamma, a.pole_order)
-            q = coeff.denominator * value.denominator
-            num, den = num * q + coeff.numerator * value.numerator * den, den * q
+            n, d = self._stored_value(gamma, a.pole_order)
+            q = coeff.denominator * d
+            num, den = num * q + coeff.numerator * n * den, den * q
         return Fraction(num, den)
 
     __call__ = apply
@@ -228,11 +273,7 @@ class LinearFunctional:
             raise DimensionMismatchError("polynomial dimension does not match functional")
         total = self.zero_scalar()
         for gamma, coeff in p.terms.items():
-            key = (gamma, 0)
-            if key not in self.values:
-                raise DomainOverflowError(key)
-            v = self.values[key]
-            total += coeff * v
+            total += coeff * self.value(gamma)
         return total
 
     def polynomial_restriction(self) -> dict[Exponent, Fraction | float]:
@@ -250,41 +291,41 @@ class LinearFunctional:
 
         The lift of (gamma, m) is the sum of the d values at (gamma + 2 e_k,
         m + 1); only fully stored lifts are compared, and keys come back in
-        stored order.  An exact functional ignores ``tol`` and compares in
-        integers: a running num/den over the lifted values, tested as
-        num * value.denominator == value.numerator * den, with no Fraction
-        built and no gcd taken; keys are packed into ints p, as in
-        ``MomentWindow``, with digits m, gamma_1, ..., gamma_d wide enough for
-        top_degree + 2, so the lifts are p + step_k and never carry.  A float
-        one compares ``_lifted_sum`` within ``tol``.
+        stored order.  An exact functional ignores ``tol`` and compares its
+        pairs in integers: a running num/den over the lifted pairs, tested as
+        num * value_den == value_num * den, with no Fraction built and no gcd
+        taken; keys are packed into ints p, as in ``MomentWindow``, with
+        digits m, gamma_1, ..., gamma_d wide enough for top_degree + 2, so the
+        lifts are p + step_k and never carry.  A float one compares
+        ``_lifted_sum`` within ``tol``.
         """
         if self.scalar_kind != SCALAR_EXACT:
             bad = []
-            for (gamma, m), value in self.values.items():
+            for (gamma, m), value in self._stored.items():
                 total = self._lifted_sum(gamma, m, 1)
                 if total is not None and abs(total - value) > tol:
                     bad.append((gamma, m))
             return bad
-        values, d = self.values, self.nvars
+        stored, d = self._stored, self.nvars
         width = (self.top_degree + 2).bit_length()
         packed = []
-        for gamma, p in values:  # the pole order is the top digit
+        for gamma, p in stored:  # the pole order is the top digit
             for g in gamma:
                 p = (p << width) + g
             packed.append(p)
         steps = [(1 << width * d) + (2 << width * (d - 1 - k)) for k in range(d)]
-        lookup = dict(zip(packed, values.values()))
+        lookup = dict(zip(packed, stored.values()))
         bad = []
-        for key, p, value in zip(values, packed, values.values()):
+        for key, p, (value_num, value_den) in zip(stored, packed, stored.values()):
             num, den = 0, 1
             for step in steps:
                 lifted = lookup.get(p + step)
                 if lifted is None:
                     break
-                q = lifted.denominator
-                num, den = num * q + lifted.numerator * den, den * q
+                n, q = lifted
+                num, den = num * q + n * den, den * q
             else:
-                if num * value.denominator != value.numerator * den:
+                if num * value_den != value_num * den:
                     bad.append(key)
         return bad
 
@@ -295,15 +336,17 @@ class LinearFunctional:
         by cross-multiplied integers on an exact functional, within ``tol``
         on a float one.  The first five violating keys, sorted, are named.
         """
-        tol = 0 if self.scalar_kind == SCALAR_EXACT else tol
+        exact = self.scalar_kind == SCALAR_EXACT
+        tol = 0 if exact else tol
         bad = self.check_reduction_relations(tol)
         if bad:
             raise InconsistentFunctionalError(
                 f"reduction relation violated at keys {sorted(bad)[:5]}"
                 + ("..." if len(bad) > 5 else ""))
-        one = ((0,) * self.nvars, 0)
-        if one in self.values and self.values[one] < -tol:
-            raise InconsistentFunctionalError(f"L(1) = {self.values[one]} is negative")
+        one = self._stored.get(((0,) * self.nvars, 0))
+        if one is not None and (one[0] if exact else one) < -tol:
+            raise InconsistentFunctionalError(
+                f"L(1) = {Fraction(*one) if exact else one} is negative")
 
 
 @dataclass(frozen=True)
@@ -399,13 +442,13 @@ def polynomial_moments(measure: DiscreteMeasure, max_degree: int,
 
 
 def _moment_table(measure: DiscreteMeasure, pole_max: int, degree_max: int,
-                  mode: Mode) -> dict[Key, Fraction]:
-    """Exact values on the keys m <= pole_max, |gamma| <= degree_max, pole by pole.
+                  mode: Mode) -> dict[Key, tuple[int, int]]:
+    """Exact values, as reduced pairs, on the keys m <= pole_max, |gamma| <= degree_max.
 
     A point p = a/q (a integer, q the lcm of p's denominators) adds
     w * q^(2m-t) / |a|^(2m) * a^gamma at t = |gamma|.  Per (m, t) the atoms'
     scales share one denominator, so a key is one integer dot product with
-    the monomials a^gamma from integer power tables, and one Fraction.
+    the monomials a^gamma from integer power tables, reduced by one gcd.
     Directions and the origin mass (the unit point e1) come after the points
     and are scaled only at t == 2m.
     """
@@ -429,7 +472,9 @@ def _moment_table(measure: DiscreteMeasure, pole_max: int, degree_max: int,
                     monomials[gamma] = functools.reduce(lambda x, y: list(map(mul, x, y)),
                                                         map(getitem, powers, gamma))
                 # map stops at the shorter list, so directions without scales drop out
-                values[(gamma, m)] = Fraction(sum(map(mul, numerators, monomials[gamma])), den)
+                num = sum(map(mul, numerators, monomials[gamma]))
+                g = gcd(num, den)
+                values[(gamma, m)] = (num // g, den // g)
     return values
 
 
@@ -551,19 +596,19 @@ class MomentWindow:
         return [[values[c] for c in row] for row in self.class_of]
 
     def cleared(self, read) -> tuple[list[list[int]], int]:
-        """``psd._int_rows(self.matrix(read))``, coerced and cleared once per class.
+        """``psd._int_rows`` of the matrix, cleared once per class from a
+        ``read`` that gives each class value as a reduced pair (numerator,
+        denominator > 0), such as ``as_pair(x)`` of a Fraction x.
 
-        Every class is read before any is coerced with ``as_fraction``, both
-        in scan order, so a missing value or a float raises as it would in
-        the matrix.  The class values are the matrix's entries, so their lcm
-        is the same delta.
+        Classes are read in scan order, so a missing value raises as it
+        would in the matrix; delta is the lcm of the reduced denominators.
         """
         keys = self._scan_order
-        values = [read(key) for key in keys]
-        ints, delta = clear_denominators(list(map(as_fraction, values)))
-        by_class = [0] * len(ints)
-        for key, x in zip(keys, ints):
-            by_class[self.class_index[key]] = x
+        pairs = [read(key) for key in keys]
+        delta = lcm(*{den for _, den in pairs})
+        by_class = [0] * len(pairs)
+        for key, (num, den) in zip(keys, pairs):
+            by_class[self.class_index[key]] = num * (delta // den)
         return [list(map(by_class.__getitem__, row)) for row in self.class_of], delta
 
 
@@ -573,6 +618,7 @@ def gram_matrix(L: LinearFunctional, basis: list[AElement]) -> list[list]:
     Basis elements must be coefficient-1 monomial fractions (as
     ``truncated_basis`` returns); anything else raises ValueError.
     ``psd-check`` reads the same window through ``MomentWindow`` itself.
+    An exact entry is one Fraction per class, built from the stored pairs.
     """
     window = MomentWindow.of_basis(basis)
     if basis and basis[0].nvars != L.nvars:
@@ -580,9 +626,10 @@ def gram_matrix(L: LinearFunctional, basis: list[AElement]) -> list[list]:
     if basis and basis[0].mode is not L.mode:
         raise ValueError(f"cannot apply {L.mode.value} functional to "
                          f"{basis[0].mode.value} element")
-    # zero + value sums exactly as L.apply does, so a stored float -0.0 reads as 0.0.
-    zero = L.zero_scalar()
-    return window.matrix(lambda key: zero + L._key_value(key[0], key[1]))
+    if L.scalar_kind == SCALAR_EXACT:
+        return window.matrix(lambda key: L._key_value(*key))
+    # 0.0 + value sums as L.apply does, so a stored float -0.0 reads as 0.0.
+    return window.matrix(lambda key: 0.0 + L._key_value(*key))
 
 
 @dataclass
@@ -609,10 +656,7 @@ def cs_chain_check(L: LinearFunctional, a: AElement, k: int) -> CsChainReport:
         raise ValueError("k must be >= 0")
     if L.scalar_kind != SCALAR_EXACT:
         raise ValueError("the chain audit runs on the exact path only")
-    one = ((0,) * L.nvars, 0)
-    L1 = L.values.get(one)
-    if L1 is None:
-        raise DomainOverflowError(one)
+    L1 = L.value((0,) * L.nvars)
     powers = []
     current = a
     for j in range(k + 1):

@@ -4,8 +4,8 @@ The exact route factors a symmetric rational matrix as P*G*P^T = L*D*L^T
 with symmetric largest-diagonal pivoting.  One elimination has two entry
 points: ``psd_check_exact`` takes the matrix and clears it entry by entry
 (``_int_rows``); ``psd_check_cleared`` takes it already cleared, as
-(N, delta) with G = N / delta, which ``MomentWindow.cleared`` builds with
-one coercion per moment class; every exact moment matrix of the program,
+(N, delta) with G = N / delta, which ``MomentWindow.cleared`` builds from
+one reduced pair per moment class; every exact moment matrix of the program,
 the ``psd-check`` Gram matrix included, takes that entry.  Both refuse an
 asymmetric N, as ``verify`` refuses an asymmetric matrix.  The elimination
 holds each Schur
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from ..scalars import as_fraction, clear_denominators, is_exact_scalar
+from ..scalars import as_fraction, as_pair, clear_denominators, is_exact_scalar
 
 # L's zeros and ones, shared rather than built n^2 times.
 _ZERO = Fraction(0)
@@ -278,7 +278,7 @@ def hamburger_check(moments) -> PsdVerdict:
     """
     from .core import MomentWindow  # the algebra layers load only for the Hankel test
 
-    s = [as_fraction(v) for v in moments]
+    s = [as_pair(v) for v in moments]
     if len(s) % 2 != 1:
         raise ValueError(f"need an odd number of moments s_0..s_2N, got {len(s)}")
     window = MomentWindow([((i,), 0) for i in range((len(s) + 1) // 2)])

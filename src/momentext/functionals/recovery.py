@@ -106,7 +106,7 @@ def recover_atoms(L: LinearFunctional, dim: int, degree: int,
     vander = np.empty((size, rank))
     for i, a in enumerate(monos):
         vander[i, :] = np.prod(coords ** np.asarray(a, dtype=float), axis=1)
-    target = np.array([float(L.value(m)) for m in monos])
+    target = np.array([L.float_value(m) for m in monos])
     weights, *_ = np.linalg.lstsq(vander, target, rcond=None)
 
     coord_scale = max(1.0, float(np.max(np.abs(coords))) if rank else 1.0)
@@ -140,7 +140,7 @@ def _moment_matrix(L: LinearFunctional, monos: list[Exponent]) -> np.ndarray:
     import numpy as np
 
     window = MomentWindow([(a, 0) for a in monos])
-    return np.array(window.matrix(lambda key: float(L.value(*key))))
+    return np.array(window.matrix(lambda key: L.float_value(*key)))
 
 
 def _greedy_pivots(W: np.ndarray, rank: int) -> list[int] | None:
@@ -182,5 +182,5 @@ def polynomial_moment_residual(measure: DiscreteMeasure, L: LinearFunctional,
             total += measure.origin_mass
             for weight, _ in measure.sphere_atoms:
                 total += weight
-        worst = max(worst, abs(total - float(L.value(gamma))))
+        worst = max(worst, abs(total - L.float_value(gamma)))
     return worst

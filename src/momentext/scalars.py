@@ -31,6 +31,11 @@ def as_fraction(value: int | Fraction | str) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
+def as_pair(value) -> tuple[int, int]:
+    """The reduced (numerator, denominator > 0) of ``as_fraction(value)``."""
+    return as_fraction(value).as_integer_ratio()
+
+
 def is_exact_scalar(value) -> bool:
     """True for an int or a Fraction; a bool is not an exact scalar."""
     return isinstance(value, (int, Fraction)) and not isinstance(value, bool)

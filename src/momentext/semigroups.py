@@ -53,7 +53,7 @@ from .functionals.recovery import (IndeterminateRankError, RecoveryFailedError,
                                    recover_atoms)
 from .polyalg import (Poly, exponents_of_degree, integer_divide_out,
                       integer_norm_squared_power, integer_product, integer_terms)
-from .scalars import GaussianRational, clear_denominators
+from .scalars import GaussianRational, as_pair, clear_denominators
 
 
 class SgDomain(enum.Enum):
@@ -344,7 +344,8 @@ def nplus_extension_check(s: HermitianSequence, measure: DiscreteMeasure,
                   if extended.entries[key] != value]
     restriction_ok = not mismatches
 
-    psd = psd_check_cleared(*moment_window.cleared(lambda key: _embedded_value(extended, key)))
+    psd = psd_check_cleared(*moment_window.cleared(
+        lambda key: as_pair(_embedded_value(extended, key))))
 
     # The translated targets read keys up to pole P and degree T; the
     # window (p, D) stores every key up to pole 2p >= P and degree 2D >= T.
@@ -416,7 +417,8 @@ def bisgaard_check(s: HermitianSequence, try_recovery: bool = True,
                   for n in range(-2 * (matrix_box + 1), 2 * (matrix_box + 1) + 1)):
             matrix_box += 1
     window = box_window(matrix_box, SgDomain.Z2)
-    psd = psd_check_cleared(*_embedded_window(window).cleared(lambda key: _embedded_value(s, key)))
+    psd = psd_check_cleared(*_embedded_window(window).cleared(
+        lambda key: as_pair(_embedded_value(s, key))))
     report = BisgaardReport(True, [], matrix_box, psd)
     if not try_recovery or not psd.is_psd:
         return report

@@ -21,10 +21,10 @@ check the shape of what they read and raise ValueError on anything
 malformed (a list where an object belongs, a string where a list belongs,
 a non-integer exponent, a key listed twice), so bad input is reported as
 an input error instead of turning into data.  An exact functional's
-entries are read a column at a time when every field has its canonical
-JSON type; otherwise, and to name a fault, entry by entry and field by
-field.  The error text and the order in which faults are found are the
-same either way.
+entries are read a column at a time, into reduced integer pairs, when
+every field has its canonical JSON type; otherwise, and to name a fault,
+entry by entry and field by field.  The error text and the order in which
+faults are found are the same either way.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ import json
 from fractions import Fraction
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
-from operator import neg
+from math import gcd
+from operator import floordiv, neg
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -213,35 +214,56 @@ def measure_from_dict(data: dict) -> DiscreteMeasure:
 
 
 def functional_to_dict(L: LinearFunctional) -> dict:
+    # an exact value's text comes from its stored pair, as format_fraction writes it
+    text = (lambda p: f"{p[0]}/{p[1]}" if p[1] != 1 else str(p[0])) \
+        if L.scalar_kind == SCALAR_EXACT else float
     entries = []
     # by pole order, then grlex_key(gamma), written out: this sort is half
     # the function's time on a wide functional
-    for (gamma, m), value in sorted(L.values.items(), key=lambda kv: (
+    for (gamma, m), value in sorted(L._stored.items(), key=lambda kv: (
             kv[0][1], sum(kv[0][0]), tuple(map(neg, kv[0][0])))):
-        entries.append({"exp": list(gamma), "pole_order": m,
-                        "value": scalar_to_json(value)})
+        entries.append({"exp": list(gamma), "pole_order": m, "value": text(value)})
     return {"nvars": L.nvars, "mode": L.mode.value, "scalar_kind": L.scalar_kind,
             "pole_max": L.pole_max, "degree_max": L.degree_max, "entries": entries}
 
 
 def _entry(item, kind: str) -> tuple:
-    """(key, value) of one functional entry, every field checked in turn."""
+    """(key, value) of one functional entry, every field checked in turn; an
+    exact value is its reduced pair."""
     item = _object(item, "entry")
     value = scalar_from_json(item["value"])
     if kind == SCALAR_FLOAT:
         value = _finite(value)
     elif isinstance(value, float):
         raise ValueError("exact functional file contains a float value")
-    return (_exponent(item["exp"]), _integer(item["pole_order"], "pole_order")), value
+    key = (_exponent(item["exp"]), _integer(item["pole_order"], "pole_order"))
+    return key, value if kind == SCALAR_FLOAT else value.as_integer_ratio()
+
+
+def _rational_pairs(texts: list[str]) -> list[tuple[int, int]]:
+    """``_rational(text).as_integer_ratio()`` of each text, parsed a column
+    at a time when every text is "p" or "p/q" in ASCII digits (p optionally
+    "-", q > 0), else text by text, so the first bad text is named."""
+    joined = "".join(texts)
+    if joined.isascii() and joined.encode().translate(None, b"/-").isdigit():
+        heads, slashes, tails = zip(*map(str.partition, texts, repeat("/")))
+        try:  # a misplaced sign or slash, or too many digits, takes the text-by-text path
+            nums, dens = list(map(int, heads)), [int(q) if s else 1 for s, q in zip(slashes, tails)]
+        except ValueError:
+            dens = [0]
+        if min(dens) > 0:
+            gcds = list(map(gcd, nums, dens))
+            return list(zip(map(floordiv, nums, gcds), map(floordiv, dens, gcds)))
+    return [_rational(text).as_integer_ratio() for text in texts]
 
 
 def _exact_columns(entries: list) -> dict | None:
-    """The key -> value table of exact entries, read a column at a time.
+    """The key -> reduced pair table of exact entries, read a column at a time.
 
     When every entry is an object with a string value, a list of int
     exponents and an int pole order (JSON types checked over whole
-    columns), only a value text can be at fault: ``_rational`` parses them
-    in order and raises ``_entry``'s error at the first bad one.  Any other
+    columns), only a value text can be at fault: ``_rational_pairs`` parses
+    them and raises ``_entry``'s error at the first bad one.  Any other
     table gives None, and ``_entry`` reads it field by field.
     """
     if not set(map(type, entries)) <= {dict}:
@@ -251,7 +273,7 @@ def _exact_columns(entries: list) -> dict | None:
     if not (set(map(type, texts)) <= {str} and set(map(type, exps)) <= {list}
             and set(map(type, poles)) <= {int} and set(map(type, chain.from_iterable(exps))) <= {int}):
         return None
-    return dict(zip(zip(map(tuple, exps), poles), map(_rational, texts)))
+    return dict(zip(zip(map(tuple, exps), poles), _rational_pairs(texts)))
 
 
 def functional_from_dict(data: dict) -> LinearFunctional:
@@ -263,9 +285,9 @@ def functional_from_dict(data: dict) -> LinearFunctional:
     values = _exact_columns(entries) if kind == SCALAR_EXACT else None
     if values is None:
         values = dict(_entry(item, kind) for item in entries)
-    L = LinearFunctional(_integer(data["nvars"], "nvars"), Mode(data["mode"]), kind, values,
-                         pole_max=_integer(data.get("pole_max", 0), "pole_max"),
-                         degree_max=_integer(data.get("degree_max", 0), "degree_max"))
+    L = LinearFunctional._of_stored(_integer(data["nvars"], "nvars"), Mode(data["mode"]), kind,
+                                    values, pole_max=_integer(data.get("pole_max", 0), "pole_max"),
+                                    degree_max=_integer(data.get("degree_max", 0), "degree_max"))
     _refuse_repeats(entries, len(values), lambda item: f"(exp {item['exp']}, "
                     f"pole_order {item['pole_order']})", "functional lists the key")
     return L

@@ -405,7 +405,7 @@ def test_exact_psd_check_reads_unstored_classes_through_their_lifts(tmp_path, ca
     two variables is read by its lift, and the verdict is the full table's."""
     mu = DiscreteMeasure(2, atoms=((Fraction(1), (Fraction(1), Fraction(2))),
                                    (Fraction(1, 2), (Fraction(-1), Fraction(1, 3)))))
-    full = _moment_table(mu, 3, 8, Mode.LAURENT)
+    full = {key: Fraction(*pair) for key, pair in _moment_table(mu, 3, 8, Mode.LAURENT).items()}
     reports = []
     for values in (full, {key: v for key, v in full.items() if key[1] != 2}):
         path = tmp_path / f"L{len(reports)}.json"
@@ -754,6 +754,29 @@ def test_a_crash_is_no_verdict(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(feasibility, "extension_feasibility", exhaust)
     assert run(capsys, *argv) == (2, "", "error: out of memory in feasibility --pole-order 0 --degree 2\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("pipeline,target,flags", [
+    ("nplus-extension", "nplus_extension_check", " --box 2"),
+    ("bisgaard", "bisgaard_check", ""),
+    ("laurent-relations", "laurent_relations_check", ""),
+])
+def test_out_of_memory_names_box_only_where_it_sizes_the_window(
+        tmp_path, capsys, monkeypatch, pipeline, target, flags):
+    """--box has a default of 3 on every pipeline, but only nplus-extension
+    sizes its window by it; the other two once read 'semigroup --box 3'."""
+    from momentext import semigroups
+    measure = write_measure(tmp_path / "measure.json", [(Fraction(1), (Fraction(1), Fraction(2)))])
+    sequence = tmp_path / "sequence.json"
+    sequence.write_text(json.dumps({"domain": "Z2", "entries": [{"m": 0, "n": 0, "re": "1"}]}))
+
+    def exhaust(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(semigroups, target, exhaust)
+    argv = ["semigroup", "--pipeline", pipeline, "--measure", measure, "--sequence", str(sequence)]
+    if pipeline == "nplus-extension":
+        argv = argv[:-2] + ["--box", "2"]
+    assert run(capsys, *argv) == (2, "", f"error: out of memory in semigroup{flags}\n")
 
 
 def float_functional(value, degree=2):

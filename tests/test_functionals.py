@@ -19,7 +19,7 @@ from momentext.functionals.core import (DiscreteMeasure, DomainOverflowError,
                                         cs_chain_check, extend_from_measure,
                                         gram_matrix, moments_of_measure,
                                         polynomial_moments)
-from momentext.scalars import as_fraction
+from momentext.scalars import as_fraction, as_pair
 from momentext.polyalg import (DimensionMismatchError, Poly, exponents_of_degree,
                                exponents_up_to_degree, grlex_key,
                                norm_squared, norm_squared_power)
@@ -29,6 +29,13 @@ def two_atom_measure() -> DiscreteMeasure:
     return DiscreteMeasure(2, atoms=(
         (Fraction(1), (Fraction(1), Fraction(2))),
         (Fraction(1, 2), (Fraction(-1), Fraction(1, 3)))))
+
+
+def moment_fractions(measure: DiscreteMeasure, pole_max: int, degree_max: int,
+                     mode: Mode) -> dict:
+    """``_moment_table``'s reduced pairs as Fractions, a table for the public constructor."""
+    return {key: Fraction(*pair)
+            for key, pair in _moment_table(measure, pole_max, degree_max, mode).items()}
 
 
 def random_measure(rng: random.Random, dim: int, max_atoms: int = 4,
@@ -172,7 +179,7 @@ def test_exact_apply_matches_fraction_loop_on_edge_cases():
     # 1/2 + (3/7) x1: both keys are missing and served by _lifted_sum
     a = embed_poly(Poly(2, {(0, 0): Fraction(1, 2), (1, 0): Fraction(3, 7)}))
     assert all((gamma, 0) not in thinned.values for gamma in a.numerator.terms)
-    assert all(thinned._lifted_sum(gamma, 0, 1) == L.values[(gamma, 0)]
+    assert all(thinned._lifted_sum(gamma, 0, 1) == L.values[(gamma, 0)].as_integer_ratio()
                for gamma in a.numerator.terms)
     zero = embed_poly(Poly.zero(2))
     fractional = a_normalize(Poly(2, {(2, 0): Fraction(-5, 3), (1, 1): Fraction(2, 9),
@@ -636,10 +643,11 @@ def outcome(call):
 @given(inputs=window_inputs(), seed=st.integers(0, 2 ** 16),
        fault=st.sampled_from(["none", "asymmetric", "float", "missing", "float and missing"]))
 def test_cleared_window_matches_int_rows_of_its_matrix(inputs, seed, fault):
-    """One coercion per class gives _int_rows(matrix) and its errors, floats
-    and missing classes (every read fails before any coercion does, as in
-    the matrix); on a read that breaks the star's symmetry both kernels
-    raise the same error."""
+    """One reduced pair per class, as_pair(x) of a read x, gives
+    _int_rows(matrix) of the reads coerced by as_fraction, and its errors:
+    a float and a missing class fail at the first such class the matrix
+    reads; on a read that breaks the star's symmetry both kernels raise the
+    same error."""
     keys, star = inputs
     window = MomentWindow(keys, star)
     rng = random.Random(seed)
@@ -656,8 +664,10 @@ def test_cleared_window_matches_int_rows_of_its_matrix(inputs, seed, fault):
             raise DomainOverflowError(key)
         return values[key]
 
-    want = outcome(lambda: psd._int_rows(window.matrix(read)))
-    assert outcome(lambda: window.cleared(read)) == want
+    want = outcome(lambda: psd._int_rows(window.matrix(lambda key: as_fraction(read(key)))))
+    assert outcome(lambda: window.cleared(lambda key: as_pair(read(key)))) == want
+    if fault != "float and missing":  # one kind of fault fails at the same class either way
+        assert outcome(lambda: psd._int_rows(window.matrix(read))) == want
     if fault in ("none", "asymmetric"):
         N, delta = want
         before = [row[:] for row in N]
@@ -851,8 +861,8 @@ def test_moment_table_matches_key_oracle(dim, laurent, pole, degree, seed, origi
                            for t in range(0 if laurent else 2 * m, degree + 1)
                            for g in exponents_of_degree(dim, t)]
     for (gamma, m), value in table.items():
-        assert type(value) is Fraction
-        assert value == _key_value_of_measure(mu, gamma, m), (gamma, m)
+        assert type(value) is tuple and type(value[0]) is int and type(value[1]) is int
+        assert value == _key_value_of_measure(mu, gamma, m).as_integer_ratio(), (gamma, m)
 
 
 @settings(max_examples=40, deadline=None)
@@ -869,10 +879,10 @@ def test_measure_functionals_match_validated_construction(dim, laurent, pole, de
     degree_max = 2 * max(max(b.numerator.max_degree(), 0) for b in basis)
     cases = [(moments_of_measure(mu, basis),
               LinearFunctional(dim, mode, SCALAR_EXACT,
-                               _moment_table(mu, pole_max, degree_max, mode),
+                               moment_fractions(mu, pole_max, degree_max, mode),
                                pole_max=pole_max, degree_max=degree_max)),
              (polynomial_moments(mu, degree, mode),
-              LinearFunctional(dim, mode, SCALAR_EXACT, _moment_table(mu, 0, degree, mode)))]
+              LinearFunctional(dim, mode, SCALAR_EXACT, moment_fractions(mu, 0, degree, mode)))]
     for got, want in cases:
         assert got == want
         assert (got.pole_max, got.degree_max) == (want.pole_max, want.degree_max)
@@ -963,7 +973,7 @@ def audit_tables(draw):
         degree = max(degree, 2 * pole)
     rng = random.Random(draw(st.integers(0, 2 ** 32), label="seed"))
     mu = scenarios.random_measure(rng, dim, allow_origin=not laurent, allow_sphere=not laurent)
-    values = _moment_table(mu, pole, degree, mode)
+    values = moment_fractions(mu, pole, degree, mode)
     keys = list(values)
     rng.shuffle(keys)
     dropped = set(keys[:draw(st.integers(0, len(keys) // 3), label="dropped")])
@@ -1032,7 +1042,7 @@ def test_window_read_matches_int_rows_of_the_gram_matrix(inputs):
     """psd-check's exact read, one coerced value per class, is the cleared
     Gram matrix, and a key missing from both fails at the same key."""
     L, basis = inputs
-    got = outcome(lambda: MomentWindow.of_basis(basis).cleared(lambda key: L._key_value(*key)))
+    got = outcome(lambda: MomentWindow.of_basis(basis).cleared(lambda key: L._stored_value(*key)))
     assert got == outcome(lambda: psd._int_rows(gram_matrix(L, basis)))
     assert got[0] is DomainOverflowError or isinstance(got[1], int)
 
@@ -1043,16 +1053,16 @@ def test_window_read_lifts_and_fails_as_the_gram_matrix():
     fails at the same key on both paths."""
     basis = truncated_basis(1, 3, 2, Mode.LAURENT)
     window = MomentWindow.of_basis(basis)
-    full = _moment_table(two_atom_measure(), 3, 8, Mode.LAURENT)
+    full = moment_fractions(two_atom_measure(), 3, 8, Mode.LAURENT)
     lifted = {key: v for key, v in full.items() if key[1] != 2}
     assert not set(window.classes) & set(lifted)
     L = LinearFunctional(2, Mode.LAURENT, SCALAR_EXACT, lifted)
-    assert window.cleared(lambda key: L._key_value(*key)) == \
+    assert window.cleared(lambda key: L._stored_value(*key)) == \
         psd._int_rows(gram_matrix(L, basis)) == psd._int_rows(window.matrix(full.__getitem__))
     del lifted[((6, 0), 3)]
     broken = LinearFunctional(2, Mode.LAURENT, SCALAR_EXACT, lifted)
     with pytest.raises(DomainOverflowError) as got:
-        window.cleared(lambda key: broken._key_value(*key))
+        window.cleared(lambda key: broken._stored_value(*key))
     with pytest.raises(DomainOverflowError) as want:
         gram_matrix(broken, basis)
     assert got.value.key == want.value.key == ((4, 0), 2)

@@ -16,7 +16,7 @@ from momentext.functionals.core import (SCALAR_EXACT, DiscreteMeasure, LinearFun
                                        extend_from_measure)
 from momentext.functionals.psd import psd_check_cleared, psd_check_exact
 from momentext.polyalg import Poly, exponents_up_to_degree, norm_squared, norm_squared_power
-from momentext.scalars import GaussianRational, power_by_squaring
+from momentext.scalars import GaussianRational, as_pair, power_by_squaring
 from momentext.semigroups import (HermitianSequence, MissingMomentError,
                                   NplusExtensionReport, SgDomain, SgElement,
                                   _binomial_expansion, _embedded_value,
@@ -575,7 +575,7 @@ def test_pipeline_verdicts_are_the_embedding_verdicts():
     assert (report.hermitian_ok, report.psd) == (False, None)
     window = box_window(1, SgDomain.Z2)
     cleared = outcome(lambda: psd_check_cleared(
-        *_embedded_window(window).cleared(lambda key: _embedded_value(tampered, key))))
+        *_embedded_window(window).cleared(lambda key: as_pair(_embedded_value(tampered, key)))))
     assert cleared == outcome(lambda: psd_check_exact(hermitian_embedding(tampered, window)))
     assert cleared[0] is ValueError and cleared[1].startswith("matrix not symmetric at")
 
